@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import DivergenceFailure, InfeasibleSelection, RootconesError
@@ -25,22 +24,36 @@ from .simulate import (
     replay_induction,
     trace_to_dict,
 )
-from .suites import SUITE_NAMES, run_verification
+from .suites import SUITE_NAMES, map_tasks, run_verification
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = {
-    "systems",
-    "suites",
-    "max_rank",
-    "max_subset_size",
-    "seed",
-    "horizon",
-    "traces",
-    "selection",
-    "out",
-    "format",
-    "jobs",
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+# Config key -> (check on the JSON value, what the check requires).
+CONFIG_TYPES = {
+    "systems": (_is_list_of(_is_str), "a list of strings"),
+    "suites": (_is_list_of(_is_str), "a list of strings"),
+    "max_rank": (_is_int, "an integer"),
+    "max_subset_size": (_is_int, "an integer"),
+    "seed": (_is_int, "an integer"),
+    "horizon": (_is_int, "an integer"),
+    "traces": (_is_int, "an integer"),
+    "selection": (_is_list_of(_is_int), "a list of integers"),
+    "out": (_is_str, "a string"),
+    "format": (_is_str, "a string"),
+    "jobs": (_is_int, "an integer"),
 }
 
 
@@ -74,6 +87,8 @@ class RunConfig:
             raise ValueError("max-rank must be at least 1")
         if self.max_subset_size is not None and self.max_subset_size < 0:
             raise ValueError("max-subset-size must be nonnegative")
+        if self.selection is not None and any(v < 1 for v in self.selection):
+            raise ValueError("selection needs 1-based root indices")
 
 
 def _load_config_file(path: str) -> dict:
@@ -81,16 +96,22 @@ def _load_config_file(path: str) -> dict:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - CONFIG_KEYS
+    unknown = set(data) - CONFIG_TYPES.keys()
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in sorted(data.items()):
+        check, wanted = CONFIG_TYPES[key]
+        if not check(value):
+            raise ValueError(
+                f"config key {key!r} must be {wanted}, got {json.dumps(value)}"
+            )
     return data
 
 
 def _merge(args: argparse.Namespace, command: str) -> RunConfig:
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     config = RunConfig(command=command)
-    for key in CONFIG_KEYS:
+    for key in CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(config, key, flag)
@@ -280,11 +301,7 @@ def cmd_simulate(config: RunConfig) -> int:
         for selection in selections:
             for t in range(config.traces):
                 tasks.append((spec, selection, config.horizon, config.seed + t))
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            entries = list(pool.map(_simulate_task, tasks))
-    else:
-        entries = [_simulate_task(t) for t in tasks]
+    entries = map_tasks(_simulate_task, tasks, config.jobs)
     ok = all(e["status"] != "divergence-failure" for e in entries)
     payload = {
         "schema": SCHEMA_VERSION,

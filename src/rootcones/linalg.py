@@ -22,10 +22,6 @@ def vec(values: Iterable) -> Vector:
     return tuple(Fraction(x) for x in values)
 
 
-def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
 def unit_vec(n: int, i: int) -> Vector:
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
@@ -34,12 +30,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot product of lengths {len(u)} and {len(v)}")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector addition of unequal lengths")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import PreconditionViolated, SubsetViolation
 from .linalg import (
@@ -19,7 +20,6 @@ from .linalg import (
     dot,
     full_space,
     intersect,
-    invert,
     is_direct_sum,
     is_subspace,
     kernel,
@@ -27,7 +27,14 @@ from .linalg import (
     unit_vec,
     vec_scale,
 )
-from .roots import RootSystem, WeightTable, connected_to, weight_table, subsystem
+from .roots import (
+    RootSystem,
+    WeightTable,
+    connected_to,
+    gramm_inverse,
+    subsystem,
+    weight_table,
+)
 
 
 def _as_subset(rs: RootSystem, subset: Iterable[int]) -> tuple[int, ...]:
@@ -50,19 +57,25 @@ def coroot_vector(rs: RootSystem, alpha: int) -> Vector:
 def kernel_subspace(rs: RootSystem, subset: Iterable[int]) -> Subspace:
     """Common kernel of the simple roots in subset (the space a_I)."""
     subset = _as_subset(rs, subset)
-    return kernel(rs.rank, [unit_vec(rs.rank, i) for i in subset])
+    return rs.cached(
+        ("kernel_subspace", subset),
+        lambda: kernel(rs.rank, [unit_vec(rs.rank, i) for i in subset]),
+    )
 
 
 def coroot_span(rs: RootSystem, subset: Iterable[int]) -> Subspace:
     """Span of the coroot images of subset (the space a^I)."""
     subset = _as_subset(rs, subset)
-    return span(rs.rank, [coroot_vector(rs, i) for i in subset])
+    return rs.cached(
+        ("coroot_span", subset),
+        lambda: span(rs.rank, [coroot_vector(rs, i) for i in subset]),
+    )
 
 
 def _orthogonal_complement(rs: RootSystem, s: Subspace) -> Subspace:
     # The inner product transported to evaluation coordinates is the
     # inverse Gramm matrix, so orthogonality is a kernel computation.
-    ginv = invert(rs.gramm)
+    ginv = gramm_inverse(rs)
     return kernel(rs.rank, [ginv.mul_vec(b) for b in s.basis])
 
 
@@ -72,16 +85,26 @@ class RelativeWeightTable:
 
     Vectors are full-length rows supported on I; they agree with the
     subsystem's own table under the index map, so they depend only on I.
+    The maps are read-only, since tables are shared through the memo.
     """
 
     subset: tuple[int, ...]
-    dual: dict
-    d: dict
-    weighted: dict
+    dual: Mapping[int, Vector]
+    d: Mapping[int, Fraction]
+    weighted: Mapping[int, Vector]
 
 
 def relative_weight_table(rs: RootSystem, subset: Iterable[int]) -> RelativeWeightTable:
     subset = _as_subset(rs, subset)
+    return rs.cached(
+        ("relative_weight_table", subset),
+        lambda: _relative_weight_table(rs, subset),
+    )
+
+
+def _relative_weight_table(
+    rs: RootSystem, subset: tuple[int, ...]
+) -> RelativeWeightTable:
     sub_rs, mapping = subsystem(rs, subset)
     table = weight_table(sub_rs) if subset else None
     dual, d, weighted = {}, {}, {}
@@ -92,7 +115,12 @@ def relative_weight_table(rs: RootSystem, subset: Iterable[int]) -> RelativeWeig
         dual[amb] = tuple(row)
         d[amb] = table.d[local]
         weighted[amb] = vec_scale(Fraction(1) / table.d[local], tuple(row))
-    return RelativeWeightTable(subset=subset, dual=dual, d=d, weighted=weighted)
+    return RelativeWeightTable(
+        subset=subset,
+        dual=MappingProxyType(dual),
+        d=MappingProxyType(d),
+        weighted=MappingProxyType(weighted),
+    )
 
 
 @dataclass(frozen=True)
@@ -161,6 +189,14 @@ def relative_torus(rs: RootSystem, upper: Iterable[int], lower: Iterable[int]) -
     lower = _as_subset(rs, lower)
     if not set(lower) <= set(upper):
         raise SubsetViolation(f"{lower} is not a subset of {upper}")
+    return rs.cached(
+        ("relative_torus", upper, lower), lambda: _relative_torus(rs, upper, lower)
+    )
+
+
+def _relative_torus(
+    rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
+) -> Subspace:
     result = intersect(coroot_span(rs, upper), kernel_subspace(rs, lower))
     assert result.dim == len(upper) - len(lower)
     return result

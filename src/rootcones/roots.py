@@ -10,8 +10,9 @@ span-side vector acts on it by the plain dot product of coordinates.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import networkx as nx
@@ -126,6 +127,32 @@ class RootSystem:
     gramm: QMatrix
     positive_roots: tuple[tuple[int, ...], ...]
     dynkin_components: tuple[tuple[int, ...], ...]
+    # Values derived from this system, keyed by kind and normalised
+    # arguments; see `cached`. Not part of equality, hash, repr or pickle.
+    _memo: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        object.__setattr__(self, "_memo", {})
+
+    def cached(self, key: tuple, compute):
+        """The value of compute(), computed once per system and key.
+
+        Callers validate and normalise the arguments that make up the key
+        before asking, so bad input raises on every call, and only
+        immutable values are stored, so they can be shared.
+        """
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     @property
     def rank(self) -> int:
@@ -285,11 +312,23 @@ def from_gramm(gramm: QMatrix, components=None) -> RootSystem:
     )
 
 
+# More than the distinct systems of a default `verify --suite all` run.
+_BUILD_CACHE_SIZE = 64
+
+
 def build(spec) -> RootSystem:
-    """Construct a root system from a spec string or (letter, rank) pairs."""
+    """Construct a root system from a spec string or (letter, rank) pairs.
+
+    Equal specs give one shared instance, so its memoised data is reused
+    across calls; use `from_gramm` for a fresh system.
+    """
     if isinstance(spec, str):
         spec = parse_spec(spec)
-    spec = tuple((letter.upper(), int(rank)) for letter, rank in spec)
+    return _build(tuple((letter.upper(), int(rank)) for letter, rank in spec))
+
+
+@lru_cache(maxsize=_BUILD_CACHE_SIZE)
+def _build(spec: tuple[tuple[str, int], ...]) -> RootSystem:
     blocks = [gramm_seed(letter, rank) for letter, rank in spec]
     n = sum(len(b) for b in blocks)
     rows = [[Fraction(0)] * n for _ in range(n)]
@@ -363,9 +402,18 @@ class WeightTable:
         return len(self.dual)
 
 
+def gramm_inverse(rs: RootSystem) -> QMatrix:
+    """The inverse Gramm matrix, computed once per system."""
+    return rs.cached(("gramm_inverse",), lambda: invert(rs.gramm))
+
+
 def weight_table(rs: RootSystem) -> WeightTable:
     """Exact dual-weight data computed from the inverse Gramm matrix."""
-    ginv = invert(rs.gramm)
+    return rs.cached(("weight_table",), lambda: _weight_table(rs))
+
+
+def _weight_table(rs: RootSystem) -> WeightTable:
+    ginv = gramm_inverse(rs)
     dual = tuple(ginv.row(i) for i in range(rs.rank))
     d = tuple(sum(row, Fraction(0)) for row in dual)
     assert all(x > 0 for x in d)
@@ -479,6 +527,10 @@ def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[
     subset = tuple(sorted(set(subset)))
     for i in subset:
         rs.check_root(i)
+    return rs.cached(("subsystem", subset), lambda: _subsystem(rs, subset))
+
+
+def _subsystem(rs: RootSystem, subset: tuple[int, ...]):
     if not subset:
         empty = RootSystem(
             components=(),

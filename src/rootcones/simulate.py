@@ -22,7 +22,6 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .cones import ConeSpec, extreme_rays
@@ -106,8 +105,13 @@ def _validate_selection(rs: RootSystem, selection: Sequence[int]) -> tuple[int, 
     return selection
 
 
-@lru_cache(maxsize=None)
 def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
+    return rs.cached(
+        ("level_data", selection), lambda: _compute_level_data(rs, selection)
+    )
+
+
+def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
     levels = len(selection)
     subsets = [tuple(range(rs.rank))]
     for root in selection:

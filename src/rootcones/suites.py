@@ -9,6 +9,7 @@ to keep reports deterministic.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -413,6 +414,20 @@ def _run_task(task: tuple[str, str, int | None]) -> list[dict]:
     return rows
 
 
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn applied to every task, in task order.
+
+    Runs in this process unless more than one worker would be busy; the
+    pool never gets more workers than tasks or CPUs, since each starts up
+    front.
+    """
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(task) for task in tasks]
+
+
 def run_verification(
     suites: list[str],
     systems: list[str] | None = None,
@@ -432,11 +447,7 @@ def run_verification(
     for suite in suites:
         for spec in systems_for(suite, max_rank, systems):
             tasks.append((suite, spec, max_subset_size))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
+    results = map_tasks(_run_task, tasks, jobs)
     rows = [row for chunk in results for row in chunk]
     if any(task[0] == "controls" for task in tasks):
         rows.append(_controls_joint_summary(rows))

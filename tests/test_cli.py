@@ -2,7 +2,9 @@
 
 import json
 
-from rootcones import cli, simulate
+import pytest
+
+from rootcones import cli, simulate, suites
 from rootcones.errors import InfeasibleSelection
 
 
@@ -256,9 +258,102 @@ class TestConfigFile:
         assert code == 2
         assert "unknown config keys" in err
 
+    def test_zero_based_config_selection_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"selection": [0, 1]}))
+        code, _, err = run(
+            ["simulate", "--system", "A2", "--config", str(config)], capsys
+        )
+        assert code == 2
+        assert "1-based" in err
+
     def test_missing_config_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(
             ["simulate", "--system", "A1", "--config", str(tmp_path / "no.json")],
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("jobs", "2"),
+            ("jobs", True),
+            ("seed", 1.5),
+            ("horizon", "4"),
+            ("traces", None),
+            ("max_rank", False),
+            ("max_subset_size", "1"),
+            ("systems", "A2"),
+            ("suites", ["lemma66", 3]),
+            ("selection", [1, "2"]),
+            ("selection", [True]),
+            ("out", 7),
+            ("format", ["json"]),
+        ],
+    )
+    def test_mistyped_config_value_exits_2(self, capsys, tmp_path, key, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run(
+            ["simulate", "--system", "A1", "--config", str(config)], capsys
+        )
+        assert code == 2
+        assert f"config key {key!r}" in err
+        assert out == ""
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs inline."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class TestWorkerBound:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        monkeypatch.setattr(RecordingPool, "sizes", [])
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
+        return RecordingPool.sizes
+
+    def test_verify_bounded_by_cpus(self, sizes):
+        rows, ok = suites.run_verification(
+            ["lemma66"], systems=["A1", "A2", "A3", "A4", "A5"], jobs=64
+        )
+        assert ok and len(rows) == 5
+        assert sizes == [3]
+
+    def test_verify_bounded_by_tasks(self, sizes):
+        suites.run_verification(["lemma66"], systems=["A1", "A2"], jobs=64)
+        assert sizes == [2]
+
+    def test_simulate_bounded(self, capsys, sizes):
+        code, _, _ = run(
+            ["simulate", "--system", "A1", "--horizon", "2", "--traces", "2",
+             "--jobs", "64"],
+            capsys,
+        )
+        assert code == 0
+        assert sizes == [2]  # one selection, two traces
+
+    def test_single_worker_runs_inline(self, capsys, sizes):
+        suites.run_verification(["lemma66"], systems=["A1", "A2"], jobs=1)
+        code, _, _ = run(
+            ["simulate", "--system", "A2", "--horizon", "2", "--jobs", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert sizes == []

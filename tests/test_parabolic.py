@@ -6,16 +6,23 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rootcones.errors import PreconditionViolated, SubsetViolation
+from rootcones import parabolic, suites
+from rootcones.errors import PreconditionViolated, SubsetViolation, UnknownRoot
 from rootcones.linalg import (
     full_space,
+    intersect,
     is_direct_sum,
     is_subspace,
+    kernel,
+    span,
+    unit_vec,
     vec,
     vec_scale,
 )
 from rootcones.parabolic import (
+    coroot_span,
     coroot_vector,
+    kernel_subspace,
     make_datum,
     relative_torus,
     relative_weight_table,
@@ -24,7 +31,7 @@ from rootcones.parabolic import (
     verify_tori,
     verify_trivial,
 )
-from rootcones.roots import build, weight_table
+from rootcones.roots import build, from_gramm, subsystem, weight_table
 
 
 def subsets(n):
@@ -229,3 +236,78 @@ class TestParaShadow:
                     assert is_subspace(small, large)
                     connecting = relative_torus(rs, iprime, i)
                     assert is_direct_sum(small, connecting, large)
+
+
+def fresh(spec):
+    """A system with an empty memo, not the instance `build` shares."""
+    return from_gramm(build(spec).gramm)
+
+
+class TestMemo:
+    def test_sweep_computes_each_torus_once(self, monkeypatch):
+        rs = fresh("D4")
+        intersections = []
+        pairs = []
+        real_intersect = parabolic.intersect
+        real_torus = parabolic.relative_torus
+
+        def counting_intersect(s1, s2):
+            intersections.append((s1, s2))
+            return real_intersect(s1, s2)
+
+        def recording_torus(rs_, upper, lower):
+            pairs.append((tuple(sorted(upper)), tuple(sorted(lower))))
+            return real_torus(rs_, upper, lower)
+
+        monkeypatch.setattr(parabolic, "intersect", counting_intersect)
+        monkeypatch.setattr(parabolic, "relative_torus", recording_torus)
+        monkeypatch.setattr(suites, "build", lambda spec: rs)
+        rows = suites.run_parabolic("D4")
+        assert all(row["status"] == "pass" for row in rows)
+        assert len(set(pairs)) == 3 ** 4  # every J inside I inside {0..3}
+        assert len(pairs) > 10 * len(set(pairs))
+        assert len(intersections) == len(set(pairs))
+
+    @pytest.mark.parametrize("spec", ["B3", "G2", "A2xA1"])
+    def test_memoised_spaces_equal_direct_ones(self, spec):
+        rs = fresh(spec)
+        n = rs.rank
+        for upper in subsets(n):
+            a_upper = span(n, [coroot_vector(rs, i) for i in upper])
+            for _ in range(2):  # computed, then served from the memo
+                assert coroot_span(rs, upper) == a_upper
+                assert kernel_subspace(rs, upper) == kernel(
+                    n, [unit_vec(n, i) for i in upper]
+                )
+            for lower in subsets(n):
+                if not set(lower) <= set(upper):
+                    continue
+                direct = intersect(
+                    a_upper, kernel(n, [unit_vec(n, i) for i in lower])
+                )
+                assert relative_torus(rs, upper, lower) == direct
+                assert relative_torus(rs, upper, lower) == direct
+
+    def test_bad_index_raises_after_caching(self):
+        rs = fresh("A3")
+        for subset in subsets(3):
+            kernel_subspace(rs, subset)
+            coroot_span(rs, subset)
+            relative_weight_table(rs, subset)
+            relative_torus(rs, subset, ())
+        for call in (
+            lambda: kernel_subspace(rs, [0, 3]),
+            lambda: coroot_span(rs, [-1]),
+            lambda: relative_weight_table(rs, [5]),
+            lambda: relative_torus(rs, [0, 1, 3], [0]),
+            lambda: relative_torus(rs, [0, 1], [7]),
+            lambda: subsystem(rs, [0, 4]),
+        ):
+            with pytest.raises(UnknownRoot):
+                call()
+
+    def test_cached_weight_table_is_read_only(self):
+        rel = relative_weight_table(build("A3"), [0, 1])
+        with pytest.raises(TypeError):
+            rel.d[0] = Q(7)
+        assert relative_weight_table(build("A3"), (1, 0)) is rel

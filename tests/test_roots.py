@@ -1,5 +1,6 @@
 """Root system construction, weight tables, and character proportionality."""
 
+import pickle
 from fractions import Fraction as Q
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from rootcones.errors import InvalidRank, UnknownRoot
 from rootcones.linalg import QMatrix, invert, unit_vec, vec
+from rootcones.parabolic import relative_torus
 from rootcones.roots import (
     POSITIVE_ROOT_COUNTS,
     build,
     check_2d_identity,
     classify_irreducible,
     connected_to,
+    from_gramm,
     parabolic_character,
     parse_spec,
     rescale_components,
@@ -285,3 +288,35 @@ class TestClassification:
         rs = build("A2")
         sub, mapping = subsystem(rs, [])
         assert sub.rank == 0 and mapping == ()
+
+
+class TestMemo:
+    def test_build_shares_one_instance_per_spec(self):
+        assert build("B2xA1") is build([("b", 2), ("A", 1)])
+        assert build("A2") is not build("A3")
+
+    def test_memo_is_invisible(self):
+        plain = from_gramm(build("B3").gramm)
+        used = from_gramm(build("B3").gramm)
+        weight_table(used)
+        subsystem(used, [0, 1])
+        relative_torus(used, [0, 1, 2], [1])
+        assert used._memo and not plain._memo
+        assert used == plain
+        assert hash(used) == hash(plain)
+        assert repr(used) == repr(plain)
+        assert pickle.dumps(used) == pickle.dumps(plain)
+        restored = pickle.loads(pickle.dumps(used))
+        assert restored == used and restored._memo == {}
+
+    def test_cached_values_are_shared(self):
+        rs = from_gramm(build("G2").gramm)
+        assert weight_table(rs) is weight_table(rs)
+        assert subsystem(rs, [1, 0]) is subsystem(rs, (0, 1))
+
+    def test_rescaled_system_starts_empty(self):
+        rs = build("A2xB2")
+        before = weight_table(rs)
+        scaled = rescale_components(rs, [2, 3])
+        assert scaled._memo == {}
+        assert weight_table(scaled).d != before.d
