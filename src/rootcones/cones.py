@@ -15,8 +15,10 @@ from typing import Sequence
 
 from .errors import DimensionMismatch
 from .linalg import (
+    QMatrix,
     Vector,
     dot,
+    invert,
     is_zero_vec,
     kernel,
     primitive,
@@ -59,24 +61,19 @@ class RayEnumeration:
 
 
 def _independent_row_subset(rows: Sequence[Vector], dim: int) -> list[int]:
-    """Greedy choice of dim linearly independent rows (indices)."""
-    chosen: list[int] = []
-    staircase: list[list[Fraction]] = []
-    for idx, row in enumerate(rows):
-        candidate = [list(r) for r in staircase] + [list(row)]
-        reduced, _ = rref(candidate)
-        if len(reduced) > len(staircase):
-            staircase = [list(r) for r in reduced]
-            chosen.append(idx)
-            if len(chosen) == dim:
-                return chosen
-    raise AssertionError("rows do not span; cone is not pointed")
+    """Greedy choice of dim linearly independent rows (indices).
+
+    The pivot columns of the transposed rows are exactly the rows that
+    are independent of the rows before them.
+    """
+    _, pivots = rref(list(zip(*rows)))
+    if len(pivots) < dim:
+        raise AssertionError("rows do not span; cone is not pointed")
+    return pivots[:dim]
 
 
 def _solve_unit_columns(rows: Sequence[Vector], dim: int) -> list[Vector]:
     """Columns of the inverse of the square matrix formed by rows."""
-    from .linalg import QMatrix, invert
-
     inv = invert(QMatrix.from_rows(rows))
     return [inv.column(j) for j in range(dim)]
 

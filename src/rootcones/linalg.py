@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -104,9 +104,6 @@ class QMatrix:
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix.from_rows([self.column(j) for j in range(self.cols)])
-
     def mul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -153,89 +150,83 @@ def vstack(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
-def _integer_rows(m: QMatrix) -> tuple[list[list[int]], list[int]]:
+def _integer_rows(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row; returns integer rows and scales."""
     work, scales = [], []
-    for i in range(m.rows):
-        row = m.row(i)
-        s = lcm(*(x.denominator for x in row)) if row else 1
+    for row in rows:
+        s = lcm(*(x.denominator for x in row))
         scales.append(s)
-        work.append([int(x * s) for x in row])
+        work.append([x.numerator * (s // x.denominator) for x in row])
     return work, scales
 
 
-def invert(m: QMatrix) -> QMatrix:
-    """Exact matrix inverse.
+def _fraction_free_reduce(
+    a: list[list[int]], search: int
+) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
-    Rows are scaled to integers, the forward pass is fraction-free
-    Bareiss elimination (keeps intermediate entries small and integral),
-    and back-substitution is exact rational. Raises SingularMatrix when
-    the matrix is rank deficient.
+    Pivots are sought in the first `search` columns. Every entry stays a
+    minor of the input, so each update divides exactly by the previous
+    pivot (Bareiss, 1968). Afterwards the pivot rows lead a, every pivot
+    entry equals the last pivot d and every other entry of a pivot column
+    is zero; rows past the pivots are zero in the searched columns.
+    Returns the pivot columns, the sign of the row swaps and d.
+    """
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(search):
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        row_r = a[r]
+        piv = row_r[c]
+        for i, row_i in enumerate(a):
+            if i != r:
+                f = row_i[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row_i, row_r)]
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return pivots, sign, prev
+
+
+def invert(m: QMatrix) -> QMatrix:
+    """Exact matrix inverse; raises SingularMatrix when m is rank deficient.
+
+    With D the diagonal of row scales that make D m integral, reducing
+    [D m | D] leaves [d I | d m^-1].
     """
     if m.rows != m.cols:
         raise DimensionMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
-    if n == 0:
-        return m
-    a, scales = _integer_rows(m)
-    # Solve (D m) Y = D with D = diag(scales); then Y = m^{-1} exactly.
+    a, scales = _integer_rows(m.row(i) for i in range(n))
     for i in range(n):
         a[i].extend(scales[i] if j == i else 0 for j in range(n))
-    width = 2 * n
-    prev = 1
-    for k in range(n):
-        p = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if p is None:
-            raise SingularMatrix("matrix is not invertible")
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, width):
-                # Exact integer division: Sylvester identity.
-                row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = piv
-    out: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for col in range(n):
-        for i in range(n - 1, -1, -1):
-            s = Fraction(a[i][n + col])
-            for j in range(i + 1, n):
-                s -= a[i][j] * out[j][col]
-            out[i][col] = s / a[i][i]
-    return QMatrix.from_rows(out)
+    pivots, _, d = _fraction_free_reduce(a, n)
+    if len(pivots) < n:
+        raise SingularMatrix("matrix is not invertible")
+    return QMatrix(n, n, tuple(Fraction(x, d) for row in a for x in row[n:]))
 
 
 def determinant(m: QMatrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the last fraction-free pivot over the row scales."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a, scales = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        p = next((r for r in range(k, n) if a[r][k] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            for j in range(k + 1, n):
-                a[i][j] = (piv * a[i][j] - aik * a[k][j]) // prev
-            a[i][k] = 0
-        prev = piv
-    det_scaled = Fraction(sign * a[n - 1][n - 1])
-    for s in scales:
-        det_scaled /= s
-    return det_scaled
+    a, scales = _integer_rows(m.row(i) for i in range(n))
+    pivots, sign, d = _fraction_free_reduce(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * d, prod(scales))
 
 
 def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
@@ -266,31 +257,18 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
-    """Reduced row echelon form; returns nonzero rows and pivot columns."""
-    work = [list(vec(r)) for r in rows]
-    if not work:
+    """Reduced row echelon form; returns nonzero rows and pivot columns.
+
+    Entries must be Fractions or ints.
+    """
+    if not rows:
         return [], []
-    ncols = len(work[0])
-    if any(len(r) != ncols for r in work):
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
         raise DimensionMismatch("ragged rows")
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if p is None:
-            continue
-        work[r], work[p] = work[p], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return [tuple(row) for row in work[:r]], pivots
+    a, _ = _integer_rows(rows)
+    pivots, _, d = _fraction_free_reduce(a, ncols)
+    return [tuple(Fraction(x, d) for x in row) for row in a[: len(pivots)]], pivots
 
 
 @dataclass(frozen=True)
@@ -325,10 +303,6 @@ def span(ambient_dim: int, vectors: Sequence[Sequence[Fraction]]) -> Subspace:
 
 def full_space(ambient_dim: int) -> Subspace:
     return span(ambient_dim, [unit_vec(ambient_dim, i) for i in range(ambient_dim)])
-
-
-def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, ())
 
 
 def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subspace:
@@ -366,14 +340,23 @@ def is_subspace(inner: Subspace, outer: Subspace) -> bool:
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
+    """Intersection of two subspaces of the same ambient space.
+
+    Zassenhaus: reduce the rows (b | b) for b in s1 and (c | 0) for c in
+    s2. The rows whose left half vanishes have right halves that span the
+    intersection, and those right halves are already in reduced echelon
+    form, hence canonical.
+    """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     n = s1.ambient_dim
-    # Annihilators under the standard pairing: S = ker(ann(S)).
-    ann1 = kernel(n, s1.basis).basis
-    ann2 = kernel(n, s2.basis).basis
-    return kernel(n, list(ann1) + list(ann2))
+    zero = (Fraction(0),) * n
+    reduced, pivots = rref(
+        [(*b, *b) for b in s1.basis] + [(*c, *zero) for c in s2.basis]
+    )
+    return Subspace(
+        n, tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
+    )
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:

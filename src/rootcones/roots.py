@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import networkx as nx
-
 from .errors import InvalidRank, NotProportional, UnknownRoot
 from .linalg import (
     QMatrix,
@@ -178,13 +176,7 @@ class RootSystem:
 
     def cartan(self) -> QMatrix:
         """Cartan matrix: 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
-        g = self.gramm
-        return QMatrix.from_rows(
-            [
-                [2 * g.at(i, j) / g.at(j, j) for j in range(self.rank)]
-                for i in range(self.rank)
-            ]
-        )
+        return QMatrix.from_rows(_cartan_rows(self.gramm))
 
     def root_label(self, alpha: int) -> str:
         return f"alpha_{alpha + 1}"
@@ -342,16 +334,38 @@ def _build(spec: tuple[tuple[str, int], ...]) -> RootSystem:
     return from_gramm(QMatrix.from_rows(rows), components=spec)
 
 
-def _cartan_digraph(gramm: QMatrix):
-    g = nx.DiGraph()
+def _cartan_rows(gramm: QMatrix) -> list[list[Fraction]]:
+    """Cartan matrix entries 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
     n = gramm.rows
-    g.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and gramm.at(i, j) != 0:
-                label = 2 * gramm.at(i, j) / gramm.at(j, j)
-                g.add_edge(i, j, c=str(label))
-    return g
+    return [[2 * gramm.at(i, j) / gramm.at(j, j) for j in range(n)] for i in range(n)]
+
+
+def _same_up_to_reindexing(
+    target: list[list[Fraction]], seed: list[list[Fraction]]
+) -> bool:
+    """Whether target[p[i]][p[j]] == seed[i][j] for some permutation p.
+
+    Backtracking: seed node k goes to an unused target node whose entries
+    against the images of seed nodes 0..k-1 agree.
+    """
+    n = len(seed)
+    image: list[int] = []
+
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        for t in range(n):
+            if t not in image and all(
+                target[t][u] == seed[k][i] and target[u][t] == seed[i][k]
+                for i, u in enumerate(image)
+            ):
+                image.append(t)
+                if extend(k + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
 
 
 def classify_irreducible(gramm: QMatrix):
@@ -363,23 +377,13 @@ def classify_irreducible(gramm: QMatrix):
     rank = gramm.rows
     if rank == 0 or not is_connected_subset(gramm, range(rank)):
         return None
-    candidates = [("A", rank)]
-    if rank >= 2:
-        candidates += [("B", rank), ("C", rank)]
-    if rank >= 3:
-        candidates.append(("D", rank))
-    if rank in (6, 7, 8):
-        candidates.append(("E", rank))
-    if rank == 4:
-        candidates.append(("F", 4))
-    if rank == 2:
-        candidates.append(("G", 2))
-    target = _cartan_digraph(gramm)
-    match = nx.algorithms.isomorphism.categorical_edge_match("c", None)
-    for letter, r in candidates:
-        seed = _cartan_digraph(QMatrix.from_rows(gramm_seed(letter, r)))
-        if nx.is_isomorphic(target, seed, edge_match=match):
-            return (letter, r)
+    target = _cartan_rows(gramm)
+    # Letters in catalogue order, so A3 wins over D3 and B2 over C2.
+    for letter, (lo, hi) in _RANK_BOUNDS.items():
+        if lo <= rank and (hi is None or rank <= hi):
+            seed = _cartan_rows(QMatrix.from_rows(gramm_seed(letter, rank)))
+            if _same_up_to_reindexing(target, seed):
+                return (letter, rank)
     return None
 
 

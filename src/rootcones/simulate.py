@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,20 +68,25 @@ class SimTrace:
         return len(self.selection)
 
     def theta(self, level: int, n: int) -> Vector:
-        """Accumulated tail sum of components from `level` up, at index n."""
-        acc = [Fraction(0)] * self.rs.rank
-        for step in self.steps[level - 1 :]:
-            comp = step.components[n - 1]
-            for j, x in enumerate(comp):
-                acc[j] += x
-        return tuple(acc)
+        """Accumulated tail sum of components from `level` up, at index n.
+
+        Component n of every level is n times its slope times its line, so
+        this is n times `theta_slope`; the per-index checks compare it with
+        the stored components.
+        """
+        return vec_scale(n, self.theta_slope(level))
 
     def theta_slope(self, level: int) -> Vector:
-        acc = [Fraction(0)] * self.rs.rank
-        for step in self.steps[level - 1 :]:
-            for j, x in enumerate(step.line):
-                acc[j] += step.slope * x
-        return tuple(acc)
+        """Sum of slope times line over the levels from `level` up."""
+        return self._tail_slopes[level - 1]
+
+    @cached_property
+    def _tail_slopes(self) -> tuple[Vector, ...]:
+        tails = [(Fraction(0),) * self.rs.rank]
+        for step in reversed(self.steps):
+            tail = tuple(a + step.slope * x for a, x in zip(tails[0], step.line))
+            tails.insert(0, tail)
+        return tuple(tails)
 
 
 @dataclass(frozen=True)

@@ -387,14 +387,19 @@ def _controls_joint_summary(rows: list[dict]) -> dict:
     return summary
 
 
+# Every worker takes (spec, max_subset_size); only the subset sweeps use the cap.
 _WORKERS = {
-    "gramm-inverse": run_gramm_inverse,
-    "identity-2d": run_identity_2d,
+    "gramm-inverse": lambda spec, cap: run_gramm_inverse(spec),
+    "identity-2d": lambda spec, cap: run_identity_2d(spec),
     "lemma64": run_lemma64,
-    "lemma65": run_lemma65,
-    "lemma66": run_lemma66,
-    "parabolic-lemmas": run_parabolic,
-    "chi-proportionality": run_chi,
+    "theorem61-constructive": (
+        lambda spec, cap: run_theorem61(spec, "constructive", cap)
+    ),
+    "theorem61-rays": lambda spec, cap: run_theorem61(spec, "rays", cap),
+    "lemma65": lambda spec, cap: run_lemma65(spec),
+    "lemma66": lambda spec, cap: run_lemma66(spec),
+    "parabolic-lemmas": lambda spec, cap: run_parabolic(spec),
+    "chi-proportionality": lambda spec, cap: run_chi(spec),
     "controls": run_controls,
 }
 
@@ -402,12 +407,7 @@ _WORKERS = {
 def _run_task(task: tuple[str, str, int | None]) -> list[dict]:
     suite, spec, max_subset_size = task
     start = time.perf_counter()
-    if suite.startswith("theorem61-"):
-        rows = run_theorem61(spec, suite.split("-", 1)[1], max_subset_size)
-    elif suite in ("lemma64", "controls"):
-        rows = _WORKERS[suite](spec, max_subset_size)
-    else:
-        rows = _WORKERS[suite](spec)
+    rows = _WORKERS[suite](spec, max_subset_size)
     elapsed = round(time.perf_counter() - start, 6)
     for row in rows:
         row["wall_time"] = elapsed

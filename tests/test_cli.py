@@ -1,6 +1,9 @@
 """Command-line behavior: reports, exit codes, config handling."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -119,16 +122,24 @@ class TestVerify:
             "suite,anchor,system,alpha,subset,route,status,wall_time,detail"
         )
 
-    def test_subset_filter_limits_sweeps(self, capsys):
-        code, out, _ = run(
-            ["verify", "--suite", "lemma64", "--system", "A3",
-             "--max-subset-size", "1"],
-            capsys,
-        )
+    @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+    def test_every_suite_runs(self, suite, capsys):
+        code, out, _ = run(["verify", "--suite", suite, "--system", "A2"], capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["rows"]
-        assert all(len(r["subset"]) <= 1 for r in payload["rows"])
+        rows = json.loads(out)["rows"]
+        assert rows and {row["suite"] for row in rows} == {suite}
+
+    def test_subset_filter_limits_sweeps(self, capsys):
+        for suite in ("lemma64", "theorem61-constructive", "theorem61-rays"):
+            code, out, _ = run(
+                ["verify", "--suite", suite, "--system", "A3",
+                 "--max-subset-size", "1"],
+                capsys,
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["rows"]
+            assert all(len(r["subset"]) <= 1 for r in payload["rows"])
 
     def test_ray_counts_logged(self, capsys):
         code, out, _ = run(
@@ -152,6 +163,24 @@ class TestVerify:
             for row in json.loads(p.read_text())["rows"]
         ]
         assert strip(serial) == strip(parallel)
+
+    def test_runs_without_third_party_packages(self):
+        # -S leaves site-packages off sys.path, so only the standard library
+        # and the package source can be imported. lemma65 classifies every
+        # connected subdiagram of E8.
+        script = (
+            "import sys\n"
+            "from rootcones import cli\n"
+            "sys.exit(cli.main(['verify', '--suite', 'lemma65', '--system', 'E8']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["ok"] is True
 
 
 class TestSimulate:

@@ -1,6 +1,7 @@
 """Exact linear algebra: frozen examples, independent oracles, properties."""
 
 from fractions import Fraction as Q
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,73 @@ def gauss_jordan_inverse(rows):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [r[n:] for r in a]
+
+
+def gauss_jordan_rref(rows):
+    """Independent oracle: plain rational Gauss-Jordan reduced echelon form."""
+    a = [[Q(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for col in range(len(a[0]) if a else 0):
+        p = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pv = a[r][col]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in a[:r]], pivots
+
+
+def leibniz_determinant(rows):
+    """Independent oracle: sum over permutations with their signs."""
+    n = len(rows)
+    total = Q(0)
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = Q(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Q(rows[i][j])
+        total += term
+    return total
+
+
+FRACTION_ENTRY = st.one_of(
+    st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5)
+)
+
+
+@st.composite
+def low_rank_rows(draw, max_rows=6, max_cols=6):
+    """(cols, rows): rows, possibly none, spanning at most `rank` directions."""
+    cols = draw(st.integers(min_value=1, max_value=max_cols))
+    rank = draw(st.integers(min_value=0, max_value=cols))
+    base = draw(
+        st.lists(
+            st.lists(FRACTION_ENTRY, min_size=cols, max_size=cols),
+            min_size=rank,
+            max_size=rank,
+        )
+    )
+    coeffs = draw(
+        st.lists(
+            st.lists(
+                st.integers(min_value=-3, max_value=3), min_size=rank, max_size=rank
+            ),
+            min_size=0,
+            max_size=max_rows,
+        )
+    )
+    return cols, [
+        [sum((c * b[j] for c, b in zip(cs, base)), Q(0)) for j in range(cols)]
+        for cs in coeffs
+    ]
 
 
 class TestInvert:
@@ -90,6 +158,22 @@ class TestInvert:
         assert inv.to_rows() == oracle
         assert m.mul(inv) == QMatrix.identity(n)
         assert inv.mul(m) == QMatrix.identity(n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_determinant_matches_leibniz(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        rows = data.draw(
+            st.lists(
+                st.lists(FRACTION_ENTRY, min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+        if n >= 2 and data.draw(st.booleans()):
+            # A dependent row, so singular inputs are common.
+            rows[-1] = [2 * x for x in rows[0]]
+        assert determinant(QMatrix.from_rows(rows)) == leibniz_determinant(rows)
 
     def test_determinant_matches_oracle(self):
         m = QMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
@@ -216,6 +300,28 @@ class TestSubspaces:
         assert all(contains(total, b) for b in s1.basis)
         assert all(contains(total, b) for b in s2.basis)
         assert intersect(s1, total) == s1
+
+    @settings(max_examples=100, deadline=None)
+    @given(low_rank_rows())
+    def test_rref_matches_gauss_jordan(self, drawn):
+        _, rows = drawn
+        assert rref(rows) == gauss_jordan_rref(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(low_rank_rows(max_rows=4, max_cols=5), st.data())
+    def test_intersect_matches_annihilator_formula(self, drawn, data):
+        n, rows1 = drawn
+        rows2 = data.draw(
+            st.lists(
+                st.lists(FRACTION_ENTRY, min_size=n, max_size=n), max_size=4
+            )
+        )
+        # Share a vector half the time so intersections are often nonzero.
+        if rows1 and data.draw(st.booleans()):
+            rows2.append(rows1[0])
+        s1, s2 = span(n, rows1), span(n, rows2)
+        ann = list(kernel(n, s1.basis).basis) + list(kernel(n, s2.basis).basis)
+        assert intersect(s1, s2) == kernel(n, ann)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -1,7 +1,9 @@
 """Root system construction, weight tables, and character proportionality."""
 
 import pickle
+import random
 from fractions import Fraction as Q
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from rootcones.roots import (
     classify_irreducible,
     connected_to,
     from_gramm,
+    is_connected_subset,
     parabolic_character,
     parse_spec,
     rescale_components,
@@ -260,7 +263,50 @@ class TestRescaling:
             rescale_components(rs, [0])
 
 
+def _cartan(gramm, order):
+    return [[2 * gramm.at(i, j) / gramm.at(j, j) for j in order] for i in order]
+
+
+def brute_force_type(gramm):
+    """Independent oracle: first catalogue type, in classifier order, whose
+    Cartan matrix equals the block's under some permutation."""
+    n = gramm.rows
+    target = _cartan(gramm, range(n))
+    for letter in "ABCDEFG":
+        try:
+            seed = build([(letter, n)]).gramm
+        except InvalidRank:
+            continue
+        for perm in permutations(range(n)):
+            if _cartan(seed, perm) == target:
+                return (letter, n)
+    return None
+
+
+def connected_blocks(letter, rank):
+    gramm = build([(letter, rank)]).gramm
+    for k in range(1, rank + 1):
+        for subset in combinations(range(rank), k):
+            if is_connected_subset(gramm, subset):
+                yield gramm.submatrix(subset, subset)
+
+
 class TestClassification:
+    @pytest.mark.parametrize("letter,rank", CATALOGUE)
+    def test_connected_subdiagrams_reindexed(self, letter, rank):
+        rng = random.Random(f"{letter}{rank}")
+        oracle = {}
+        for block in connected_blocks(letter, rank):
+            got = classify_irreducible(block)
+            assert got is not None
+            order = list(range(block.rows))
+            rng.shuffle(order)
+            assert classify_irreducible(block.submatrix(order, order)) == got
+            if block.rows <= 6:
+                if block.entries not in oracle:
+                    oracle[block.entries] = brute_force_type(block)
+                assert got == oracle[block.entries]
+
     @pytest.mark.parametrize("letter,rank", [(l, r) for l, r in CATALOGUE if r <= 6])
     def test_catalogue_round_trip(self, letter, rank):
         rs = build([(letter, rank)])
