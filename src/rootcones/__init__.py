@@ -8,6 +8,7 @@ from .errors import (
     DivergenceFailure,
     InfeasibleSelection,
     InvalidRank,
+    InvariantViolation,
     NotIrreducible,
     NotProportional,
     PreconditionViolated,

@@ -49,12 +49,6 @@ class CoefficientExpansion:
     on_roots: tuple[tuple[int, Fraction], ...]
     on_weights: tuple[tuple[int, Fraction], ...]
 
-    def root_coefficient(self, beta: int) -> Fraction:
-        return dict(self.on_roots)[beta]
-
-    def weight_coefficient(self, gamma: int) -> Fraction:
-        return dict(self.on_weights)[gamma]
-
 
 def expand_coefficients(
     rs: RootSystem, wt: WeightTable, alpha: int, subset: Iterable[int]

@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from .errors import DivergenceFailure, InfeasibleSelection, RootconesError
+from .errors import InfeasibleSelection, RootconesError
 from .parabolic import make_datum, parabolic_datum_to_dict
 from .roots import build, root_system_to_dict, weight_table, weight_table_to_dict
 from .simulate import (
@@ -184,7 +184,7 @@ def cmd_verify(config: RunConfig) -> int:
     suites = config.suites or list(SUITE_NAMES)
     if suites == ["all"]:
         suites = list(SUITE_NAMES)
-    rows, ok = run_verification(
+    rows, ok, tasks = run_verification(
         suites,
         systems=config.systems,
         max_rank=config.max_rank,
@@ -202,18 +202,19 @@ def cmd_verify(config: RunConfig) -> int:
         "suites": suites,
         "ok": ok,
         "summary": summary,
+        "tasks": tasks,
         "rows": rows,
     }
     header = [
         "suite", "anchor", "system", "alpha", "subset", "route",
-        "status", "wall_time", "detail",
+        "status", "detail",
     ]
     csv_lines = [
         [
             r["suite"], r["anchor"], r["system"],
             "" if r["alpha"] is None else r["alpha"],
             "" if r["subset"] is None else " ".join(map(str, r["subset"])),
-            r["route"] or "", r["status"], r["wall_time"],
+            r["route"] or "", r["status"],
             json.dumps(r["detail"], sort_keys=True),
         ]
         for r in rows
@@ -248,17 +249,16 @@ def _simulate_task(task: tuple[str, tuple[int, ...], int, int]) -> dict:
     }
     try:
         trace = generate_trace(rs, selection, horizon, seed)
-    except InfeasibleSelection as err:
-        entry["status"] = "infeasible"
-        entry["detail"] = str(err)
-        return entry
-    try:
         report = assert_divergence(trace)
         induction = [
             replay_induction(trace, depth)
             for depth in range(max(0, len(selection) - 1))
         ]
-    except (DivergenceFailure, RootconesError) as err:
+    except InfeasibleSelection as err:
+        entry["status"] = "infeasible"
+        entry["detail"] = str(err)
+        return entry
+    except RootconesError as err:
         entry["status"] = "divergence-failure"
         entry["detail"] = str(err)
         return entry
@@ -280,8 +280,8 @@ def _simulate_task(task: tuple[str, tuple[int, ...], int, int]) -> dict:
         for rep in induction
     ]
     entry["series"] = {
-        rs.root_label(root): [str(trace.theta(1, n)[root]) for n in range(1, horizon + 1)]
-        for root in selection
+        label: [str(value) for value in series]
+        for label, series in report["series"].items()
     }
     return entry
 

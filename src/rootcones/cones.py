@@ -167,21 +167,19 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     lineality_ambient = tuple(
         primitive(_lift(b, eq_basis)) for b in lin.basis
     )
-    if lin.dim:
-        _, pivots = rref(lin.basis)
-        free_cols = [c for c in range(k) if c not in pivots]
-        pointed_rows = [tuple(row[c] for c in free_cols) for row in restricted]
-        pointed_rows = [r for r in pointed_rows if not is_zero_vec(r)]
-        rays_z = _pointed_double_description(pointed_rows, len(free_cols))
-        rays_ambient = []
-        for rz in rays_z:
-            y = [Fraction(0)] * k
-            for value, c in zip(rz, free_cols):
-                y[c] = Fraction(value)
-            rays_ambient.append(primitive(_lift(y, eq_basis)))
-    else:
-        rays_y = _pointed_double_description(restricted, k)
-        rays_ambient = [primitive(_lift(vec(r), eq_basis)) for r in rays_y]
+    # Coordinates outside the lineality basis's pivots give a pointed
+    # section of the cone; with no lineality that is every coordinate.
+    _, pivots = rref(lin.basis)
+    free_cols = [c for c in range(k) if c not in pivots]
+    pointed_rows = [tuple(row[c] for c in free_cols) for row in restricted]
+    pointed_rows = [r for r in pointed_rows if not is_zero_vec(r)]
+    rays_z = _pointed_double_description(pointed_rows, len(free_cols))
+    rays_ambient = []
+    for rz in rays_z:
+        y = [Fraction(0)] * k
+        for value, c in zip(rz, free_cols):
+            y[c] = Fraction(value)
+        rays_ambient.append(primitive(_lift(y, eq_basis)))
     return RayEnumeration(
         rays=tuple(sorted(rays_ambient)),
         lineality=lineality_ambient,

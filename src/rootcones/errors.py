@@ -49,5 +49,9 @@ class DivergenceFailure(RootconesError):
     """A selected root failed to grow along a generated trace."""
 
 
+class InvariantViolation(RootconesError):
+    """An exact invariant the computation relies on failed; internal error."""
+
+
 class BranchMismatch(RootconesError):
     """Neither branch of the induction replay applies; internal error."""

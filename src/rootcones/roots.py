@@ -174,10 +174,6 @@ class RootSystem:
         if not (0 <= alpha < self.rank):
             raise UnknownRoot(f"no simple root with index {alpha}")
 
-    def cartan(self) -> QMatrix:
-        """Cartan matrix: 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
-        return QMatrix.from_rows(_cartan_rows(self.gramm))
-
     def root_label(self, alpha: int) -> str:
         return f"alpha_{alpha + 1}"
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .errors import (
     BranchMismatch,
     DivergenceFailure,
     InfeasibleSelection,
+    InvariantViolation,
     PreconditionViolated,
 )
 from .linalg import Vector, contains, dot, primitive, solve, vec, vec_scale
@@ -39,14 +39,16 @@ from .roots import RootSystem, build, connected_to, subsystem
 
 @dataclass(frozen=True)
 class CoupleStep:
-    """One level of a trace: a selected root and its moving component."""
+    """One level of a trace: a selected root, its line and its slope.
+
+    The level's component at index n is n times slope times line.
+    """
 
     level: int
     root: int
     subset_after: tuple[int, ...]
     line: tuple[int, ...]
     slope: Fraction
-    components: tuple[Vector, ...]
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,8 @@ class SimTrace:
     """A full multi-level trace over a finite horizon.
 
     n0 is the first index from which every admissibility constraint
-    holds; None marks a trace that never becomes admissible.
+    holds; None marks a trace that never becomes admissible. Every
+    constraint value at n is n times its value at 1, so n0 is 1 or None.
     """
 
     rs: RootSystem
@@ -71,22 +74,17 @@ class SimTrace:
         """Accumulated tail sum of components from `level` up, at index n.
 
         Component n of every level is n times its slope times its line, so
-        this is n times `theta_slope`; the per-index checks compare it with
-        the stored components.
+        this is n times `theta_slope`.
         """
         return vec_scale(n, self.theta_slope(level))
 
     def theta_slope(self, level: int) -> Vector:
         """Sum of slope times line over the levels from `level` up."""
-        return self._tail_slopes[level - 1]
-
-    @cached_property
-    def _tail_slopes(self) -> tuple[Vector, ...]:
-        tails = [(Fraction(0),) * self.rs.rank]
-        for step in reversed(self.steps):
-            tail = tuple(a + step.slope * x for a, x in zip(tails[0], step.line))
-            tails.insert(0, tail)
-        return tuple(tails)
+        tail = [Fraction(0)] * self.rs.rank
+        for step in self.steps[level - 1 :]:
+            for i, x in enumerate(step.line):
+                tail[i] += step.slope * x
+        return tuple(tail)
 
 
 @dataclass(frozen=True)
@@ -125,11 +123,17 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
     lines = []
     for l in range(1, levels + 1):
         line_space = relative_torus(rs, subsets[l - 1], subsets[l])
-        assert line_space.dim == 1
+        if line_space.dim != 1:
+            raise InvariantViolation(
+                f"level {l}: connecting torus has dimension {line_space.dim}"
+            )
         v = line_space.basis[0]
         if v[selection[l - 1]] < 0:
             v = vec_scale(-1, v)
-        assert v[selection[l - 1]] > 0  # never zero on the connecting line
+        if not v[selection[l - 1]] > 0:
+            raise InvariantViolation(
+                f"level {l}: connecting line vanishes on the selected root"
+            )
         lines.append(primitive(v))
     weighted_rel = tuple(
         relative_weight_table(rs, subsets[l - 1]).weighted
@@ -163,7 +167,8 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
         objective=(Fraction(0),) * levels,
     )
     enum = extreme_rays(cone)
-    assert not enum.lineality  # the axis rows keep the cone pointed
+    if enum.lineality:
+        raise InvariantViolation("the slope cone has lineality despite its axis rows")
     return LevelData(
         subsets=tuple(subsets),
         lines=tuple(lines),
@@ -195,8 +200,9 @@ def make_trace(
 ) -> SimTrace:
     """Assemble a trace from explicit per-level slopes.
 
-    No admissibility is enforced here; n0 records the first admissible
-    index, or None when the slopes violate some constraint for good.
+    No admissibility is enforced here. Every constraint value at index n
+    is n times its value on the slopes, so n0 is 1 when the slopes meet
+    every constraint (and horizon > 0), and None otherwise.
     """
     selection = _validate_selection(rs, selection)
     if horizon < 0:
@@ -205,36 +211,27 @@ def make_trace(
     if len(slopes) != len(selection):
         raise ValueError("one slope per level required")
     data = _level_data(rs, selection)
-    steps = []
-    for l, (root, line, slope) in enumerate(
-        zip(selection, data.lines, slopes), start=1
-    ):
-        components = tuple(
-            vec_scale(slope * n, vec(line)) for n in range(1, horizon + 1)
+    steps = tuple(
+        CoupleStep(
+            level=l,
+            root=root,
+            subset_after=data.subsets[l],
+            line=line,
+            slope=slope,
         )
-        steps.append(
-            CoupleStep(
-                level=l,
-                root=root,
-                subset_after=data.subsets[l],
-                line=line,
-                slope=slope,
-                components=components,
-            )
+        for l, (root, line, slope) in enumerate(
+            zip(selection, data.lines, slopes), start=1
         )
-    trace = SimTrace(
-        rs=rs,
-        selection=selection,
-        horizon=horizon,
-        n0=None,
-        steps=tuple(steps),
+    )
+    admissible = horizon > 0 and all(
+        dot(row, slopes) >= 0 for row, _ in data.constraint_rows
     )
     return SimTrace(
         rs=rs,
         selection=selection,
         horizon=horizon,
-        n0=_first_admissible_index(trace, data),
-        steps=tuple(steps),
+        n0=1 if admissible else None,
+        steps=steps,
     )
 
 
@@ -251,25 +248,22 @@ def _constraint_violations(trace: SimTrace, data: LevelData, n: int) -> list[str
 
 
 def _first_admissible_index(trace: SimTrace, data: LevelData) -> int | None:
-    if trace.horizon == 0:
-        return None
-    good = [not _constraint_violations(trace, data, n)
-            for n in range(1, trace.horizon + 1)]
+    """Scan n = horizon, ..., 1 for the start of the admissible tail."""
     n0 = None
     for n in range(trace.horizon, 0, -1):
-        if good[n - 1]:
-            n0 = n
-        else:
+        if _constraint_violations(trace, data, n):
             break
+        n0 = n
     return n0
 
 
 def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
     """Re-verify every trace invariant from scratch.
 
-    Checks component membership in the connecting lines, strict growth
+    Checks each level's line against its connecting torus, strict growth
     of each selected root on its own component, and the per-level
-    domination constraints from n0 on.
+    domination constraints at every index, whose first admissible index
+    must be the recorded n0.
     """
     data = _level_data(trace.rs, trace.selection)
     problems: list[str] = []
@@ -280,22 +274,16 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
         space = relative_torus(
             trace.rs, data.subsets[step.level - 1], data.subsets[step.level]
         )
-        for n, comp in enumerate(step.components, start=1):
-            if comp != vec_scale(step.slope * n, vec(line)):
-                problems.append(f"level{step.level}: component off its line at n={n}")
-                break
-            if not contains(space, comp):
-                problems.append(f"level{step.level}: component outside torus at n={n}")
-                break
+        if not contains(space, line):
+            problems.append(f"level{step.level}: line outside torus")
         if not step.slope * line[step.root] > 0:
             problems.append(f"level{step.level}: selected root does not grow")
-    if trace.horizon > 0:
-        n0 = _first_admissible_index(trace, data)
-        if n0 is None:
-            problems.append("no admissible start index")
-            problems.extend(_constraint_violations(trace, data, trace.horizon))
-        elif trace.n0 != n0:
-            problems.append(f"recorded n0={trace.n0} but computed {n0}")
+    n0 = _first_admissible_index(trace, data)
+    if trace.n0 != n0:
+        problems.append(f"recorded n0={trace.n0} but computed {n0}")
+    if n0 is None and trace.horizon > 0:
+        problems.append("no admissible start index")
+        problems.extend(_constraint_violations(trace, data, trace.horizon))
     return (not problems, problems)
 
 
@@ -307,7 +295,8 @@ def generate_trace(
     The slope vector is a strictly positive integer combination of the
     admissibility cone's extreme rays, so every constraint holds for all
     n >= 1 by construction. Raises InfeasibleSelection when some level
-    admits no growing ray at all.
+    admits no growing ray at all, and InvariantViolation when
+    `check_admissibility` rejects the sampled trace.
     """
     selection = _validate_selection(rs, selection)
     if horizon < 0:
@@ -328,45 +317,51 @@ def generate_trace(
     trace = make_trace(rs, selection, slopes, horizon)
     if horizon > 0:
         ok, problems = check_admissibility(trace)
-        assert ok, f"generator produced an inadmissible trace: {problems}"
+        if not ok:
+            raise InvariantViolation(
+                f"generator produced an inadmissible trace: {problems}"
+            )
     return trace
 
 
 def assert_divergence(trace: SimTrace) -> dict:
     """Check that every selected root grows without bound on the product.
 
-    Traces are exactly linear, so strict monotone growth plus a positive
-    minimal step decides divergence. Also records that the last-selected
-    root sees only its own component's contribution.
+    Traces are exactly linear: root i's value at index n is n times its
+    slope theta_slope(1)[i], so a positive slope decides divergence. The
+    report carries each root's series over the horizon. Also records
+    that the last-selected root sees only its own component's
+    contribution.
     """
-    report: dict = {"horizon": trace.horizon, "n0": trace.n0, "roots": {}}
+    slopes = trace.theta_slope(1)
+    labels = [trace.rs.root_label(root) for root in trace.selection]
+    series = {
+        label: [n * slopes[root] for n in range(1, trace.horizon + 1)]
+        for label, root in zip(labels, trace.selection)
+    }
+    report: dict = {
+        "horizon": trace.horizon,
+        "n0": trace.n0,
+        "roots": {},
+        "series": series,
+    }
     if trace.horizon == 0:
         report["base_case_exact"] = True
         return report
     if trace.n0 is None:
         raise PreconditionViolated("trace is not admissible at any index")
-    n0 = trace.n0
-    for j, root in enumerate(trace.selection, start=1):
-        series = [trace.theta(1, n)[root] for n in range(1, trace.horizon + 1)]
-        diffs = [b - a for a, b in zip(series[n0 - 1 :], series[n0:])]
-        slope = min(diffs) if diffs else series[n0 - 1]
-        grows = all(d > 0 for d in diffs) and slope > 0
-        final = series[-1]
-        peak = max(series)
-        if not grows or final < peak:
+    for label, root in zip(labels, trace.selection):
+        if not slopes[root] > 0:
             raise DivergenceFailure(
-                f"{trace.rs.root_label(root)} fails to diverge: series={series}"
+                f"{label} fails to diverge: series={series[label]}"
             )
-        report["roots"][trace.rs.root_label(root)] = {
-            "slope": slope,
-            "final": final,
+        report["roots"][label] = {
+            "slope": slopes[root],
+            "final": series[label][-1],
         }
     last = trace.selection[-1]
     last_step = trace.steps[-1]
-    report["base_case_exact"] = all(
-        trace.theta(1, n)[last] == last_step.components[n - 1][last]
-        for n in range(1, trace.horizon + 1)
-    )
+    report["base_case_exact"] = slopes[last] == last_step.slope * last_step.line[last]
     if not report["base_case_exact"]:
         raise DivergenceFailure("last-selected root sees foreign contributions")
     return report
@@ -379,7 +374,8 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     Depending on whether that root stays connected to the later-selected
     ones inside its ambient subset, the step is either an exact equality
     of evaluations or an application of the domination inequality; both
-    are checked at every index.
+    are checked on tau = theta_slope(j). The value at index n is n times
+    tau, and n >= 1, so each check decides the same at every index.
     """
     levels = trace.levels
     r = levels - 1
@@ -403,7 +399,6 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     )
     tau = trace.theta_slope(j)
     own = trace.steps[j - 1]
-    n_range = range(1, trace.horizon + 1)
     report = {
         "depth": depth,
         "level": j,
@@ -413,10 +408,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
         "checks": checks,
     }
     if not connected:
-        checks["evaluation_equality"] = all(
-            trace.theta(j, n)[alpha] == own.components[n - 1][alpha]
-            for n in n_range
-        )
+        checks["evaluation_equality"] = tau[alpha] == own.slope * own.line[alpha]
         checks["kernel_subspace"] = verify_discon(
             sub_rs,
             to_local[alpha],
@@ -436,29 +428,14 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     if any(tau[i] != 0 for i in final_subset):
         raise BranchMismatch("tail does not vanish on the final subset")
     walpha = dot(weighted[alpha], tau)
-    hypotheses_ok = walpha >= 0
-    for gamma in later:
-        if walpha < dot(weighted[gamma], tau):
-            hypotheses_ok = False
-    if not hypotheses_ok:
+    checks["hypotheses"] = walpha >= 0 and all(
+        walpha >= dot(weighted[gamma], tau) for gamma in later
+    )
+    if not checks["hypotheses"]:
         raise BranchMismatch(
             "domination hypotheses fail on an admissible trace"
         )
-    # n0 >= 1 and everything is linear, so signs persist along n; still
-    # compare the actual per-index values.
-    checks["hypotheses"] = all(
-        dot(weighted[alpha], trace.theta(j, n)) >= 0
-        and all(
-            dot(weighted[alpha], trace.theta(j, n))
-            >= dot(weighted[gamma], trace.theta(j, n))
-            for gamma in later
-        )
-        for n in n_range
-    )
-    checks["conclusion"] = all(
-        trace.theta(j, n)[alpha] >= dot(weighted[alpha], trace.theta(j, n))
-        for n in n_range
-    )
+    checks["conclusion"] = tau[alpha] >= walpha
     decomposition_ok = True
     membership = contains(
         relative_torus(trace.rs, ambient, final_subset), tau
@@ -510,7 +487,7 @@ def trace_to_dict(trace: SimTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> SimTrace:
-    """Rebuild a trace from its JSON form; components are recomputed."""
+    """Rebuild a trace from its JSON form; n0 is recomputed."""
     rs = build(data["system"])
     selection = tuple(i - 1 for i in data["selection"])
     slopes = [Fraction(level["slope"]) for level in data["levels"]]

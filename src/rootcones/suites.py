@@ -103,7 +103,7 @@ def _row(suite, system, status, alpha=None, subset=None, route=None, detail=""):
     }
 
 
-def _labels(rs, indices):
+def _labels(indices):
     return [i + 1 for i in indices]
 
 
@@ -163,7 +163,7 @@ def run_lemma64(spec: str, max_subset_size: int | None = None) -> list[dict]:
                     spec,
                     "pass" if ok else "fail",
                     alpha=alpha + 1,
-                    subset=_labels(rs, subset),
+                    subset=_labels(subset),
                     detail=detail,
                 )
             )
@@ -200,7 +200,7 @@ def run_theorem61(
                     spec,
                     "pass" if ok else "fail",
                     alpha=alpha + 1,
-                    subset=_labels(rs, subset),
+                    subset=_labels(subset),
                     route=route,
                     detail=detail,
                 )
@@ -353,7 +353,7 @@ def run_controls(spec: str, max_subset_size: int | None = None) -> list[dict]:
                             spec,
                             "expected-violation" if valid else "fail",
                             alpha=alpha + 1,
-                            subset=_labels(rs, subset),
+                            subset=_labels(subset),
                             route=f"drop:{drop}",
                             detail=certify.certificate_to_dict(cone, cert),
                         )
@@ -376,15 +376,13 @@ def _controls_joint_summary(rows: list[dict]) -> dict:
             witnessed["ordering-single"] += 1
     ok = all(v > 0 for v in witnessed.values())
     detail = ", ".join(f"{k}: {v}" for k, v in sorted(witnessed.items()))
-    summary = _row(
+    return _row(
         "controls",
         "ALL",
         "pass" if ok else "fail",
         route="joint-summary",
         detail=detail,
     )
-    summary["wall_time"] = 0.0
-    return summary
 
 
 # Every worker takes (spec, max_subset_size); only the subset sweeps use the cap.
@@ -404,14 +402,13 @@ _WORKERS = {
 }
 
 
-def _run_task(task: tuple[str, str, int | None]) -> list[dict]:
+def _run_task(task: tuple[str, str, int | None]) -> tuple[list[dict], dict]:
+    """A task's rows and its timing record."""
     suite, spec, max_subset_size = task
     start = time.perf_counter()
     rows = _WORKERS[suite](spec, max_subset_size)
     elapsed = round(time.perf_counter() - start, 6)
-    for row in rows:
-        row["wall_time"] = elapsed
-    return rows
+    return rows, {"suite": suite, "system": spec, "wall_time": elapsed}
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:
@@ -434,8 +431,11 @@ def run_verification(
     max_rank: int | None = None,
     jobs: int = 1,
     max_subset_size: int | None = None,
-) -> tuple[list[dict], bool]:
-    """Run the selected suites; returns (rows, all_passed).
+) -> tuple[list[dict], bool, list[dict]]:
+    """Run the selected suites; returns (rows, all_passed, task_times).
+
+    task_times holds one {"suite", "system", "wall_time"} record per
+    (suite, system) task, in task order.
 
     max_subset_size filters the subset sweeps (lemma64, theorem61-*,
     controls) to subsets of at most that size.
@@ -448,8 +448,8 @@ def run_verification(
         for spec in systems_for(suite, max_rank, systems):
             tasks.append((suite, spec, max_subset_size))
     results = map_tasks(_run_task, tasks, jobs)
-    rows = [row for chunk in results for row in chunk]
+    rows = [row for chunk, _ in results for row in chunk]
     if any(task[0] == "controls" for task in tasks):
         rows.append(_controls_joint_summary(rows))
     ok = all(row["status"] != "fail" for row in rows)
-    return rows, ok
+    return rows, ok, [timing for _, timing in results]

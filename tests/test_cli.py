@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -103,11 +104,11 @@ class TestVerify:
             {
                 "suite": "lemma66", "anchor": "Lem6.6", "system": "A2",
                 "alpha": None, "subset": None, "route": None,
-                "status": "fail", "detail": "forced", "wall_time": 0.0,
+                "status": "fail", "detail": "forced",
             }
         ]
         monkeypatch.setattr(
-            cli, "run_verification", lambda *a, **k: (fake_rows, False)
+            cli, "run_verification", lambda *a, **k: (fake_rows, False, [])
         )
         code, _, err = run(["verify", "--suite", "lemma66"], capsys)
         assert code == 1
@@ -119,7 +120,7 @@ class TestVerify:
             capsys,
         )
         assert out.splitlines()[0] == (
-            "suite,anchor,system,alpha,subset,route,status,wall_time,detail"
+            "suite,anchor,system,alpha,subset,route,status,detail"
         )
 
     @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
@@ -158,11 +159,33 @@ class TestVerify:
         base = ["verify", "--suite", "identity-2d", "--max-rank", "3"]
         assert run(base + ["--out", str(serial)], capsys)[0] == 0
         assert run(base + ["--out", str(parallel), "--jobs", "2"], capsys)[0] == 0
-        strip = lambda p: [
-            {k: v for k, v in row.items() if k != "wall_time"}
-            for row in json.loads(p.read_text())["rows"]
-        ]
+
+        def strip(path):
+            payload = json.loads(path.read_text())
+            for task in payload["tasks"]:
+                del task["wall_time"]
+            return payload
+
         assert strip(serial) == strip(parallel)
+
+    def test_one_time_per_task(self, capsys):
+        args = ["verify", "--suite", "identity-2d", "--suite", "lemma66",
+                "--max-rank", "3", "--jobs", "1"]
+        start = time.perf_counter()
+        code, out, _ = run(args, capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        payload = json.loads(out)
+        expected = [
+            (suite, spec)
+            for suite in ("identity-2d", "lemma66")
+            for spec in suites.systems_for(suite, 3, None)
+        ]
+        tasks = payload["tasks"]
+        assert [(t["suite"], t["system"]) for t in tasks] == expected
+        assert all(t["wall_time"] >= 0 for t in tasks)
+        assert sum(t["wall_time"] for t in tasks) <= elapsed
+        assert all("wall_time" not in row for row in payload["rows"])
 
     def test_runs_without_third_party_packages(self):
         # -S leaves site-packages off sys.path, so only the standard library
@@ -242,6 +265,27 @@ class TestSimulate:
         statuses = [t["status"] for t in payload["traces"]]
         assert statuses.count("infeasible") == 1
         assert statuses.count("ok") == 3
+
+    def test_rejected_trace_fails_under_optimisation(self):
+        # Under -O no assert runs, so the generator's re-check must raise
+        # on its own. The stub rejects every trace it is shown.
+        script = (
+            "import sys\n"
+            "from rootcones import cli, simulate\n"
+            "simulate.check_admissibility = lambda trace: (False, ['stub'])\n"
+            "sys.exit(cli.main(['simulate', '--system', 'A2',\n"
+            "                   '--selection', '1,2', '--horizon', '3']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        trace = json.loads(done.stdout)["traces"][0]
+        assert trace["status"] == "divergence-failure"
+        assert "stub" in trace["detail"]
 
     def test_missing_system_exits_2(self, capsys):
         code, _, err = run(["simulate", "--selection", "1"], capsys)
@@ -359,7 +403,7 @@ class TestWorkerBound:
         return RecordingPool.sizes
 
     def test_verify_bounded_by_cpus(self, sizes):
-        rows, ok = suites.run_verification(
+        rows, ok, _ = suites.run_verification(
             ["lemma66"], systems=["A1", "A2", "A3", "A4", "A5"], jobs=64
         )
         assert ok and len(rows) == 5

@@ -1,12 +1,15 @@
 """Trace generation, divergence assertions, and the induction replay."""
 
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootcones.errors import DivergenceFailure, PreconditionViolated
-from rootcones.linalg import vec
+from rootcones.linalg import vec, vec_scale
 from rootcones.roots import build
 from rootcones.simulate import (
     assert_divergence,
@@ -19,6 +22,11 @@ from rootcones.simulate import (
     trace_to_dict,
     _level_data,
 )
+
+
+def component(step):
+    """A level's component at n = 1: slope times line."""
+    return vec_scale(step.slope, vec(step.line))
 
 
 def all_selections(rank, max_len=None):
@@ -41,8 +49,8 @@ class TestRankTwoChainByHand:
         assert ok, problems
         assert trace.n0 == 1
         # Component values: (2n, 0) and (-n/2, n); tails (3n/2, n).
-        assert trace.steps[0].components[0] == vec([2, 0])
-        assert trace.steps[1].components[0] == vec([Q(-1, 2), 1])
+        assert component(trace.steps[0]) == vec([2, 0])
+        assert component(trace.steps[1]) == vec([Q(-1, 2), 1])
         assert trace.theta(1, 1) == vec([Q(3, 2), 1])
         assert trace.theta(1, 4) == vec([6, 4])
 
@@ -62,6 +70,15 @@ class TestRankTwoChainByHand:
         assert any("ordering" in p for p in problems)
         with pytest.raises(PreconditionViolated):
             assert_divergence(trace)
+
+    def test_tampered_n0_is_reported(self):
+        admissible = make_trace(self.rs, (0, 1), [2, Q(1, 2)], horizon=6)
+        naive = make_trace(self.rs, (0, 1), [1, Q(1, 2)], horizon=6)
+        for trace, forged in ((admissible, None), (naive, 1)):
+            tampered = dataclasses.replace(trace, n0=forged)
+            ok, problems = check_admissibility(tampered)
+            assert not ok
+            assert any(p.startswith("recorded n0=") for p in problems)
 
     def test_generator_never_emits_the_naive_slopes(self):
         # Cone containment is the proof; sampling is the regression.
@@ -157,6 +174,30 @@ class TestGeneration:
         assert not ok and any("grow" in p for p in problems)
         with pytest.raises(DivergenceFailure):
             assert_divergence(trace)
+
+
+SELECTIONS = [
+    (spec, selection)
+    for spec in ("A2", "B2", "G2", "A3")
+    for selection in all_selections(build(spec).rank)
+]
+
+
+class TestRecordedStartIndex:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        choice=st.sampled_from(SELECTIONS),
+        slopes=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+        horizon=st.integers(0, 6),
+    )
+    def test_n0_matches_the_per_index_scan(self, choice, slopes, horizon):
+        spec, selection = choice
+        trace = make_trace(
+            build(spec), selection, slopes[: len(selection)], horizon
+        )
+        _, problems = check_admissibility(trace)
+        assert not any(p.startswith("recorded n0=") for p in problems), problems
+        assert trace.n0 in (1, None)
 
 
 class TestInductionReplay:
