@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .cones import ConeSpec, extreme_rays, satisfies
 from .errors import (
     CertificateFailure,
+    InvariantViolation,
     NotIrreducible,
     PreconditionViolated,
 )
@@ -67,24 +68,22 @@ def expand_coefficients(
     rest = tuple(i for i in range(rs.rank) if i not in subset)
     perm = subset + rest
     m = len(subset)
-    a_perm = rs.gramm.submatrix(perm, perm)
     b = rs.gramm.submatrix(subset, subset)
     c = rs.gramm.submatrix(subset, rest)
-    d = block_coefficient_matrix(a_perm, b, c)
-    row = d.row(perm.index(alpha))
+    row = block_coefficient_matrix(rs.gramm.submatrix([alpha], perm), b, c).row(0)
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
     # Independent route: solve for alpha over the explicit basis vectors.
     columns = [list(unit_vec(rs.rank, beta)) for beta in subset]
     columns += [list(wt.dual[gamma]) for gamma in rest]
     direct = solve(columns, unit_vec(rs.rank, alpha))
-    assert direct is not None and list(direct) == list(row), (
-        "block formula disagrees with the direct solve"
-    )
+    if direct is None or list(direct) != list(row):
+        raise InvariantViolation("block formula disagrees with the direct solve")
     for delta, coeff in on_roots + on_weights:
-        assert delta == alpha or coeff <= 0, (
-            f"sign property fails at {rs.root_label(delta)}: {coeff}"
-        )
+        if delta != alpha and coeff > 0:
+            raise InvariantViolation(
+                f"sign property fails at {rs.root_label(delta)}: {coeff}"
+            )
     return CoefficientExpansion(
         alpha=alpha, subset=subset, on_roots=on_roots, on_weights=on_weights
     )

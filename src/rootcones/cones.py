@@ -1,10 +1,12 @@
 """Rational polyhedral cones in H-representation and their extreme rays.
 
-The enumerator is a double description pass in exact arithmetic. The cone
-is first restricted to the equality subspace, then split off its lineality
-space, and the pointed remainder is built one inequality at a time with
-the combinatorial adjacency test. Rays come back as primitive integer
-vectors in the original coordinates, sorted for determinism.
+The enumerator is a double description pass on integers. The cone is
+first written in a primitive integer basis of its equality subspace, then
+split off its lineality space, and the pointed remainder is built one
+inequality at a time with the combinatorial adjacency test, each ray
+carrying the set of constraints it is tight on (Fukuda and Prodon,
+"Double description method revisited", 1996). Rays come back as primitive
+integer vectors in the original coordinates, sorted for determinism.
 """
 
 from __future__ import annotations
@@ -13,18 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch
-from .linalg import (
-    QMatrix,
-    Vector,
-    dot,
-    invert,
-    is_zero_vec,
-    kernel,
-    primitive,
-    rref,
-    vec,
-)
+from .errors import DimensionMismatch, InvariantViolation
+from .linalg import Vector, dot, is_zero_vec, kernel, primitive, rref, vec
 
 
 @dataclass(frozen=True)
@@ -60,129 +52,79 @@ class RayEnumeration:
     lineality: tuple[tuple[int, ...], ...]
 
 
-def _independent_row_subset(rows: Sequence[Vector], dim: int) -> list[int]:
-    """Greedy choice of dim linearly independent rows (indices).
-
-    The pivot columns of the transposed rows are exactly the rows that
-    are independent of the rows before them.
-    """
-    _, pivots = rref(list(zip(*rows)))
-    if len(pivots) < dim:
-        raise AssertionError("rows do not span; cone is not pointed")
-    return pivots[:dim]
-
-
-def _solve_unit_columns(rows: Sequence[Vector], dim: int) -> list[Vector]:
-    """Columns of the inverse of the square matrix formed by rows."""
-    inv = invert(QMatrix.from_rows(rows))
-    return [inv.column(j) for j in range(dim)]
-
-
 def _pointed_double_description(
-    rows: Sequence[Vector], dim: int
+    rows: Sequence[tuple[int, ...]], dim: int
 ) -> list[tuple[int, ...]]:
-    """Extreme rays of {y : rows . y >= 0}, assumed pointed and solid-dual.
+    """Extreme rays of {y : rows . y >= 0} for integer rows of rank dim.
 
-    Classic incremental construction: seed with the simplicial cone of dim
-    independent constraints, then cut with the remaining halfspaces, only
-    combining adjacent rays. Adjacency uses the zero-set containment test,
-    which is exact for pointed cones.
+    Seed with the simplicial cone of the first dim independent rows, then
+    cut with the remaining halfspaces, only combining adjacent rays. Each
+    ray carries its zero set over the rows processed so far; adjacency is
+    the zero-set containment test, which is exact for pointed cones.
     """
-    if dim == 0:
-        return []
-    seed = _independent_row_subset(rows, dim)
-    seed_rows = [rows[i] for i in seed]
-    rays = [primitive(c) for c in _solve_unit_columns(seed_rows, dim)]
-    processed = list(seed)
-    zero_sets = [
-        frozenset(i for i in processed if dot(rows[i], r) == 0) for r in rays
-    ]
-    remaining = [i for i in range(len(rows)) if i not in set(seed)]
-    for t in remaining:
-        h = rows[t]
-        values = [dot(h, r) for r in rays]
-        keep_idx = [k for k, v in enumerate(values) if v >= 0]
-        neg_idx = [k for k, v in enumerate(values) if v < 0]
-        if not neg_idx:
-            processed.append(t)
-            zero_sets = [
-                z | {t} if values[k] == 0 else z
-                for k, z in enumerate(zero_sets)
-            ]
+    m = len(rows)
+    # Reducing (rows^T | Id) picks dim independent rows as the pivots and
+    # leaves in each right half a column of the inverse of their block:
+    # the seed ray tight on every seed row but its own.
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    reduced, pivots = rref([(*col, *e) for col, e in zip(zip(*rows), identity)])
+    if sum(s < m for s in pivots) < dim:
+        raise InvariantViolation("the rows do not span; the cone is not pointed")
+    seed = frozenset(pivots)
+    rays = [primitive(r[m:]) for r in reduced]
+    zero_sets = [seed - {s} for s in pivots]
+    for t, row in enumerate(rows):
+        if t in seed:
             continue
-        pos_idx = [k for k in keep_idx if values[k] > 0]
-        new_rays: list[tuple[int, ...]] = [rays[k] for k in keep_idx]
-        for p in pos_idx:
-            for m in neg_idx:
-                meet = zero_sets[p] & zero_sets[m]
-                adjacent = not any(
-                    k != p and k != m and meet <= zero_sets[k]
-                    for k in range(len(rays))
-                )
-                if not adjacent:
+        values = [dot(row, r) for r in rays]
+        pos = [k for k, v in enumerate(values) if v > 0]
+        neg = [k for k, v in enumerate(values) if v < 0]
+        new_rays, new_zero_sets = [], []
+        for p in pos:
+            for q in neg:
+                meet = zero_sets[p] & zero_sets[q]
+                if any(
+                    k != p and k != q and meet <= z for k, z in enumerate(zero_sets)
+                ):
                     continue
-                combo = tuple(
-                    values[p] * rm - values[m] * rp
-                    for rp, rm in zip(rays[p], rays[m])
+                vp, vq = values[p], values[q]
+                new_rays.append(
+                    primitive([vp * b - vq * a for a, b in zip(rays[p], rays[q])])
                 )
-                new_rays.append(primitive(combo))
-        processed.append(t)
-        dedup = sorted(set(new_rays))
-        rays = dedup
+                new_zero_sets.append(meet | {t})
+        keep = [k for k, v in enumerate(values) if v >= 0]
+        rays = [rays[k] for k in keep] + new_rays
         zero_sets = [
-            frozenset(i for i in processed if dot(rows[i], r) == 0) for r in rays
-        ]
+            zero_sets[k] | {t} if values[k] == 0 else zero_sets[k] for k in keep
+        ] + new_zero_sets
     for r in rays:
-        assert all(dot(row, r) >= 0 for row in rows)
-    return sorted(set(rays))
-
-
-def _lift(coeffs: Sequence[Fraction], basis: Sequence[Vector]) -> Vector:
-    out = [Fraction(0)] * len(basis[0])
-    for c, b in zip(coeffs, basis):
-        for j, x in enumerate(b):
-            out[j] += c * x
-    return tuple(out)
+        if any(dot(row, r) < 0 for row in rows):
+            raise InvariantViolation(f"double description ray {r} leaves the cone")
+    return rays
 
 
 def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     """Enumerate the extreme rays and lineality of a ConeSpec."""
-    n = cone.ambient_dim
-    eq_basis = kernel(n, cone.equalities).basis
-    if not eq_basis:
-        return RayEnumeration(rays=(), lineality=())
-    k = len(eq_basis)
-    restricted = []
-    for f in cone.inequalities:
-        row = tuple(dot(f, b) for b in eq_basis)
-        if not is_zero_vec(row):
-            restricted.append(row)
-    if not restricted:
-        # No active inequalities: the whole equality subspace is lineality.
-        return RayEnumeration(
-            rays=(),
-            lineality=tuple(primitive(b) for b in eq_basis),
-        )
-    lin = kernel(k, restricted)
-    lineality_ambient = tuple(
-        primitive(_lift(b, eq_basis)) for b in lin.basis
+    # Coordinates over a primitive integer basis of the equality subspace,
+    # where the inequalities become primitive integer rows.
+    basis = [primitive(b) for b in kernel(cone.ambient_dim, cone.equalities).basis]
+    restricted = [tuple(dot(f, b) for b in basis) for f in cone.inequalities]
+    rows = [primitive(r) for r in restricted if not is_zero_vec(r)]
+    lin = kernel(len(basis), rows)
+    # Coordinates outside the lineality basis's pivots (the first nonzero
+    # entry of each reduced echelon vector) give a pointed section of the
+    # cone; with no lineality that is every coordinate.
+    pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lin.basis}
+    free = [j for j in range(len(basis)) if j not in pivots]
+    pointed = [tuple(r[j] for j in free) for r in rows]
+    rays = _pointed_double_description(
+        [r for r in pointed if not is_zero_vec(r)], len(free)
     )
-    # Coordinates outside the lineality basis's pivots give a pointed
-    # section of the cone; with no lineality that is every coordinate.
-    _, pivots = rref(lin.basis)
-    free_cols = [c for c in range(k) if c not in pivots]
-    pointed_rows = [tuple(row[c] for c in free_cols) for row in restricted]
-    pointed_rows = [r for r in pointed_rows if not is_zero_vec(r)]
-    rays_z = _pointed_double_description(pointed_rows, len(free_cols))
-    rays_ambient = []
-    for rz in rays_z:
-        y = [Fraction(0)] * k
-        for value, c in zip(rz, free_cols):
-            y[c] = Fraction(value)
-        rays_ambient.append(primitive(_lift(y, eq_basis)))
+    columns = list(zip(*basis))
+    free_columns = list(zip(*(basis[j] for j in free)))
     return RayEnumeration(
-        rays=tuple(sorted(rays_ambient)),
-        lineality=lineality_ambient,
+        rays=tuple(sorted(primitive([dot(y, c) for c in free_columns]) for y in rays)),
+        lineality=tuple(primitive([dot(v, c) for c in columns]) for v in lin.basis),
     )
 
 

@@ -27,9 +27,10 @@ def unit_vec(n: int, i: int) -> Vector:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """Exact dot product; integer vectors give an int."""
     if len(u) != len(v):
         raise DimensionMismatch(f"dot product of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v)), 0)
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -48,13 +49,15 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Smallest integer vector on the same ray; direction is preserved."""
-    v = vec(v)
-    if is_zero_vec(v):
-        raise ValueError("zero vector has no primitive form")
+    """Smallest integer vector on the same ray; direction is preserved.
+
+    Entries must be Fractions or ints.
+    """
     den = lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
+    ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
 
 
@@ -232,14 +235,13 @@ def determinant(m: QMatrix) -> Fraction:
 def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     """Return a times [[b^-1, -b^-1 c], [0, Id]] exactly.
 
-    a must be n x n, b m x m and nonsingular, c m x (n - m). The product
-    re-expresses the rows of a over a mixed basis in which the first m
-    coordinates stay put and the rest are replaced through b.
+    a has n columns and any number of rows, b is m x m and nonsingular,
+    c is m x (n - m). The product re-expresses the rows of a over a mixed
+    basis in which the first m coordinates stay put and the rest are
+    replaced through b.
     """
-    n = a.rows
+    n = a.cols
     m = b.rows
-    if a.cols != n:
-        raise DimensionMismatch("first block must be square")
     if b.cols != m:
         raise DimensionMismatch("pivot block must be square")
     if m > n:
@@ -366,14 +368,14 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def is_direct_sum(s1: Subspace, s2: Subspace, target: Subspace) -> bool:
-    """Whether target = s1 (+) s2 with trivial intersection."""
+    """Whether target = s1 (+) s2 with trivial intersection.
+
+    Once the dimensions add up, s1 + s2 = target forces the intersection
+    to be trivial, since dim(s1 + s2) = dim s1 + dim s2 - dim(s1 & s2).
+    """
     if not (s1.ambient_dim == s2.ambient_dim == target.ambient_dim):
         raise DimensionMismatch("ambient dimensions differ")
-    if s1.dim + s2.dim != target.dim:
-        return False
-    if intersect(s1, s2).dim != 0:
-        return False
-    return subspace_sum(s1, s2) == target
+    return s1.dim + s2.dim == target.dim and subspace_sum(s1, s2) == target
 
 
 def solve(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import PreconditionViolated, SubsetViolation
+from .errors import InvariantViolation, PreconditionViolated, SubsetViolation
 from .linalg import (
     Subspace,
     Vector,
@@ -144,13 +144,18 @@ def make_datum(rs: RootSystem, subset: Iterable[int]) -> ParabolicDatum:
     upper = coroot_span(rs, subset)
     complement = _orthogonal_complement(rs, a_i)
     if upper != complement:
-        raise AssertionError(
+        raise InvariantViolation(
             "coroot span disagrees with the orthogonal complement; "
             "construction bug"
         )
-    assert a_i.dim == rs.rank - len(subset)
-    assert upper.dim == len(subset)
-    assert is_direct_sum(a_i, upper, full_space(rs.rank))
+    if a_i.dim != rs.rank - len(subset):
+        raise InvariantViolation(f"kernel of {subset} has dimension {a_i.dim}")
+    if upper.dim != len(subset):
+        raise InvariantViolation(f"coroot span of {subset} has dimension {upper.dim}")
+    if not is_direct_sum(a_i, upper, full_space(rs.rank)):
+        raise InvariantViolation(
+            f"kernel and coroot span of {subset} do not split the dual space"
+        )
     return ParabolicDatum(
         subset=subset,
         a_I=a_i,
@@ -198,7 +203,10 @@ def _relative_torus(
     rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
 ) -> Subspace:
     result = intersect(coroot_span(rs, upper), kernel_subspace(rs, lower))
-    assert result.dim == len(upper) - len(lower)
+    if result.dim != len(upper) - len(lower):
+        raise InvariantViolation(
+            f"relative torus of {lower} in {upper} has dimension {result.dim}"
+        )
     return result
 
 

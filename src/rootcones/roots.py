@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InvalidRank, NotProportional, UnknownRoot
+from .errors import InvalidRank, InvariantViolation, NotProportional, UnknownRoot
 from .linalg import (
     QMatrix,
     Vector,
@@ -232,7 +232,8 @@ def _enumerate_positive_roots(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
                 pairing = 2 * sum(
                     beta[j] * gramm.at(j, i) for j in range(n)
                 ) / gramm.at(i, i)
-                assert pairing.denominator == 1, "Cartan pairing must be integral"
+                if pairing.denominator != 1:
+                    raise InvariantViolation("Cartan pairing must be integral")
                 p = 0
                 while True:
                     back = tuple(
@@ -416,7 +417,8 @@ def _weight_table(rs: RootSystem) -> WeightTable:
     ginv = gramm_inverse(rs)
     dual = tuple(ginv.row(i) for i in range(rs.rank))
     d = tuple(sum(row, Fraction(0)) for row in dual)
-    assert all(x > 0 for x in d)
+    if not all(x > 0 for x in d):
+        raise InvariantViolation(f"{rs.spec}: a dual weight has mass d <= 0")
     weighted = tuple(vec_scale(Fraction(1) / d[i], dual[i]) for i in range(rs.rank))
     return WeightTable(dual=dual, d=d, weighted=weighted)
 

@@ -205,6 +205,38 @@ class TestVerify:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["ok"] is True
 
+    def test_corrupted_expansion_fails_under_optimisation(self):
+        # Under -O no assert runs, so the direct-solve cross-check must
+        # raise on its own. The stub moves one unit of coefficient between
+        # the first two columns of every row: the masses still sum to one,
+        # so only the cross-check can see it, and only when I holds at
+        # least two roots (12 of A3's 24 rows).
+        script = (
+            "import sys\n"
+            "from rootcones import certify, cli\n"
+            "from rootcones.linalg import QMatrix\n"
+            "real = certify.block_coefficient_matrix\n"
+            "def corrupt(a, b, c):\n"
+            "    d = real(a, b, c)\n"
+            "    if b.rows < 2:\n"
+            "        return d\n"
+            "    rows = [[r[0] + 1, r[1] - 1, *r[2:]] for r in d.to_rows()]\n"
+            "    return QMatrix.from_rows(rows)\n"
+            "certify.block_coefficient_matrix = corrupt\n"
+            "sys.exit(cli.main(['verify', '--suite', 'lemma64', '--system', 'A3']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        rows = json.loads(done.stdout)["rows"]
+        failed = [row for row in rows if row["status"] == "fail"]
+        assert len(failed) == 12 and len(rows) == 24
+        assert all("direct solve" in row["detail"] for row in failed)
+
 
 class TestSimulate:
     def test_deterministic_reports(self, capsys, tmp_path):

@@ -2,19 +2,27 @@
 
 import itertools
 import random
+from fractions import Fraction
 
+import pytest
+
+from rootcones import cones
 from rootcones.cones import ConeSpec, extreme_rays, satisfies
+from rootcones.errors import InvariantViolation
 from rootcones.linalg import dot, kernel, primitive, rref, vec
 
 
-def brute_force_rays(rows, dim):
+def brute_force_rays(rows, dim, equalities=()):
     """Oracle: a ray of a pointed cone is the feasible direction of a
-    rank dim-1 subset of tight constraints. Enumerate all of them."""
+    rank dim-1 set of tight constraints, where the equalities are always
+    tight. Enumerate all of them."""
+    rows = [vec(r) for r in rows]
+    equalities = [vec(e) for e in equalities]
     rays = set()
     idx = range(len(rows))
     for size in range(dim):
         for subset in itertools.combinations(idx, size):
-            chosen = [rows[i] for i in subset]
+            chosen = equalities + [rows[i] for i in subset]
             if len(rref(chosen)[0]) != dim - 1:
                 continue
             line = kernel(dim, chosen)
@@ -22,8 +30,8 @@ def brute_force_rays(rows, dim):
                 continue
             v = line.basis[0]
             for cand in (v, tuple(-x for x in v)):
-                if all(dot(r, cand) >= 0 for r in map(vec, rows)):
-                    tight = [r for r in map(vec, rows) if dot(r, cand) == 0]
+                if all(dot(r, cand) >= 0 for r in rows):
+                    tight = equalities + [r for r in rows if dot(r, cand) == 0]
                     if len(rref(tight)[0]) == dim - 1:
                         rays.add(primitive(cand))
     return tuple(sorted(rays))
@@ -75,6 +83,39 @@ class TestPointedCones:
             enum = enumerate_cone(rows, dim)
             assert enum.lineality == ()
             assert enum.rays == brute_force_rays(rows, dim)
+
+        # Fractional rows, and equalities that cut the cone down.
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        for _ in range(80):
+            dim = rng.randint(1, 4)
+            rows = [[entry() for _ in range(dim)] for _ in range(rng.randint(0, 5))]
+            rows += [[int(i == j) for j in range(dim)] for i in range(dim)]
+            rows = [r for r in rows if any(r)]
+            equalities = [
+                [entry() for _ in range(dim)] for _ in range(rng.randint(0, 2))
+            ]
+            enum = enumerate_cone(rows, dim, equalities)
+            assert enum.lineality == ()
+            assert enum.rays == brute_force_rays(rows, dim, equalities)
+
+    def test_bad_ray_raises(self, monkeypatch):
+        # Flip the first seed ray: on the orthant nothing cuts it away, so
+        # it reaches the final membership check.
+        real = cones.rref
+
+        def flip_first_seed_ray(rows):
+            reduced, pivots = real(rows)
+            return [tuple(-x for x in reduced[0]), *reduced[1:]], pivots
+
+        monkeypatch.setattr(cones, "rref", flip_first_seed_ray)
+        with pytest.raises(InvariantViolation, match="leaves the cone"):
+            enumerate_cone([[1, 0], [0, 1]], 2)
+
+    def test_rows_that_do_not_span_raise(self):
+        with pytest.raises(InvariantViolation, match="not pointed"):
+            cones._pointed_double_description([(1, 0), (2, 0)], 2)
 
 
 class TestLinealityAndEqualities:

@@ -223,6 +223,18 @@ class TestBlockCoefficientMatrix:
         assert coeffs is not None
         assert list(d.row(1)) == list(coeffs)
 
+    def test_single_row_matches_full_product(self):
+        # A3 Gramm matrix re-based over I = {1}: each row of a alone gives
+        # the same row as the full product.
+        a = QMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        b = QMatrix.from_rows([[2]])
+        c = QMatrix.from_rows([[-1, 0]])
+        full = block_coefficient_matrix(a, b, c)
+        for i in range(3):
+            row = block_coefficient_matrix(a.submatrix([i], range(3)), b, c)
+            assert (row.rows, row.cols) == (1, 3)
+            assert row.row(0) == full.row(i)
+
     def test_shape_errors(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
         with pytest.raises(DimensionMismatch):
@@ -322,6 +334,25 @@ class TestSubspaces:
         s1, s2 = span(n, rows1), span(n, rows2)
         ann = list(kernel(n, s1.basis).basis) + list(kernel(n, s2.basis).basis)
         assert intersect(s1, s2) == kernel(n, ann)
+
+    @settings(max_examples=80, deadline=None)
+    @given(low_rank_rows(max_rows=5, max_cols=5), st.data())
+    def test_direct_sum_matches_definition(self, drawn, data):
+        n, rows = drawn
+        cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
+        rows1, rows2 = rows[:cut], rows[cut:]
+        # Overlapping pairs half the time: s2 also spans a vector of s1.
+        if rows1 and data.draw(st.booleans()):
+            rows2 = rows2 + [rows1[-1]]
+        target_rows = rows[: data.draw(st.integers(min_value=0, max_value=len(rows)))]
+        s1, s2, target = span(n, rows1), span(n, rows2), span(n, target_rows)
+        # Definition: the joint basis is independent and spans the target.
+        joint = list(s1.basis) + list(s2.basis)
+        reduced = gauss_jordan_rref(joint)
+        expected = len(reduced[0]) == len(joint) and reduced == gauss_jordan_rref(
+            target.basis
+        )
+        assert is_direct_sum(s1, s2, target) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
