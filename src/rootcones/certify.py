@@ -74,8 +74,8 @@ def expand_coefficients(
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
     # Independent route: solve for alpha over the explicit basis vectors.
-    columns = [list(unit_vec(rs.rank, beta)) for beta in subset]
-    columns += [list(wt.dual[gamma]) for gamma in rest]
+    columns = [unit_vec(rs.rank, beta) for beta in subset]
+    columns += [wt.dual[gamma] for gamma in rest]
     direct = solve(columns, unit_vec(rs.rank, alpha))
     if direct is None or list(direct) != list(row):
         raise InvariantViolation("block formula disagrees with the direct solve")
@@ -185,21 +185,27 @@ def theorem_cone(
 
 
 def verify_theorem61_constructive(
-    rs: RootSystem, wt: WeightTable, alpha: int, subset: Iterable[int]
+    rs: RootSystem,
+    wt: WeightTable,
+    alpha: int,
+    subset: Iterable[int],
+    cone: ConeSpec | None = None,
 ) -> Certificate:
     """Assemble and re-check the conic-combination certificate.
 
     The multipliers come from the coefficient expansion: the ordering
     functional against gamma gets -c_gamma d_gamma, the positivity
     functional gets the excess mass, and the equalities absorb the
-    coefficients on I. Everything is re-expanded symbolically before the
-    certificate is returned.
+    coefficients on I. Everything is re-expanded symbolically against
+    `cone` before the certificate is returned. `cone` is the
+    `theorem_cone` of (alpha, I), built here when not given.
     """
     subset = tuple(sorted(set(subset)))
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
     exp = expand_coefficients(rs, wt, alpha, subset)
-    cone = theorem_cone(rs, wt, alpha, subset)
+    if cone is None:
+        cone = theorem_cone(rs, wt, alpha, subset)
     weight_coeff = dict(exp.on_weights)
     mass = sum(
         (coeff * wt.d[gamma] for gamma, coeff in exp.on_weights), Fraction(0)
@@ -239,7 +245,7 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
     evaluation yields a concrete violating ray.
     """
     enum = extreme_rays(cone)
-    values = [dot(cone.objective, vec(r)) for r in enum.rays]
+    values = [dot(cone.objective, r) for r in enum.rays]
     for ray, value in zip(enum.rays, values):
         if value < 0:
             return Certificate(
@@ -249,7 +255,7 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
                 ray_count=len(enum.rays),
             )
     for line in enum.lineality:
-        value = dot(cone.objective, vec(line))
+        value = dot(cone.objective, line)
         if value != 0:
             ray = line if value < 0 else tuple(-x for x in line)
             return Certificate(

@@ -1,8 +1,9 @@
 """Exact rational vectors, matrices, and canonical subspaces.
 
-Scalars are fractions.Fraction throughout; plain ints are accepted and
-coerced on construction. Every value is immutable and every operation is
-pure, so concurrent use needs no locking.
+Scalars are fractions.Fraction throughout. Plain ints are accepted where
+values enter (`vec`, `QMatrix.from_rows`, `rref`, `solve`); values that
+are already Fractions are not coerced again. Every value is immutable
+and every operation is pure, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -112,12 +113,11 @@ class QMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.cols == 0:
+            return QMatrix.zero(self.rows, other.cols)
         cols = [other.column(j) for j in range(other.cols)]
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([dot(r, c) for c in cols])
-        return QMatrix.from_rows(out) if out else QMatrix.zero(0, other.cols)
+        entries = tuple(dot(self.row(i), c) for i in range(self.rows) for c in cols)
+        return QMatrix(self.rows, other.cols, entries)
 
     def mul_vec(self, v: Sequence[Fraction]) -> Vector:
         if self.cols != len(v):
@@ -135,22 +135,6 @@ class QMatrix:
             for i in range(self.rows)
             for j in range(i)
         )
-
-
-def hstack(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.rows != b.rows:
-        raise DimensionMismatch("hstack row counts differ")
-    if a.rows == 0:
-        return QMatrix.zero(0, a.cols + b.cols)
-    return QMatrix.from_rows(
-        [list(a.row(i)) + list(b.row(i)) for i in range(a.rows)]
-    )
-
-
-def vstack(a: QMatrix, b: QMatrix) -> QMatrix:
-    if a.cols != b.cols:
-        raise DimensionMismatch("vstack column counts differ")
-    return QMatrix(a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
 def _integer_rows(
@@ -238,7 +222,9 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     a has n columns and any number of rows, b is m x m and nonsingular,
     c is m x (n - m). The product re-expresses the rows of a over a mixed
     basis in which the first m coordinates stay put and the rest are
-    replaced through b.
+    replaced through b. By associativity it is [a_I b^-1 | a_rest -
+    (a_I b^-1) c], with a_I the first m columns of a, so the n x n block
+    matrix is never formed.
     """
     n = a.cols
     m = b.rows
@@ -250,12 +236,13 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
         raise DimensionMismatch(
             f"coupling block must be {m}x{n - m}, got {c.rows}x{c.cols}"
         )
-    binv = invert(b)
-    neg_bc = binv.mul(c)
-    neg_bc = QMatrix(m, n - m, tuple(-x for x in neg_bc.entries))
-    top = hstack(binv, neg_bc)
-    bottom = hstack(QMatrix.zero(n - m, m), QMatrix.identity(n - m))
-    return a.mul(vstack(top, bottom))
+    left = a.submatrix(range(a.rows), range(m)).mul(invert(b))
+    coupled = left.mul(c)
+    entries: list[Fraction] = []
+    for i in range(a.rows):
+        entries += left.row(i)
+        entries += vec_sub(a.row(i)[m:], coupled.row(i))
+    return QMatrix(a.rows, n, tuple(entries))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
@@ -388,8 +375,7 @@ def solve(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
     n = len(columns[0])
     if len(target) != n or any(len(c) != n for c in columns):
         raise DimensionMismatch("solve shape mismatch")
-    rows = [[Fraction(columns[j][i]) for j in range(len(columns))] + [Fraction(target[i])]
-            for i in range(n)]
+    rows = [[c[i] for c in columns] + [target[i]] for i in range(n)]
     reduced, pivots = rref(rows)
     width = len(columns)
     x = [Fraction(0)] * width

@@ -184,13 +184,15 @@ def run_theorem61(
             cone = certify.theorem_cone(rs, wt, alpha, subset)
             try:
                 if route == "constructive":
+                    # Validated against the cone inside the route.
                     cert = certify.verify_theorem61_constructive(
-                        rs, wt, alpha, subset
+                        rs, wt, alpha, subset, cone
                     )
+                    ok = cert.kind == "conic_combination"
                 else:
                     cert = certify.verify_theorem61_rays(cone)
-                ok = cert.kind == "conic_combination"
-                ok = ok and certify.validate_certificate(cone, cert)
+                    ok = cert.kind == "conic_combination"
+                    ok = ok and certify.validate_certificate(cone, cert)
                 detail = certify.certificate_to_dict(cone, cert)
             except (certify.CertificateFailure, InvariantViolation) as err:
                 ok = False
@@ -399,10 +401,17 @@ _WORKERS = {
 
 
 def _run_task(task: tuple[str, str, int | None]) -> tuple[list[dict], dict]:
-    """A task's rows and its timing record."""
+    """A task's rows and its timing record.
+
+    A broken internal invariant fails the whole task as one row, so the
+    report is still written and the run exits 1, not as bad input.
+    """
     suite, spec, max_subset_size = task
     start = time.perf_counter()
-    rows = _WORKERS[suite](spec, max_subset_size)
+    try:
+        rows = _WORKERS[suite](spec, max_subset_size)
+    except InvariantViolation as err:
+        rows = [_row(suite, spec, "fail", detail=str(err))]
     elapsed = round(time.perf_counter() - start, 6)
     return rows, {"suite": suite, "system": spec, "wall_time": elapsed}
 

@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from rootcones import certify, suites
 from rootcones.certify import (
     connected_induced_subsets,
     expand_coefficients,
@@ -171,6 +172,25 @@ class TestRayRoute:
                 oracle = verify_theorem61_rays(cone)
                 assert constructive.kind == "conic_combination"
                 assert oracle.kind == "conic_combination"
+
+
+class TestSuiteWork:
+    @pytest.mark.parametrize("route", ["constructive", "rays"])
+    def test_one_cone_and_one_validation_per_row(self, route, monkeypatch):
+        # The constructive route validates against the cone it is given,
+        # so the suite builds each row's cone once and checks it once.
+        counts = {"theorem_cone": 0, "validate_certificate": 0}
+        for name in counts:
+
+            def counted(*args, _real=getattr(certify, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(certify, name, counted)
+        rows = suites.run_theorem61("A3", route)
+        assert len(rows) == 12
+        assert all(row["status"] == "pass" for row in rows)
+        assert counts == {"theorem_cone": 12, "validate_certificate": 12}
 
 
 class TestCorollaryBound:

@@ -237,6 +237,35 @@ class TestVerify:
         assert len(failed) == 12 and len(rows) == 24
         assert all("direct solve" in row["detail"] for row in failed)
 
+    def test_invariant_violation_fails_the_task(self):
+        # A broken internal invariant is a failed check, not bad input:
+        # the task becomes one fail row, the report is written and the
+        # run exits 1. Run apart, so the stubbed tori memoised on the
+        # shared A2 instance never reach another test.
+        script = (
+            "import sys\n"
+            "from rootcones import cli, parabolic\n"
+            "from rootcones.linalg import full_space\n"
+            "parabolic.intersect = lambda s1, s2: full_space(s1.ambient_dim)\n"
+            "sys.exit(cli.main(['verify', '--suite', 'parabolic-lemmas',"
+            " '--system', 'A2']))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "error:" not in done.stderr
+        payload = json.loads(done.stdout)
+        assert payload["ok"] is False
+        assert [(r["suite"], r["system"], r["status"], r["detail"])
+                for r in payload["rows"]] == [
+            ("parabolic-lemmas", "A2", "fail",
+             "relative torus of () in () has dimension 2"),
+        ]
+
 
 class TestSimulate:
     def test_deterministic_reports(self, capsys, tmp_path):

@@ -100,6 +100,37 @@ class TestPointedCones:
             assert enum.lineality == ()
             assert enum.rays == brute_force_rays(rows, dim, equalities)
 
+    def test_positive_rescaling_and_zero_rows_change_nothing(self):
+        # The enumerator takes each row as its primitive integer multiple;
+        # the cone, hence the enumeration, must not see the difference.
+        rng = random.Random(11)
+
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+        def rescaled(rows, dim):
+            out = []
+            for r in rows:
+                factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                out.append([factor * x for x in r])
+            for _ in range(rng.randint(0, 2)):
+                out.insert(rng.randint(0, len(out)), [0] * dim)
+            return out
+
+        for _ in range(150):
+            dim = rng.randint(1, 4)
+            rows = [[entry() for _ in range(dim)] for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.5:
+                rows += [[int(i == j) for j in range(dim)] for i in range(dim)]
+            equalities = [
+                [entry() for _ in range(dim)] for _ in range(rng.randint(0, 2))
+            ]
+            base = enumerate_cone(rows, dim, equalities)
+            scaled = enumerate_cone(
+                rescaled(rows, dim), dim, rescaled(equalities, dim)
+            )
+            assert scaled == base
+
     def test_bad_ray_raises(self, monkeypatch):
         # Flip the first seed ray: on the orthant nothing cuts it away, so
         # it reaches the final membership check.

@@ -235,6 +235,45 @@ class TestBlockCoefficientMatrix:
             assert (row.rows, row.cols) == (1, 3)
             assert row.row(0) == full.row(i)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_explicit_block_product(self, data):
+        # Oracle: a times the n x n matrix [[b^-1, -b^-1 c], [0, Id]],
+        # with b^-1 from the plain Gauss-Jordan above.
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        m = data.draw(st.integers(min_value=0, max_value=n))
+        k = data.draw(st.integers(min_value=1, max_value=3))
+
+        def draw_rows(rows, cols):
+            row = st.lists(FRACTION_ENTRY, min_size=cols, max_size=cols)
+            return data.draw(st.lists(row, min_size=rows, max_size=rows))
+
+        def matrix(rows, cols):
+            return QMatrix(len(rows), cols, tuple(x for r in rows for x in r))
+
+        a, b, c = draw_rows(k, n), draw_rows(m, m), draw_rows(m, n - m)
+        binv = gauss_jordan_inverse(b)
+        if binv is None:
+            # Strict diagonal dominance makes b nonsingular.
+            for i, r in enumerate(b):
+                r[i] = 1 + sum(abs(x) for j, x in enumerate(r) if j != i)
+            binv = gauss_jordan_inverse(b)
+        block = [
+            list(binv[i])
+            + [-sum((binv[i][l] * c[l][j] for l in range(m)), Q(0))
+               for j in range(n - m)]
+            for i in range(m)
+        ]
+        block += [[Q(0)] * m + [Q(int(i == j)) for j in range(n - m)]
+                  for i in range(n - m)]
+        expected = [
+            [sum((row[l] * block[l][j] for l in range(n)), Q(0)) for j in range(n)]
+            for row in a
+        ]
+        d = block_coefficient_matrix(matrix(a, n), matrix(b, m), matrix(c, n - m))
+        assert (d.rows, d.cols) == (k, n)
+        assert d.to_rows() == expected
+
     def test_shape_errors(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
         with pytest.raises(DimensionMismatch):
