@@ -30,7 +30,6 @@ from .linalg import (
     solve,
     unit_vec,
     vec,
-    vec_sub,
 )
 from .roots import (
     RootSystem,
@@ -170,7 +169,7 @@ def theorem_cone(
         label = f"ordering:{gamma + 1}"
         if drop in ("ordering-family", label):
             continue
-        inequalities.append(vec_sub(wt.weighted[alpha], wt.weighted[gamma]))
+        inequalities.append(wt.differences[alpha][gamma])
         labels.append(label)
     if drop != "positivity":
         inequalities.append(wt.weighted[alpha])
@@ -179,7 +178,7 @@ def theorem_cone(
         ambient_dim=rs.rank,
         equalities=tuple(unit_vec(rs.rank, beta) for beta in subset),
         inequalities=tuple(inequalities),
-        objective=vec_sub(unit_vec(rs.rank, alpha), wt.weighted[alpha]),
+        objective=wt.objectives[alpha],
         inequality_labels=tuple(labels),
     )
 

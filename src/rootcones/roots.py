@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InvalidRank, InvariantViolation, NotProportional, UnknownRoot
@@ -23,6 +23,7 @@ from .linalg import (
     invert,
     unit_vec,
     vec_scale,
+    vec_sub,
 )
 
 _RANK_BOUNDS = {
@@ -392,6 +393,10 @@ class WeightTable:
     matrix of rows is exactly the inverse Gramm matrix. d_alpha sums row
     alpha, and `weighted` divides each row by its d, so its coordinates
     sum to one.
+
+    `differences` and `objectives` are the functionals of the Theorem 6.1
+    cones, which depend on alpha and gamma but not on the subset I; each
+    is built on first use and then kept with the table.
     """
 
     dual: tuple[Vector, ...]
@@ -401,6 +406,22 @@ class WeightTable:
     @property
     def rank(self) -> int:
         return len(self.dual)
+
+    @cached_property
+    def differences(self) -> tuple[tuple[Vector, ...], ...]:
+        """Entry [alpha][gamma] is weighted[alpha] - weighted[gamma]."""
+        return tuple(
+            tuple(vec_sub(w_alpha, w_gamma) for w_gamma in self.weighted)
+            for w_alpha in self.weighted
+        )
+
+    @cached_property
+    def objectives(self) -> tuple[Vector, ...]:
+        """Entry alpha is the coordinate alpha minus weighted[alpha]."""
+        return tuple(
+            vec_sub(unit_vec(self.rank, alpha), w_alpha)
+            for alpha, w_alpha in enumerate(self.weighted)
+        )
 
 
 def gramm_inverse(rs: RootSystem) -> QMatrix:

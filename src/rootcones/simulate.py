@@ -14,6 +14,12 @@ linear in the slope vector, so their cone is enumerated once per
 selection and every sample is a strictly positive integer combination of
 its extreme rays; that makes traces admissible by construction instead
 of by rejection.
+
+Slope-space arithmetic runs on integers. Each constraint row is stored
+as its primitive integer row, a positive multiple of the rational
+functional, and a trace's slopes are scaled by the lcm of their
+denominators; both factors are positive, so every sign, and hence every
+admissibility verdict, is that of the rational computation.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .cones import ConeSpec, extreme_rays
@@ -89,12 +96,17 @@ class SimTrace:
 
 @dataclass(frozen=True)
 class LevelData:
-    """Per-selection constants: subsets, lines, constraints, cone rays."""
+    """Per-selection constants: subsets, lines, constraints, cone rays.
+
+    Each constraint row is the primitive integer multiple of its rational
+    functional (a zero functional stays a zero row), so it has the same
+    sign as that functional on every slope vector.
+    """
 
     subsets: tuple[tuple[int, ...], ...]
     lines: tuple[tuple[int, ...], ...]
     weighted_rel: tuple[dict, ...]
-    constraint_rows: tuple[tuple[Vector, str], ...]
+    constraint_rows: tuple[tuple[tuple[int, ...], str], ...]
     rays: tuple[tuple[int, ...], ...]
 
 
@@ -139,7 +151,7 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
         relative_weight_table(rs, subsets[l - 1]).weighted
         for l in range(1, levels + 1)
     )
-    rows: list[tuple[Vector, str]] = []
+    rows: list[tuple[tuple[int, ...], str]] = []
     for l in range(1, levels + 1):
         sel = selection[l - 1]
         functionals = [(weighted_rel[l - 1][sel], f"level{l}:positivity")]
@@ -151,20 +163,16 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
             )
             functionals.append((diff, f"level{l}:ordering:alpha_{other + 1}"))
         for f, label in functionals:
-            row = tuple(
-                dot(f, vec(lines[m - 1])) if m >= l else Fraction(0)
-                for m in range(1, levels + 1)
-            )
-            rows.append((row, label))
-    axis_rows = [
-        (tuple(Fraction(int(m == l)) for m in range(levels)), f"level{l + 1}:axis")
-        for l in range(levels)
-    ]
+            row = (0,) * (l - 1) + tuple(dot(f, line) for line in lines[l - 1 :])
+            rows.append((primitive(row) if any(row) else (0,) * levels, label))
+    axis_rows = tuple(
+        tuple(int(m == l) for m in range(levels)) for l in range(levels)
+    )
     cone = ConeSpec(
         ambient_dim=levels,
         equalities=(),
-        inequalities=tuple(r for r, _ in rows) + tuple(r for r, _ in axis_rows),
-        objective=(Fraction(0),) * levels,
+        inequalities=tuple(r for r, _ in rows) + axis_rows,
+        objective=(0,) * levels,
     )
     enum = extreme_rays(cone)
     if enum.lineality:
@@ -190,6 +198,12 @@ def selection_is_feasible(rs: RootSystem, selection: Sequence[int]) -> bool:
 def _derive_seed(spec: str, selection: tuple[int, ...], seed: int) -> int:
     text = f"{spec}|{','.join(map(str, selection))}|{seed}"
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+def _integer_slopes(slopes: Sequence[Fraction]) -> tuple[int, ...]:
+    """The slopes times the lcm of their denominators, a positive factor."""
+    den = lcm(*(s.denominator for s in slopes))
+    return tuple(s.numerator * (den // s.denominator) for s in slopes)
 
 
 def make_trace(
@@ -223,8 +237,9 @@ def make_trace(
             zip(selection, data.lines, slopes), start=1
         )
     )
+    ints = _integer_slopes(slopes)
     admissible = horizon > 0 and all(
-        dot(row, slopes) >= 0 for row, _ in data.constraint_rows
+        dot(row, ints) >= 0 for row, _ in data.constraint_rows
     )
     return SimTrace(
         rs=rs,
@@ -235,23 +250,24 @@ def make_trace(
     )
 
 
-def _constraint_violations(trace: SimTrace, data: LevelData, n: int) -> list[str]:
+def _constraint_violations(
+    data: LevelData, slopes: tuple[int, ...], n: int
+) -> list[str]:
+    """Every constraint row that is negative at index n on integer slopes."""
     problems = []
     for row, label in data.constraint_rows:
-        value = sum(
-            (r * step.slope * n for r, step in zip(row, trace.steps)),
-            Fraction(0),
-        )
-        if value < 0:
+        if sum(r * s * n for r, s in zip(row, slopes)) < 0:
             problems.append(f"{label} fails at n={n}")
     return problems
 
 
-def _first_admissible_index(trace: SimTrace, data: LevelData) -> int | None:
+def _first_admissible_index(
+    horizon: int, data: LevelData, slopes: tuple[int, ...]
+) -> int | None:
     """Scan n = horizon, ..., 1 for the start of the admissible tail."""
     n0 = None
-    for n in range(trace.horizon, 0, -1):
-        if _constraint_violations(trace, data, n):
+    for n in range(horizon, 0, -1):
+        if _constraint_violations(data, slopes, n):
             break
         n0 = n
     return n0
@@ -278,12 +294,13 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
             problems.append(f"level{step.level}: line outside torus")
         if not step.slope * line[step.root] > 0:
             problems.append(f"level{step.level}: selected root does not grow")
-    n0 = _first_admissible_index(trace, data)
+    slopes = _integer_slopes([step.slope for step in trace.steps])
+    n0 = _first_admissible_index(trace.horizon, data, slopes)
     if trace.n0 != n0:
         problems.append(f"recorded n0={trace.n0} but computed {n0}")
     if n0 is None and trace.horizon > 0:
         problems.append("no admissible start index")
-        problems.extend(_constraint_violations(trace, data, trace.horizon))
+        problems.extend(_constraint_violations(data, slopes, trace.horizon))
     return (not problems, problems)
 
 

@@ -58,3 +58,14 @@ def test_missing_side_exits_2(tmp_path, capsys):
     assert bench_record.main(args) == 2
     assert "change side" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overlapping_prefixes_exit_2(tmp_path, capsys):
+    result_file(tmp_path, "p.json", "9dbe5702", 1, 1.0)
+    result_file(tmp_path, "c.json", "9dbe5abc", 1, 0.9)
+    out = tmp_path / "BENCH.json"
+    for parent, change in (("9dbe", "9dbe5"), ("9dbe5", "9dbe"), ("9dbe", "9dbe")):
+        args = ["--parent", parent, "--change", change, "--out", str(out), str(tmp_path)]
+        assert bench_record.main(args) == 2
+        assert "prefix of the other" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, config handling."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -277,6 +278,20 @@ class TestSimulate:
         assert run(args + ["--out", str(a)], capsys)[0] == 0
         assert run(args + ["--out", str(b)], capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_report_digest_is_pinned(self, capsys, tmp_path):
+        # Any change to a printed value, not only one between two runs,
+        # changes this digest of the acceptance configuration's report.
+        out = tmp_path / "report.json"
+        args = [
+            "simulate", "--system", "A2", "--system", "B2",
+            "--seed", "7", "--horizon", "40", "--traces", "3",
+            "--out", str(out),
+        ]
+        assert run(args, capsys)[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fbdb47ff21a5b7a5a75d0cede2a4f6a7b2409585a57d8c7793af34ef6e242f89"
+        )
 
     def test_positive_slopes_reported(self, capsys):
         code, out, _ = run(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rootcones.errors import DivergenceFailure, PreconditionViolated
 from rootcones.linalg import vec, vec_scale
+from rootcones.parabolic import relative_weight_table
 from rootcones.roots import build
 from rootcones.simulate import (
     assert_divergence,
@@ -198,6 +199,99 @@ class TestRecordedStartIndex:
         _, problems = check_admissibility(trace)
         assert not any(p.startswith("recorded n0=") for p in problems), problems
         assert trace.n0 in (1, None)
+
+
+def rational_functionals(rs, selection):
+    """Each constraint as (label, level, weighted functional), in row order.
+
+    Rebuilt from the relative weight tables, independently of the stored
+    constraint rows.
+    """
+    subsets = [tuple(range(rs.rank))]
+    for root in selection:
+        subsets.append(tuple(i for i in subsets[-1] if i != root))
+    out = []
+    for l, sel in enumerate(selection, start=1):
+        weighted = relative_weight_table(rs, subsets[l - 1]).weighted
+        out.append((f"level{l}:positivity", l, weighted[sel]))
+        for other in selection[l:]:
+            diff = tuple(a - b for a, b in zip(weighted[sel], weighted[other]))
+            out.append((f"level{l}:ordering:alpha_{other + 1}", l, diff))
+    return out
+
+
+def rational_row(functional, level, lines):
+    """The functional's value on each level's line; zero below its level."""
+    return tuple(
+        sum((a * b for a, b in zip(functional, line)), Q(0)) if m >= level else Q(0)
+        for m, line in enumerate(lines, start=1)
+    )
+
+
+class TestIntegerSlopeSpace:
+    """Integer rows and integer slopes decide exactly as plain Fractions."""
+
+    @pytest.mark.parametrize("spec,selection", SELECTIONS)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        slopes=st.lists(
+            st.builds(Q, st.integers(-12, 12), st.integers(1, 7)),
+            min_size=4,
+            max_size=4,
+        ),
+        horizon=st.integers(0, 6),
+    )
+    def test_fractional_slopes_match_a_fraction_oracle(
+        self, spec, selection, slopes, horizon
+    ):
+        rs = build(spec)
+        trace = make_trace(rs, selection, slopes[: len(selection)], horizon)
+        functionals = rational_functionals(rs, selection)
+
+        def violations(n):
+            out = []
+            for label, level, functional in functionals:
+                theta = [Q(0)] * rs.rank
+                for step in trace.steps[level - 1 :]:
+                    for i, x in enumerate(step.line):
+                        theta[i] += n * step.slope * x
+                value = sum((a * b for a, b in zip(functional, theta)), Q(0))
+                if value < 0:
+                    out.append(f"{label} fails at n={n}")
+            return out
+
+        n0 = None
+        for n in range(horizon, 0, -1):
+            if violations(n):
+                break
+            n0 = n
+        expected = violations(horizon) if n0 is None and horizon > 0 else []
+        assert trace.n0 == n0
+        _, problems = check_admissibility(trace)
+        assert [p for p in problems if " fails at n=" in p] == expected
+        assert not any(p.startswith("recorded n0=") for p in problems), problems
+
+    @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3"])
+    def test_rows_are_positive_multiples_of_the_functionals(self, spec):
+        rs = build(spec)
+        for selection in all_selections(rs.rank):
+            data = _level_data(rs, selection)
+            functionals = rational_functionals(rs, selection)
+            assert [label for label, _, _ in functionals] == [
+                label for _, label in data.constraint_rows
+            ]
+            for (label, level, functional), (row, _) in zip(
+                functionals, data.constraint_rows
+            ):
+                expected = rational_row(functional, level, data.lines)
+                assert all(type(x) is int for x in row), (spec, selection, label)
+                if all(x == 0 for x in expected):
+                    assert all(x == 0 for x in row), (spec, selection, label)
+                    continue
+                pivot = next(j for j, x in enumerate(expected) if x != 0)
+                factor = Q(row[pivot]) / expected[pivot]
+                assert factor > 0, (spec, selection, label)
+                assert tuple(factor * x for x in expected) == row, (spec, selection, label)
 
 
 class TestInductionReplay:

@@ -8,11 +8,12 @@ Reads the end-to-end result files (``--trace 0``) that ``perfbench/run.py``
 writes under ``<checkout>/.perfbench_work/results/``; each DIR is such a
 directory, by default the one of this checkout. A file belongs to the
 parent or the change side when the commit it records starts with the
-given SHA; other files are ignored. For each workload and end-to-end
-metric the record holds, per side, the median and quartiles of the run
-medians with every run median listed by seed, and the runs paired by
-seed with how many of them the change wins (lower is better for every
-end-to-end metric). Each side also records its machine block, its
+given SHA; other files are ignored. Neither prefix may start with the
+other, or a file would count on both sides. For each workload and
+end-to-end metric the record holds, per side, the median and quartiles
+of the run medians with every run median listed by seed, and the runs
+paired by seed with how many of them the change wins (lower is better
+for every end-to-end metric). Each side also records its machine block, its
 commit, the git tree of its ``src/`` (so the measured code can be
 matched to a later commit of the same sources), and its run and failure
 counts.
@@ -126,6 +127,14 @@ def main(argv=None) -> int:
     parser.add_argument("dirs", nargs="*", type=Path, default=[DEFAULT_RESULTS],
                         help="result directories (default: .perfbench_work/results)")
     args = parser.parse_args(argv)
+    if args.parent.startswith(args.change) or args.change.startswith(args.parent):
+        # Each result file would then count on both sides.
+        print(
+            f"error: --parent {args.parent} and --change {args.change} overlap: "
+            "one is a prefix of the other; give longer prefixes",
+            file=sys.stderr,
+        )
+        return 2
     try:
         record = summarise(load_runs(args.dirs, {"parent": args.parent, "change": args.change}))
     except (OSError, ValueError, KeyError) as err:
