@@ -293,9 +293,13 @@ def cmd_simulate(config: RunConfig) -> int:
     for spec in config.systems:
         rs = build(spec)
         if config.selection is not None:
+            for v in config.selection:
+                if v > rs.rank:
+                    raise ValueError(
+                        f"selection root {v} is out of range for {spec}: "
+                        f"its simple roots are 1..{rs.rank}"
+                    )
             selections = [tuple(i - 1 for i in config.selection)]
-            for i in selections[0]:
-                rs.check_root(i)
         else:
             selections = list(_all_selections(rs.rank))
         for selection in selections:

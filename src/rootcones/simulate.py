@@ -20,6 +20,15 @@ as its primitive integer row, a positive multiple of the rational
 functional, and a trace's slopes are scaled by the lcm of their
 denominators; both factors are positive, so every sign, and hence every
 admissibility verdict, is that of the rational computation.
+
+The induction replay runs on the same integers. Everything it compares
+that depends only on the root system is kept in the system's memo: per
+torus pair an integer annihilator, so membership is a few dot products;
+per subset the relative weighted rows over one shared denominator; and
+per (ambient subset, later root, final subset) the annihilator of the
+decomposition's column span with one functional that reads off the
+weighted low part. Each trace then scales its tail once, by the same
+positive factor as its slopes, and makes no elimination of its own.
 """
 
 from __future__ import annotations
@@ -29,7 +38,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .cones import ConeSpec, extreme_rays
 from .errors import (
@@ -39,7 +49,7 @@ from .errors import (
     InvariantViolation,
     PreconditionViolated,
 )
-from .linalg import Vector, contains, dot, primitive, solve, vec, vec_scale
+from .linalg import Vector, dot, kernel, primitive, solve, span, vec_scale
 from .parabolic import relative_torus, relative_weight_table, verify_discon
 from .roots import RootSystem, build, connected_to, subsystem
 
@@ -105,7 +115,6 @@ class LevelData:
 
     subsets: tuple[tuple[int, ...], ...]
     lines: tuple[tuple[int, ...], ...]
-    weighted_rel: tuple[dict, ...]
     constraint_rows: tuple[tuple[tuple[int, ...], str], ...]
     rays: tuple[tuple[int, ...], ...]
 
@@ -119,6 +128,92 @@ def _validate_selection(rs: RootSystem, selection: Sequence[int]) -> tuple[int, 
     if len(set(selection)) != len(selection):
         raise ValueError("selection must not repeat roots")
     return selection
+
+
+def _integer_weights(
+    rs: RootSystem, subset: tuple[int, ...]
+) -> tuple[int, Mapping[int, tuple[int, ...]]]:
+    """The relative weighted rows of a sorted subset over one denominator.
+
+    Returns (den, rows) with rows[i] = den * weighted[i] and den > 0.
+    """
+    return rs.cached(
+        ("integer_weights", subset), lambda: _compute_integer_weights(rs, subset)
+    )
+
+
+def _compute_integer_weights(rs: RootSystem, subset: tuple[int, ...]):
+    weighted = relative_weight_table(rs, subset).weighted
+    den = lcm(*(x.denominator for row in weighted.values() for x in row))
+    rows = {
+        i: tuple(x.numerator * (den // x.denominator) for x in row)
+        for i, row in weighted.items()
+    }
+    return den, MappingProxyType(rows)
+
+
+def _annihilator(rs: RootSystem, vectors) -> tuple[tuple[int, ...], ...]:
+    """Primitive integer functionals whose common kernel is the span."""
+    return tuple(primitive(f) for f in kernel(rs.rank, vectors).basis)
+
+
+def _torus_annihilator(
+    rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The annihilator of relative_torus(rs, upper, lower), sorted subsets."""
+    return rs.cached(
+        ("torus_annihilator", upper, lower),
+        lambda: _annihilator(rs, relative_torus(rs, upper, lower).basis),
+    )
+
+
+def _annihilates(functionals, v: Sequence[int]) -> bool:
+    return not any(dot(f, v) for f in functionals)
+
+
+def _decomposition(
+    rs: RootSystem, ambient: tuple[int, ...], k: int, final: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Solvability annihilator and functional phi_k of one later root k.
+
+    With reduced the ambient subset without k, a vector tau splits as a
+    low part in relative_torus(reduced, final) plus a high part in
+    relative_torus(ambient, reduced) exactly when every annihilator row
+    vanishes on it; then phi_k . tau is a positive multiple of
+    weighted[k] . low, weighted being the ambient subset's relative table.
+    The low part lies in the coroot span of reduced, on which the relative
+    dual weight of k vanishes, so phi_k comes out zero on a root system;
+    it is computed from the tori, not assumed.
+    """
+    return rs.cached(
+        ("decomposition", ambient, k, final),
+        lambda: _compute_decomposition(rs, ambient, k, final),
+    )
+
+
+def _compute_decomposition(rs, ambient, k, final):
+    reduced = tuple(t for t in ambient if t != k)
+    low = relative_torus(rs, reduced, final)
+    high = relative_torus(rs, ambient, reduced)
+    columns = low.basis + high.basis
+    _, weighted = _integer_weights(rs, ambient)
+    low_values = [dot(weighted[k], v) for v in low.basis]
+    # A vector of the column span is the sum of its pivot entries times
+    # the canonical basis vectors, so phi_k is fixed by its value on each.
+    phi = [Fraction(0)] * rs.rank
+    spanned = span(rs.rank, columns)
+    for b in spanned.basis:
+        coeffs = solve(columns, b)
+        if coeffs is None:
+            raise InvariantViolation("a spanning vector is outside its own span")
+        pivot = next(i for i, x in enumerate(b) if x != 0)
+        # zip stops after the low coefficients.
+        phi[pivot] = sum((c * w for c, w in zip(coeffs, low_values)), Fraction(0))
+    den = lcm(*(x.denominator for x in phi))
+    return (
+        _annihilator(rs, spanned.basis),
+        tuple(x.numerator * (den // x.denominator) for x in phi),
+    )
 
 
 def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
@@ -147,20 +242,14 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
                 f"level {l}: connecting line vanishes on the selected root"
             )
         lines.append(primitive(v))
-    weighted_rel = tuple(
-        relative_weight_table(rs, subsets[l - 1]).weighted
-        for l in range(1, levels + 1)
-    )
     rows: list[tuple[tuple[int, ...], str]] = []
     for l in range(1, levels + 1):
         sel = selection[l - 1]
-        functionals = [(weighted_rel[l - 1][sel], f"level{l}:positivity")]
+        _, weighted = _integer_weights(rs, subsets[l - 1])
+        functionals = [(weighted[sel], f"level{l}:positivity")]
         for k in range(l + 1, levels + 1):
             other = selection[k - 1]
-            diff = tuple(
-                a - b
-                for a, b in zip(weighted_rel[l - 1][sel], weighted_rel[l - 1][other])
-            )
+            diff = tuple(a - b for a, b in zip(weighted[sel], weighted[other]))
             functionals.append((diff, f"level{l}:ordering:alpha_{other + 1}"))
         for f, label in functionals:
             row = (0,) * (l - 1) + tuple(dot(f, line) for line in lines[l - 1 :])
@@ -180,7 +269,6 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
     return LevelData(
         subsets=tuple(subsets),
         lines=tuple(lines),
-        weighted_rel=weighted_rel,
         constraint_rows=tuple(rows),
         rays=enum.rays,
     )
@@ -200,10 +288,26 @@ def _derive_seed(spec: str, selection: tuple[int, ...], seed: int) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _integer_slopes(slopes: Sequence[Fraction]) -> tuple[int, ...]:
-    """The slopes times the lcm of their denominators, a positive factor."""
+def _integer_slopes(slopes: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """The lcm of the slopes' denominators, and the slopes times it."""
     den = lcm(*(s.denominator for s in slopes))
-    return tuple(s.numerator * (den // s.denominator) for s in slopes)
+    return den, tuple(s.numerator * (den // s.denominator) for s in slopes)
+
+
+def _scaled_tail(
+    trace: SimTrace, level: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Integer form of theta_slope(level), with the factor that gives it.
+
+    Returns (den, ints, tail): den and ints as from `_integer_slopes`, and
+    tail = den * theta_slope(level), an integer vector.
+    """
+    den, ints = _integer_slopes([step.slope for step in trace.steps])
+    tail = [0] * trace.rs.rank
+    for step, s in zip(trace.steps[level - 1 :], ints[level - 1 :]):
+        for i, x in enumerate(step.line):
+            tail[i] += s * x
+    return den, ints, tuple(tail)
 
 
 def make_trace(
@@ -237,7 +341,7 @@ def make_trace(
             zip(selection, data.lines, slopes), start=1
         )
     )
-    ints = _integer_slopes(slopes)
+    _, ints = _integer_slopes(slopes)
     admissible = horizon > 0 and all(
         dot(row, ints) >= 0 for row, _ in data.constraint_rows
     )
@@ -287,14 +391,14 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
         if step.line != line:
             problems.append(f"level{step.level}: line mismatch")
             continue
-        space = relative_torus(
+        annihilator = _torus_annihilator(
             trace.rs, data.subsets[step.level - 1], data.subsets[step.level]
         )
-        if not contains(space, line):
+        if not _annihilates(annihilator, line):
             problems.append(f"level{step.level}: line outside torus")
         if not step.slope * line[step.root] > 0:
             problems.append(f"level{step.level}: selected root does not grow")
-    slopes = _integer_slopes([step.slope for step in trace.steps])
+    _, slopes = _integer_slopes([step.slope for step in trace.steps])
     n0 = _first_admissible_index(trace.horizon, data, slopes)
     if trace.n0 != n0:
         problems.append(f"recorded n0={trace.n0} but computed {n0}")
@@ -346,12 +450,13 @@ def assert_divergence(trace: SimTrace) -> dict:
 
     Traces are exactly linear: root i's value at index n is n times its
     slope theta_slope(1)[i], so a positive slope decides divergence. The
-    report carries each root's series over the horizon. Also records
-    that the last-selected root sees only its own component's
-    contribution.
+    slopes are read from the integer tail of `_scaled_tail`. The report
+    carries each root's series over the horizon. Also records that the
+    last-selected root sees only its own component's contribution.
     """
-    slopes = trace.theta_slope(1)
+    den, ints, tail = _scaled_tail(trace, 1)
     labels = [trace.rs.root_label(root) for root in trace.selection]
+    slopes = {root: Fraction(tail[root], den) for root in trace.selection}
     series = {
         label: [n * slopes[root] for n in range(1, trace.horizon + 1)]
         for label, root in zip(labels, trace.selection)
@@ -377,8 +482,7 @@ def assert_divergence(trace: SimTrace) -> dict:
             "final": series[label][-1],
         }
     last = trace.selection[-1]
-    last_step = trace.steps[-1]
-    report["base_case_exact"] = slopes[last] == last_step.slope * last_step.line[last]
+    report["base_case_exact"] = tail[last] == ints[-1] * trace.steps[-1].line[last]
     if not report["base_case_exact"]:
         raise DivergenceFailure("last-selected root sees foreign contributions")
     return report
@@ -392,19 +496,23 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     ones inside its ambient subset, the step is either an exact equality
     of evaluations or an application of the domination inequality; both
     are checked on tau = theta_slope(j). The value at index n is n times
-    tau, and n >= 1, so each check decides the same at every index.
+    tau, and n >= 1, so each check decides the same at every index. The
+    checks run on the integer tail of `_scaled_tail`, a positive multiple
+    of tau, against the memoised integer data of the system; positive
+    factors keep every sign and every equality.
     """
     levels = trace.levels
     r = levels - 1
     if depth < 0 or depth > r - 1:
         return {"depth": depth, "vacuous": True, "checks": {}}
-    data = _level_data(trace.rs, trace.selection)
+    rs = trace.rs
+    data = _level_data(rs, trace.selection)
     j = r - depth  # level whose root is being verified
     alpha = trace.selection[j - 1]
     ambient = data.subsets[j - 1]
     later = list(trace.selection[j:])
     final_subset = data.subsets[-1]
-    sub_rs, mapping = subsystem(trace.rs, ambient)
+    sub_rs, mapping = subsystem(rs, ambient)
     to_local = {amb: loc for loc, amb in enumerate(mapping)}
     connected = connected_to(
         sub_rs, to_local[alpha], [to_local[t] for t in later]
@@ -414,34 +522,32 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     checks["kernel_bookkeeping"] = all(
         data.lines[m][alpha] == 0 for m in range(j - 1)
     )
-    tau = trace.theta_slope(j)
-    own = trace.steps[j - 1]
+    _, ints, tau = _scaled_tail(trace, j)
+    own_slope, own_line = ints[j - 1], trace.steps[j - 1].line
     report = {
         "depth": depth,
         "level": j,
-        "alpha": trace.rs.root_label(alpha),
+        "alpha": rs.root_label(alpha),
         "branch": "connected" if connected else "disconnected",
         "vacuous": False,
         "checks": checks,
     }
     if not connected:
-        checks["evaluation_equality"] = tau[alpha] == own.slope * own.line[alpha]
+        checks["evaluation_equality"] = tau[alpha] == own_slope * own_line[alpha]
         checks["kernel_subspace"] = verify_discon(
             sub_rs,
             to_local[alpha],
             [to_local[t] for t in final_subset],
             [to_local[t] for t in data.subsets[j]],
         )
-        tail = tuple(
-            t - s for t, s in zip(tau, vec_scale(own.slope, vec(own.line)))
-        )
-        checks["tail_membership"] = contains(
-            relative_torus(trace.rs, data.subsets[j], final_subset), tail
+        tail = tuple(t - own_slope * x for t, x in zip(tau, own_line))
+        checks["tail_membership"] = _annihilates(
+            _torus_annihilator(rs, data.subsets[j], final_subset), tail
         )
         if not all(checks.values()):
             raise DivergenceFailure(f"disconnected branch fails: {checks}")
         return report
-    weighted = data.weighted_rel[j - 1]
+    den, weighted = _integer_weights(rs, ambient)
     if any(tau[i] != 0 for i in final_subset):
         raise BranchMismatch("tail does not vanish on the final subset")
     walpha = dot(weighted[alpha], tau)
@@ -452,29 +558,14 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
         raise BranchMismatch(
             "domination hypotheses fail on an admissible trace"
         )
-    checks["conclusion"] = tau[alpha] >= walpha
+    checks["conclusion"] = den * tau[alpha] >= walpha
+    membership = _annihilates(_torus_annihilator(rs, ambient, final_subset), tau)
     decomposition_ok = True
-    membership = contains(
-        relative_torus(trace.rs, ambient, final_subset), tau
-    )
     for k in later:
-        reduced = tuple(t for t in ambient if t != k)
-        part_low = relative_torus(trace.rs, reduced, final_subset)
-        part_high = relative_torus(trace.rs, ambient, reduced)
-        columns = [list(b) for b in part_low.basis] + [
-            list(b) for b in part_high.basis
-        ]
-        coeffs = solve(columns, tau)
-        if coeffs is None:
-            decomposition_ok = False
-            continue
-        c_part = [Fraction(0)] * trace.rs.rank
-        for x, basis_vec in zip(coeffs[part_low.dim :], part_high.basis):
-            for idx, val in enumerate(basis_vec):
-                c_part[idx] += x * val
-        lhs = dot(weighted[k], tau)
-        rhs = dot(weighted[k], tuple(c_part))
-        if lhs != rhs:
+        annihilator, phi = _decomposition(rs, ambient, k, final_subset)
+        # Solvable, and the weighted low part vanishes: weighted[k] gives
+        # tau and its high part the same value.
+        if not _annihilates(annihilator, tau) or dot(phi, tau) != 0:
             decomposition_ok = False
     checks["theta_membership"] = membership
     checks["decomposition_bookkeeping"] = decomposition_ok

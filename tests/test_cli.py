@@ -373,6 +373,31 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_out_of_range_selection_names_the_root(self, capsys):
+        code, out, err = run(
+            ["simulate", "--system", "A3", "--selection", "2,4"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: selection root 4 is out of range for A3: "
+            "its simple roots are 1..3\n"
+        )
+
+    def test_out_of_range_in_one_system_of_several(self, capsys):
+        # A3 takes the selection; A2 is too small, so nothing is run.
+        code, out, err = run(
+            ["simulate", "--system", "A3", "--system", "A2",
+             "--selection", "1,3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: selection root 3 is out of range for A2: "
+            "its simple roots are 1..2\n"
+        )
+
     def test_csv_time_series(self, capsys):
         code, out, _ = run(
             ["simulate", "--system", "A1", "--selection", "1",

@@ -8,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootcones.errors import DivergenceFailure, PreconditionViolated
-from rootcones.linalg import vec, vec_scale
-from rootcones.parabolic import relative_weight_table
-from rootcones.roots import build
+from rootcones import linalg
+from rootcones import simulate as sim
+from rootcones.errors import (
+    BranchMismatch,
+    DivergenceFailure,
+    PreconditionViolated,
+)
+from rootcones.linalg import contains, solve, vec, vec_scale
+from rootcones.parabolic import relative_torus, relative_weight_table, verify_discon
+from rootcones.roots import build, connected_to, from_gramm, subsystem
 from rootcones.simulate import (
     assert_divergence,
     check_admissibility,
@@ -329,6 +335,212 @@ class TestInductionReplay:
         trace = generate_trace(rs, (0, 1), horizon=3, seed=0)
         assert replay_induction(trace, 5)["vacuous"]
         assert replay_induction(trace, -1)["vacuous"]
+
+
+def fraction_replay(trace, depth):
+    """The induction replay on Fraction tails, kept as a test oracle.
+
+    tau is theta_slope(j); each membership is a `contains` on the torus
+    and each later root k gets its own `solve` over the low and high tori.
+    """
+    levels = trace.levels
+    r = levels - 1
+    if depth < 0 or depth > r - 1:
+        return {"depth": depth, "vacuous": True, "checks": {}}
+    rs = trace.rs
+    subsets = [tuple(range(rs.rank))]
+    for root in trace.selection:
+        subsets.append(tuple(i for i in subsets[-1] if i != root))
+    lines = _level_data(rs, trace.selection).lines
+    j = r - depth
+    alpha = trace.selection[j - 1]
+    ambient = subsets[j - 1]
+    later = list(trace.selection[j:])
+    final_subset = subsets[-1]
+    sub_rs, mapping = subsystem(rs, ambient)
+    to_local = {amb: loc for loc, amb in enumerate(mapping)}
+    connected = connected_to(sub_rs, to_local[alpha], [to_local[t] for t in later])
+    checks = {}
+    checks["kernel_bookkeeping"] = all(lines[m][alpha] == 0 for m in range(j - 1))
+    tau = trace.theta_slope(j)
+    own = trace.steps[j - 1]
+    report = {
+        "depth": depth,
+        "level": j,
+        "alpha": rs.root_label(alpha),
+        "branch": "connected" if connected else "disconnected",
+        "vacuous": False,
+        "checks": checks,
+    }
+    if not connected:
+        checks["evaluation_equality"] = tau[alpha] == own.slope * own.line[alpha]
+        checks["kernel_subspace"] = verify_discon(
+            sub_rs,
+            to_local[alpha],
+            [to_local[t] for t in final_subset],
+            [to_local[t] for t in subsets[j]],
+        )
+        tail = tuple(t - own.slope * x for t, x in zip(tau, own.line))
+        checks["tail_membership"] = contains(
+            relative_torus(rs, subsets[j], final_subset), tail
+        )
+        if not all(checks.values()):
+            raise DivergenceFailure(f"disconnected branch fails: {checks}")
+        return report
+    weighted = relative_weight_table(rs, ambient).weighted
+    if any(tau[i] != 0 for i in final_subset):
+        raise BranchMismatch("tail does not vanish on the final subset")
+    walpha = sum((a * b for a, b in zip(weighted[alpha], tau)), Q(0))
+    checks["hypotheses"] = walpha >= 0 and all(
+        walpha >= sum((a * b for a, b in zip(weighted[g], tau)), Q(0))
+        for g in later
+    )
+    if not checks["hypotheses"]:
+        raise BranchMismatch("domination hypotheses fail on an admissible trace")
+    checks["conclusion"] = tau[alpha] >= walpha
+    decomposition_ok = True
+    membership = contains(relative_torus(rs, ambient, final_subset), tau)
+    for k in later:
+        reduced = tuple(t for t in ambient if t != k)
+        low = relative_torus(rs, reduced, final_subset)
+        high = relative_torus(rs, ambient, reduced)
+        coeffs = solve(list(low.basis) + list(high.basis), tau)
+        if coeffs is None:
+            decomposition_ok = False
+            continue
+        c_part = [Q(0)] * rs.rank
+        for x, basis_vec in zip(coeffs[low.dim :], high.basis):
+            for idx, val in enumerate(basis_vec):
+                c_part[idx] += x * val
+        lhs = sum((a * b for a, b in zip(weighted[k], tau)), Q(0))
+        rhs = sum((a * b for a, b in zip(weighted[k], c_part)), Q(0))
+        if lhs != rhs:
+            decomposition_ok = False
+    checks["theta_membership"] = membership
+    checks["decomposition_bookkeeping"] = decomposition_ok
+    if not all(checks.values()):
+        raise DivergenceFailure(f"connected branch fails: {checks}")
+    return report
+
+
+def fraction_divergence(trace):
+    """`assert_divergence` with the slopes read from theta_slope(1)."""
+    slopes = trace.theta_slope(1)
+    labels = [trace.rs.root_label(root) for root in trace.selection]
+    series = {
+        label: [n * slopes[root] for n in range(1, trace.horizon + 1)]
+        for label, root in zip(labels, trace.selection)
+    }
+    report = {"horizon": trace.horizon, "n0": trace.n0, "roots": {}, "series": series}
+    if trace.horizon == 0:
+        report["base_case_exact"] = True
+        return report
+    if trace.n0 is None:
+        raise PreconditionViolated("trace is not admissible at any index")
+    for label, root in zip(labels, trace.selection):
+        if not slopes[root] > 0:
+            raise DivergenceFailure(f"{label} fails to diverge: series={series[label]}")
+        report["roots"][label] = {"slope": slopes[root], "final": series[label][-1]}
+    last = trace.selection[-1]
+    step = trace.steps[-1]
+    report["base_case_exact"] = slopes[last] == step.slope * step.line[last]
+    if not report["base_case_exact"]:
+        raise DivergenceFailure("last-selected root sees foreign contributions")
+    return report
+
+
+def outcome(fn, *args):
+    """The result, or the (exception class, message) raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return (type(err), str(err))
+
+
+def assert_same_as_oracle(trace):
+    for depth in range(-1, trace.levels):
+        expected = outcome(fraction_replay, trace, depth)
+        assert outcome(replay_induction, trace, depth) == expected, (
+            trace.rs.spec, trace.selection, depth
+        )
+    expected = outcome(fraction_divergence, trace)
+    assert outcome(assert_divergence, trace) == expected, trace.selection
+
+
+ORACLE_SPECS = ("A2", "B2", "G2", "A3", "B3", "A2xA1")
+ORACLE_SELECTIONS = [
+    (spec, selection)
+    for spec in ORACLE_SPECS
+    for selection in all_selections(build(spec).rank)
+]
+
+
+class TestReplayOracle:
+    """Integer replay and divergence against the Fraction oracle above."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    def test_generated_traces(self, spec):
+        rs = build(spec)
+        for selection in all_selections(rs.rank):
+            for seed in (0, 1):
+                assert_same_as_oracle(generate_trace(rs, selection, 4, seed))
+
+    @pytest.mark.parametrize("spec,selection", ORACLE_SELECTIONS)
+    @settings(max_examples=12, deadline=None)
+    @given(
+        slopes=st.lists(
+            st.builds(Q, st.integers(-12, 12), st.integers(1, 7)),
+            min_size=4,
+            max_size=4,
+        ),
+        horizon=st.integers(0, 4),
+    )
+    def test_signed_fractional_slopes(self, spec, selection, slopes, horizon):
+        trace = make_trace(build(spec), selection, slopes[: len(selection)], horizon)
+        assert_same_as_oracle(trace)
+
+    @pytest.mark.parametrize(
+        "spec,selection", [c for c in ORACLE_SELECTIONS if len(c[1]) > 1]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_lines_outside_their_tori(self, spec, selection, data):
+        # A forged line moves tau off its torus, so the memberships and
+        # the solvability of the decomposition can fail.
+        rs = build(spec)
+        trace = generate_trace(rs, selection, 4, seed=0)
+        level = data.draw(st.integers(0, len(selection) - 1))
+        line = data.draw(
+            st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)
+        )
+        steps = list(trace.steps)
+        steps[level] = dataclasses.replace(steps[level], line=tuple(line))
+        assert_same_as_oracle(dataclasses.replace(trace, steps=tuple(steps)))
+
+
+def test_second_trace_of_a_selection_runs_no_elimination(monkeypatch):
+    counts = {"solve": 0, "contains": 0}
+    for name in counts:
+
+        def counted(*args, _name=name, _real=getattr(linalg, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sim, name, counted, raising=False)
+    rs = from_gramm(build("A3").gramm)  # a fresh memo
+
+    def run(selection, seed):
+        trace = sim.generate_trace(rs, selection, 5, seed)
+        sim.assert_divergence(trace)
+        for depth in range(len(selection) - 1):
+            sim.replay_induction(trace, depth)
+
+    for selection in all_selections(rs.rank):
+        run(selection, seed=0)
+        before = dict(counts)
+        run(selection, seed=1)
+        assert counts == before, selection
+    assert counts["solve"] > 0  # the counters are wired
 
 
 class TestSerialization:
