@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 from .errors import InfeasibleSelection, RootconesError
 from .parabolic import make_datum, parabolic_datum_to_dict
-from .roots import build, root_system_to_dict, weight_table, weight_table_to_dict
+from .roots import (
+    RootSystem,
+    build,
+    root_system_to_dict,
+    weight_table,
+    weight_table_to_dict,
+)
 from .simulate import (
     assert_divergence,
     generate_trace,
@@ -131,6 +137,17 @@ def _parse_selection(text: str) -> list[int]:
     return values
 
 
+def _selection_roots(rs: RootSystem, selection: list[int]) -> tuple[int, ...]:
+    """The 0-based roots of a 1-based selection, checked against the rank."""
+    for v in selection:
+        if v > rs.rank:
+            raise ValueError(
+                f"selection root {v} is out of range for {rs.spec}: "
+                f"its simple roots are 1..{rs.rank}"
+            )
+    return tuple(i - 1 for i in selection)
+
+
 def _emit(config: RunConfig, payload: dict, csv_rows: tuple[list[str], list[list]]):
     if config.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -158,8 +175,7 @@ def cmd_build(config: RunConfig) -> int:
         entry = root_system_to_dict(rs)
         entry["weights"] = weight_table_to_dict(rs, wt)
         if config.selection is not None:
-            subset = [i - 1 for i in config.selection]
-            datum = make_datum(rs, subset)
+            datum = make_datum(rs, _selection_roots(rs, config.selection))
             entry["parabolic"] = parabolic_datum_to_dict(datum)
         payload_systems.append(entry)
         for alpha in range(rs.rank):
@@ -293,13 +309,7 @@ def cmd_simulate(config: RunConfig) -> int:
     for spec in config.systems:
         rs = build(spec)
         if config.selection is not None:
-            for v in config.selection:
-                if v > rs.rank:
-                    raise ValueError(
-                        f"selection root {v} is out of range for {spec}: "
-                        f"its simple roots are 1..{rs.rank}"
-                    )
-            selections = [tuple(i - 1 for i in config.selection)]
+            selections = [_selection_roots(rs, config.selection)]
         else:
             selections = list(_all_selections(rs.rank))
         for selection in selections:

@@ -25,10 +25,10 @@ The induction replay runs on the same integers. Everything it compares
 that depends only on the root system is kept in the system's memo: per
 torus pair an integer annihilator, so membership is a few dot products;
 per subset the relative weighted rows over one shared denominator; and
-per (ambient subset, later root, final subset) the annihilator of the
-decomposition's column span with one functional that reads off the
-weighted low part. Each trace then scales its tail once, by the same
-positive factor as its slopes, and makes no elimination of its own.
+per (ambient subset, later root, final subset) one yes/no for the two
+lemmas that let the later root split the tail. Each trace then scales
+its tail once, by the same positive factor as its slopes, and makes no
+elimination of its own.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from .errors import (
     InvariantViolation,
     PreconditionViolated,
 )
-from .linalg import Vector, dot, kernel, primitive, solve, span, vec_scale
-from .parabolic import relative_torus, relative_weight_table, verify_discon
+from .linalg import Vector, dot, kernel, primitive, vec_scale
+from .parabolic import relative_torus, relative_weight_table, verify_discon, verify_tori
 from .roots import RootSystem, build, connected_to, subsystem
 
 
@@ -152,18 +152,16 @@ def _compute_integer_weights(rs: RootSystem, subset: tuple[int, ...]):
     return den, MappingProxyType(rows)
 
 
-def _annihilator(rs: RootSystem, vectors) -> tuple[tuple[int, ...], ...]:
-    """Primitive integer functionals whose common kernel is the span."""
-    return tuple(primitive(f) for f in kernel(rs.rank, vectors).basis)
-
-
 def _torus_annihilator(
     rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
-    """The annihilator of relative_torus(rs, upper, lower), sorted subsets."""
+    """The primitive integer annihilator of relative_torus(rs, upper, lower)."""
     return rs.cached(
         ("torus_annihilator", upper, lower),
-        lambda: _annihilator(rs, relative_torus(rs, upper, lower).basis),
+        lambda: tuple(
+            primitive(f)
+            for f in kernel(rs.rank, relative_torus(rs, upper, lower).basis).basis
+        ),
     )
 
 
@@ -171,48 +169,29 @@ def _annihilates(functionals, v: Sequence[int]) -> bool:
     return not any(dot(f, v) for f in functionals)
 
 
-def _decomposition(
+def _splits(
     rs: RootSystem, ambient: tuple[int, ...], k: int, final: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Solvability annihilator and functional phi_k of one later root k.
+) -> bool:
+    """Whether later root k splits every tau in a^I_F as the step needs.
 
-    With reduced the ambient subset without k, a vector tau splits as a
-    low part in relative_torus(reduced, final) plus a high part in
-    relative_torus(ambient, reduced) exactly when every annihilator row
-    vanishes on it; then phi_k . tau is a positive multiple of
-    weighted[k] . low, weighted being the ambient subset's relative table.
-    The low part lies in the coroot span of reduced, on which the relative
-    dual weight of k vanishes, so phi_k comes out zero on a root system;
-    it is computed from the tori, not assumed.
+    With I the ambient subset, F the final one and reduced = I without k,
+    this holds when a^I_F is the direct sum of the low torus a^{I-k}_F and
+    the high torus a^I_{I-k} (the tori lemma), and the relative dual
+    weight of k, weighted[k] of I's table, vanishes on the low torus.
+    Then weighted[k] gives tau and its high part the same value. Both
+    lemmas are computed from the tori, not assumed.
     """
     return rs.cached(
-        ("decomposition", ambient, k, final),
-        lambda: _compute_decomposition(rs, ambient, k, final),
+        ("splits", ambient, k, final),
+        lambda: _compute_splits(rs, ambient, k, final),
     )
 
 
-def _compute_decomposition(rs, ambient, k, final):
+def _compute_splits(rs, ambient, k, final):
     reduced = tuple(t for t in ambient if t != k)
-    low = relative_torus(rs, reduced, final)
-    high = relative_torus(rs, ambient, reduced)
-    columns = low.basis + high.basis
     _, weighted = _integer_weights(rs, ambient)
-    low_values = [dot(weighted[k], v) for v in low.basis]
-    # A vector of the column span is the sum of its pivot entries times
-    # the canonical basis vectors, so phi_k is fixed by its value on each.
-    phi = [Fraction(0)] * rs.rank
-    spanned = span(rs.rank, columns)
-    for b in spanned.basis:
-        coeffs = solve(columns, b)
-        if coeffs is None:
-            raise InvariantViolation("a spanning vector is outside its own span")
-        pivot = next(i for i, x in enumerate(b) if x != 0)
-        # zip stops after the low coefficients.
-        phi[pivot] = sum((c * w for c, w in zip(coeffs, low_values)), Fraction(0))
-    den = lcm(*(x.denominator for x in phi))
-    return (
-        _annihilator(rs, spanned.basis),
-        tuple(x.numerator * (den // x.denominator) for x in phi),
+    return verify_tori(rs, final, reduced, ambient) and not any(
+        dot(weighted[k], v) for v in relative_torus(rs, reduced, final).basis
     )
 
 
@@ -499,7 +478,8 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     tau, and n >= 1, so each check decides the same at every index. The
     checks run on the integer tail of `_scaled_tail`, a positive multiple
     of tau, against the memoised integer data of the system; positive
-    factors keep every sign and every equality.
+    factors keep every sign and every equality. The decomposition holds
+    when tau lies in a^I_F and every later root passes `_splits`.
     """
     levels = trace.levels
     r = levels - 1
@@ -560,15 +540,10 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
         )
     checks["conclusion"] = den * tau[alpha] >= walpha
     membership = _annihilates(_torus_annihilator(rs, ambient, final_subset), tau)
-    decomposition_ok = True
-    for k in later:
-        annihilator, phi = _decomposition(rs, ambient, k, final_subset)
-        # Solvable, and the weighted low part vanishes: weighted[k] gives
-        # tau and its high part the same value.
-        if not _annihilates(annihilator, tau) or dot(phi, tau) != 0:
-            decomposition_ok = False
     checks["theta_membership"] = membership
-    checks["decomposition_bookkeeping"] = decomposition_ok
+    checks["decomposition_bookkeeping"] = membership and all(
+        _splits(rs, ambient, k, final_subset) for k in later
+    )
     if not all(checks.values()):
         raise DivergenceFailure(f"connected branch fails: {checks}")
     return report

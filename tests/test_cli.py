@@ -398,6 +398,16 @@ class TestSimulate:
             "its simple roots are 1..2\n"
         )
 
+    def test_out_of_range_subset_names_the_root(self, capsys):
+        # build reads --subset through the same 1-based range check.
+        code, out, err = run(["build", "A3", "--subset", "2,4"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: selection root 4 is out of range for A3: "
+            "its simple roots are 1..3\n"
+        )
+
     def test_csv_time_series(self, capsys):
         code, out, _ = run(
             ["simulate", "--system", "A1", "--selection", "1",
