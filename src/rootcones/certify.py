@@ -24,6 +24,7 @@ from .errors import (
 from .linalg import (
     Vector,
     block_coefficient_matrix,
+    clear_denominators,
     determinant,
     dot,
     invert,
@@ -244,7 +245,10 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
     evaluation yields a concrete violating ray.
     """
     enum = extreme_rays(cone)
-    values = [dot(cone.objective, r) for r in enum.rays]
+    # With the objective's denominators cleared once, each value is one
+    # integer dot product over the common denominator.
+    den, objective = clear_denominators(cone.objective)
+    values = [Fraction(dot(objective, r), den) for r in enum.rays]
     for ray, value in zip(enum.rays, values):
         if value < 0:
             return Certificate(
@@ -254,7 +258,7 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
                 ray_count=len(enum.rays),
             )
     for line in enum.lineality:
-        value = dot(cone.objective, line)
+        value = Fraction(dot(objective, line), den)
         if value != 0:
             ray = line if value < 0 else tuple(-x for x in line)
             return Certificate(

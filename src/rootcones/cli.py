@@ -138,7 +138,12 @@ def _parse_selection(text: str) -> list[int]:
 
 
 def _selection_roots(rs: RootSystem, selection: list[int]) -> tuple[int, ...]:
-    """The 0-based roots of a 1-based selection, checked against the rank."""
+    """The 0-based roots of a 1-based selection, checked against the rank.
+
+    A repeated root is refused, for `build --subset` as for `simulate`.
+    """
+    if len(set(selection)) != len(selection):
+        raise ValueError("selection must not repeat roots")
     for v in selection:
         if v > rs.rank:
             raise ValueError(

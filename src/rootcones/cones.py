@@ -107,11 +107,11 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     """Enumerate the extreme rays and lineality of a ConeSpec."""
     # A positive rescaling of a row leaves the cone unchanged, so every
     # nonzero equality and inequality is taken as its primitive integer
-    # row; everything below then runs on ints. Coordinates are over a
-    # primitive integer basis of the equality subspace.
+    # row; everything below then runs on ints. Coordinates are over the
+    # primitive integer basis of the equality subspace that `kernel` gives.
     equalities = [primitive(e) for e in cone.equalities if not is_zero_vec(e)]
     inequalities = [primitive(f) for f in cone.inequalities if not is_zero_vec(f)]
-    basis = [primitive(b) for b in kernel(cone.ambient_dim, equalities).basis]
+    basis = kernel(cone.ambient_dim, equalities).basis
     restricted = [tuple(dot(f, b) for b in basis) for f in inequalities]
     rows = [primitive(r) for r in restricted if not is_zero_vec(r)]
     lin = kernel(len(basis), rows)

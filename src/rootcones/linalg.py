@@ -1,9 +1,12 @@
 """Exact rational vectors, matrices, and canonical subspaces.
 
-Scalars are fractions.Fraction throughout. Plain ints are accepted where
-values enter (`vec`, `QMatrix.from_rows`, `rref`, `solve`); values that
-are already Fractions are not coerced again. Every value is immutable
-and every operation is pure, so concurrent use needs no locking.
+Vectors and matrices hold fractions.Fraction or int entries; plain ints
+are accepted wherever values enter (`vec`, `QMatrix.from_rows`, `rref`,
+`span`, `kernel`, `solve`), and values that are already Fractions are not
+coerced again. Elimination runs on integer rows (Bareiss), and a
+`Subspace` stores each reduced-echelon row as its primitive integer
+multiple, so subspace code builds no Fraction per entry. Every value is
+immutable and every operation is pure, so concurrent use needs no locking.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatch, SingularMatrix
 
 Vector = tuple[Fraction, ...]
+IntVector = tuple[int, ...]
 
 
 def vec(values: Iterable) -> Vector:
@@ -49,13 +53,21 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
+def clear_denominators(v: Sequence[Fraction]) -> tuple[int, IntVector]:
+    """The lcm of the entries' denominators, and the entries times it.
+
+    Entries must be Fractions or ints.
+    """
+    den = lcm(*(x.denominator for x in v))
+    return den, tuple(x.numerator * (den // x.denominator) for x in v)
+
+
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Smallest integer vector on the same ray; direction is preserved.
 
     Entries must be Fractions or ints.
     """
-    den = lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
+    _, ints = clear_denominators(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
@@ -140,9 +152,16 @@ class QMatrix:
 def _integer_rows(
     rows: Iterable[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns integer rows and scales."""
+    """Clear denominators row by row; returns integer rows and scales.
+
+    Rows of plain ints are copied as they are, with scale 1.
+    """
     work, scales = [], []
     for row in rows:
+        if all(type(x) is int for x in row):
+            scales.append(1)
+            work.append(list(row))
+            continue
         s = lcm(*(x.denominator for x in row))
         scales.append(s)
         work.append([x.numerator * (s // x.denominator) for x in row])
@@ -245,10 +264,13 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     return QMatrix(a.rows, n, tuple(entries))
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
+def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[IntVector], list[int]]:
     """Reduced row echelon form; returns nonzero rows and pivot columns.
 
-    Entries must be Fractions or ints.
+    Entries must be Fractions or ints. Each returned row is the primitive
+    integer multiple of its reduced-echelon row, so its pivot entry is the
+    positive integer that clears the row's denominators; dividing a row by
+    its pivot entry gives the textbook row.
     """
     if not rows:
         return [], []
@@ -257,19 +279,27 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[Vector], list[int]]:
         raise DimensionMismatch("ragged rows")
     a, _ = _integer_rows(rows)
     pivots, _, d = _fraction_free_reduce(a, ncols)
-    return [tuple(Fraction(x, d) for x in row) for row in a[: len(pivots)]], pivots
+    # Every pivot row is d times its reduced-echelon row, so dividing by
+    # its gcd with the sign of d leaves the primitive form, pivot positive.
+    reduced = []
+    for row in a[: len(pivots)]:
+        g = gcd(*row) if d > 0 else -gcd(*row)
+        reduced.append(tuple(x // g for x in row))
+    return reduced, pivots
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace with a canonical reduced-echelon basis.
+    """Linear subspace with a canonical integer basis.
 
-    Equal subspaces have identical basis tuples, so dataclass equality
+    Each basis row is the primitive integer multiple, with a positive
+    pivot, of a row of the reduced echelon form. That form is unique, so
+    equal subspaces have identical basis tuples and dataclass equality
     decides subspace equality.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    basis: tuple[IntVector, ...]
 
     @property
     def dim(self) -> int:
@@ -291,7 +321,12 @@ def span(ambient_dim: int, vectors: Sequence[Sequence[Fraction]]) -> Subspace:
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    return span(ambient_dim, [unit_vec(ambient_dim, i) for i in range(ambient_dim)])
+    return Subspace(
+        ambient_dim,
+        tuple(
+            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
+        ),
+    )
 
 
 def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subspace:
@@ -300,13 +335,18 @@ def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subsp
         if len(f) != ambient_dim:
             raise DimensionMismatch("functional of wrong length")
     rows, pivots = rref(functionals)
-    free = [c for c in range(ambient_dim) if c not in pivots]
+    # Scaled by the lcm of the pivot entries, the kernel vector of free
+    # column f is scale at f and -row[f] * (scale / row pivot) at each pivot.
+    scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
+    factors = [(p, scale // r[p], r) for r, p in zip(rows, pivots)]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ambient_dim
-        v[f] = Fraction(1)
-        for r, p in zip(rows, pivots):
-            v[p] = -r[f]
+    for f in range(ambient_dim):
+        if f in pivots:
+            continue
+        v = [0] * ambient_dim
+        v[f] = scale
+        for p, m, r in factors:
+            v[p] = -m * r[f]
         basis.append(v)
     return span(ambient_dim, basis)
 
@@ -315,13 +355,17 @@ def contains(s: Subspace, v: Sequence[Fraction]) -> bool:
     """Whether vector v lies in subspace s."""
     if len(v) != s.ambient_dim:
         raise DimensionMismatch("vector of wrong length")
-    residue = list(vec(v))
+    # v's denominators are cleared once; each step then scales the residue
+    # by the positive pivot entry c and subtracts residue[p] times the row,
+    # which keeps it integral and leaves whether it vanishes unchanged.
+    _, residue = clear_denominators(v)
     for b in s.basis:
         p = next(i for i, x in enumerate(b) if x != 0)
-        if residue[p] != 0:
-            f = residue[p]
-            residue = [x - f * y for x, y in zip(residue, b)]
-    return is_zero_vec(residue)
+        f = residue[p]
+        if f != 0:
+            c = b[p]
+            residue = [c * x - f * y for x, y in zip(residue, b)]
+    return not any(residue)
 
 
 def is_subspace(inner: Subspace, outer: Subspace) -> bool:
@@ -333,13 +377,13 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
 
     Zassenhaus: reduce the rows (b | b) for b in s1 and (c | 0) for c in
     s2. The rows whose left half vanishes have right halves that span the
-    intersection, and those right halves are already in reduced echelon
-    form, hence canonical.
+    intersection. Those right halves are already reduced echelon rows and,
+    with a zero left half, primitive with a positive pivot, hence canonical.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
     n = s1.ambient_dim
-    zero = (Fraction(0),) * n
+    zero = (0,) * n
     reduced, pivots = rref(
         [(*b, *b) for b in s1.basis] + [(*c, *zero) for c in s2.basis]
     )
@@ -382,5 +426,5 @@ def solve(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
     for r, p in zip(reduced, pivots):
         if p == width:
             return None  # inconsistent: pivot in the augmented column
-        x[p] = r[width]
+        x[p] = Fraction(r[width], r[p])
     return tuple(x)

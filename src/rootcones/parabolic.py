@@ -167,7 +167,12 @@ def make_datum(rs: RootSystem, subset: Iterable[int]) -> ParabolicDatum:
 def parabolic_datum_to_dict(datum: ParabolicDatum) -> dict:
     """JSON form of a datum: subset, bases, dimensions, relative weights."""
     def basis_rows(s: Subspace) -> list[list[str]]:
-        return [[str(x) for x in b] for b in s.basis]
+        # Each row is printed as its reduced-echelon row, pivot entry 1.
+        rows = []
+        for b in s.basis:
+            pivot = next(x for x in b if x != 0)
+            rows.append([str(Fraction(x, pivot)) for x in b])
+        return rows
 
     return {
         "subset": [i + 1 for i in datum.subset],

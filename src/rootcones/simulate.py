@@ -49,7 +49,14 @@ from .errors import (
     InvariantViolation,
     PreconditionViolated,
 )
-from .linalg import Vector, dot, kernel, primitive, vec_scale
+from .linalg import (
+    Vector,
+    clear_denominators,
+    dot,
+    kernel,
+    primitive,
+    vec_scale,
+)
 from .parabolic import relative_torus, relative_weight_table, verify_discon, verify_tori
 from .roots import RootSystem, build, connected_to, subsystem
 
@@ -158,10 +165,7 @@ def _torus_annihilator(
     """The primitive integer annihilator of relative_torus(rs, upper, lower)."""
     return rs.cached(
         ("torus_annihilator", upper, lower),
-        lambda: tuple(
-            primitive(f)
-            for f in kernel(rs.rank, relative_torus(rs, upper, lower).basis).basis
-        ),
+        lambda: kernel(rs.rank, relative_torus(rs, upper, lower).basis).basis,
     )
 
 
@@ -215,12 +219,12 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
             )
         v = line_space.basis[0]
         if v[selection[l - 1]] < 0:
-            v = vec_scale(-1, v)
+            v = tuple(-x for x in v)
         if not v[selection[l - 1]] > 0:
             raise InvariantViolation(
                 f"level {l}: connecting line vanishes on the selected root"
             )
-        lines.append(primitive(v))
+        lines.append(v)
     rows: list[tuple[tuple[int, ...], str]] = []
     for l in range(1, levels + 1):
         sel = selection[l - 1]
@@ -267,21 +271,16 @@ def _derive_seed(spec: str, selection: tuple[int, ...], seed: int) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _integer_slopes(slopes: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """The lcm of the slopes' denominators, and the slopes times it."""
-    den = lcm(*(s.denominator for s in slopes))
-    return den, tuple(s.numerator * (den // s.denominator) for s in slopes)
-
-
 def _scaled_tail(
     trace: SimTrace, level: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Integer form of theta_slope(level), with the factor that gives it.
 
-    Returns (den, ints, tail): den and ints as from `_integer_slopes`, and
-    tail = den * theta_slope(level), an integer vector.
+    Returns (den, ints, tail): den and ints as `clear_denominators` gives
+    them for the slopes, and tail = den * theta_slope(level), an integer
+    vector.
     """
-    den, ints = _integer_slopes([step.slope for step in trace.steps])
+    den, ints = clear_denominators([step.slope for step in trace.steps])
     tail = [0] * trace.rs.rank
     for step, s in zip(trace.steps[level - 1 :], ints[level - 1 :]):
         for i, x in enumerate(step.line):
@@ -320,7 +319,7 @@ def make_trace(
             zip(selection, data.lines, slopes), start=1
         )
     )
-    _, ints = _integer_slopes(slopes)
+    _, ints = clear_denominators(slopes)
     admissible = horizon > 0 and all(
         dot(row, ints) >= 0 for row, _ in data.constraint_rows
     )
@@ -377,7 +376,7 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
             problems.append(f"level{step.level}: line outside torus")
         if not step.slope * line[step.root] > 0:
             problems.append(f"level{step.level}: selected root does not grow")
-    _, slopes = _integer_slopes([step.slope for step in trace.steps])
+    _, slopes = clear_denominators([step.slope for step in trace.steps])
     n0 = _first_admissible_index(trace.horizon, data, slopes)
     if trace.n0 != n0:
         problems.append(f"recorded n0={trace.n0} but computed {n0}")

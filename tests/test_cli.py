@@ -6,11 +6,36 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
+from test_linalg import gauss_jordan_rref
 
 from rootcones import cli, simulate, suites
 from rootcones.errors import InfeasibleSelection
+
+
+def powerset(items):
+    items = list(items)
+    return [c for k in range(len(items) + 1) for c in combinations(items, k)]
+
+
+def render_rref(rows):
+    return [[str(x) for x in row] for row in gauss_jordan_rref(rows)[0]]
+
+
+def null_space(functionals, n):
+    """Textbook null space basis: one vector per free column."""
+    reduced, pivots = gauss_jordan_rref(functionals)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Q(0)] * n
+        v[f] = Q(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def run(args, capsys):
@@ -57,6 +82,28 @@ class TestBuild:
         lines = out.strip().splitlines()
         assert lines[0] == "system,root,d,dual_weight,weighted_dual_weight"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "spec,rank", [("A3", 3), ("B3", 3), ("C3", 3), ("G2", 2), ("A2xA1", 3)]
+    )
+    def test_parabolic_bases_match_gauss_jordan(self, spec, rank, capsys, tmp_path):
+        # The printed bases are the textbook reduced echelon rows, computed
+        # here by the independent Gauss-Jordan oracle from the printed Gramm
+        # matrix: the coroot images of I, and the null space of I's root
+        # functionals.
+        config = tmp_path / "config.json"
+        for subset in powerset(range(rank)):
+            config.write_text(json.dumps({"selection": [i + 1 for i in subset]}))
+            code, out, _ = run(["build", spec, "--config", str(config)], capsys)
+            assert code == 0
+            system = json.loads(out)["systems"][0]
+            g = [[Q(x) for x in row] for row in system["gramm"]]
+            n = rank
+            coroots = [[2 * g[j][a] / g[a][a] for j in range(n)] for a in subset]
+            roots = [[Q(int(j == a)) for j in range(n)] for a in subset]
+            parabolic = system["parabolic"]
+            assert parabolic["coroot_span_basis"] == render_rref(coroots)
+            assert parabolic["kernel_basis"] == render_rref(null_space(roots, n))
 
 
 class TestVerify:
@@ -407,6 +454,28 @@ class TestSimulate:
             "error: selection root 4 is out of range for A3: "
             "its simple roots are 1..3\n"
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build", "A3", "--subset", "1,1"],
+            ["simulate", "--system", "A3", "--selection", "1,1"],
+        ],
+    )
+    def test_repeated_root_exits_2(self, args, capsys):
+        # build used to drop the repeat and report subset [1] with exit 0.
+        code, out, err = run(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: selection must not repeat roots\n"
+
+    def test_repeated_root_in_config_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"selection": [2, 1, 2]}))
+        code, out, err = run(["build", "A3", "--config", str(config)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: selection must not repeat roots\n"
 
     def test_csv_time_series(self, capsys):
         code, out, _ = run(

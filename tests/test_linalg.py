@@ -2,6 +2,7 @@
 
 from fractions import Fraction as Q
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,9 @@ def leibniz_determinant(rows):
 FRACTION_ENTRY = st.one_of(
     st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5)
 )
+NONZERO_FACTOR = st.fractions(
+    min_value=-6, max_value=6, max_denominator=5
+).filter(lambda x: x != 0)
 
 
 @st.composite
@@ -356,7 +360,53 @@ class TestSubspaces:
     @given(low_rank_rows())
     def test_rref_matches_gauss_jordan(self, drawn):
         _, rows = drawn
-        assert rref(rows) == gauss_jordan_rref(rows)
+        reduced, pivots = rref(rows)
+        # Each row divided by its pivot entry is the textbook row.
+        expected = gauss_jordan_rref(rows)
+        assert ([tuple(Q(x, r[p]) for x in r) for r, p in zip(reduced, pivots)],
+                pivots) == expected
+        for r, p in zip(reduced, pivots):
+            assert r[p] > 0 and gcd(*r) == 1
+
+    def test_subspace_operations_build_no_fraction(self, monkeypatch):
+        rows = [[Q(1, 2), Q(-1, 3), Q(0)], [Q(2), Q(5, 4), Q(-1)]]
+        v = (Q(3, 2), Q(-1, 3), Q(7))
+        built = []
+        new = Q.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Q, "__new__", counting_new)
+        s = span(3, rows)
+        rref(rows)
+        intersect(s, kernel(3, rows[:1]))
+        contains(s, v)
+        assert built == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(low_rank_rows(max_rows=5, max_cols=5), st.data())
+    def test_canonical_integer_form(self, drawn, data):
+        n, rows = drawn
+        others = data.draw(
+            st.lists(st.lists(FRACTION_ENTRY, min_size=n, max_size=n), max_size=3)
+        )
+        results = [span(n, rows), kernel(n, rows),
+                   intersect(span(n, rows), span(n, others))]
+        for s in results:
+            for b in s.basis:
+                assert type(b) is tuple and all(type(x) is int for x in b)
+                assert gcd(*b) == 1
+                assert next(x for x in b if x != 0) > 0
+        # Canonical: rescaling rows by nonzero rationals and reordering
+        # them leaves the basis tuple unchanged.
+        factors = data.draw(
+            st.lists(NONZERO_FACTOR, min_size=len(rows), max_size=len(rows))
+        )
+        rescaled = [[c * x for x in r] for c, r in zip(factors, rows)]
+        shuffled = data.draw(st.permutations(rescaled))
+        assert span(n, shuffled).basis == results[0].basis
 
     @settings(max_examples=60, deadline=None)
     @given(low_rank_rows(max_rows=4, max_cols=5), st.data())
