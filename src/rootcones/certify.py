@@ -62,9 +62,7 @@ def expand_coefficients(
     the sign property this toolkit exists to check, so it stops the run.
     """
     rs.check_root(alpha)
-    subset = tuple(sorted(set(subset)))
-    for i in subset:
-        rs.check_root(i)
+    subset = rs.subset(subset)
     rest = tuple(i for i in range(rs.rank) if i not in subset)
     perm = subset + rest
     m = len(subset)
@@ -160,7 +158,7 @@ def theorem_cone(
     "ordering-family", "positivity", or "ordering:<k>" with k 1-based.
     """
     rs.check_root(alpha)
-    subset = tuple(sorted(set(subset)))
+    subset = rs.subset(subset)
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
     rest = tuple(i for i in range(rs.rank) if i not in subset)
@@ -200,7 +198,7 @@ def verify_theorem61_constructive(
     `cone` before the certificate is returned. `cone` is the
     `theorem_cone` of (alpha, I), built here when not given.
     """
-    subset = tuple(sorted(set(subset)))
+    subset = rs.subset(subset)
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
     exp = expand_coefficients(rs, wt, alpha, subset)
@@ -290,7 +288,7 @@ def verify_corollary62(
     every index.
     """
     rs.check_root(alpha)
-    subset = tuple(sorted(set(subset)))
+    subset = rs.subset(subset)
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
     remainder = [
@@ -326,12 +324,6 @@ def verify_corollary62(
         if lhs < rhs:
             return False
     return True
-
-
-def strict_mass_gap(rs: RootSystem, wt: WeightTable, alpha: int) -> bool:
-    """Whether (w_alpha, w_alpha) < d_alpha."""
-    rs.check_root(alpha)
-    return wt.dual[alpha][alpha] < wt.d[alpha]
 
 
 def verify_lemma66(rs: RootSystem) -> bool:

@@ -176,9 +176,8 @@ def cmd_build(config: RunConfig) -> int:
     csv_lines = []
     for spec in config.systems:
         rs = build(spec)
-        wt = weight_table(rs)
         entry = root_system_to_dict(rs)
-        entry["weights"] = weight_table_to_dict(rs, wt)
+        entry["weights"] = weight_table_to_dict(weight_table(rs))
         if config.selection is not None:
             datum = make_datum(rs, _selection_roots(rs, config.selection))
             entry["parabolic"] = parabolic_datum_to_dict(datum)

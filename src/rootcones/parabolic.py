@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvariantViolation, PreconditionViolated, SubsetViolation
 from .linalg import (
@@ -25,23 +24,15 @@ from .linalg import (
     kernel,
     span,
     unit_vec,
-    vec_scale,
 )
 from .roots import (
     RootSystem,
     WeightTable,
+    _weight_table,
     connected_to,
-    gramm_inverse,
-    subsystem,
     weight_table,
+    weight_table_to_dict,
 )
-
-
-def _as_subset(rs: RootSystem, subset: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(subset)))
-    for i in out:
-        rs.check_root(i)
-    return out
 
 
 def coroot_vector(rs: RootSystem, alpha: int) -> Vector:
@@ -56,7 +47,7 @@ def coroot_vector(rs: RootSystem, alpha: int) -> Vector:
 
 def kernel_subspace(rs: RootSystem, subset: Iterable[int]) -> Subspace:
     """Common kernel of the simple roots in subset (the space a_I)."""
-    subset = _as_subset(rs, subset)
+    subset = rs.subset(subset)
     return rs.cached(
         ("kernel_subspace", subset),
         lambda: kernel(rs.rank, [unit_vec(rs.rank, i) for i in subset]),
@@ -65,7 +56,7 @@ def kernel_subspace(rs: RootSystem, subset: Iterable[int]) -> Subspace:
 
 def coroot_span(rs: RootSystem, subset: Iterable[int]) -> Subspace:
     """Span of the coroot images of subset (the space a^I)."""
-    subset = _as_subset(rs, subset)
+    subset = rs.subset(subset)
     return rs.cached(
         ("coroot_span", subset),
         lambda: span(rs.rank, [coroot_vector(rs, i) for i in subset]),
@@ -74,53 +65,17 @@ def coroot_span(rs: RootSystem, subset: Iterable[int]) -> Subspace:
 
 def _orthogonal_complement(rs: RootSystem, s: Subspace) -> Subspace:
     # The inner product transported to evaluation coordinates is the
-    # inverse Gramm matrix, so orthogonality is a kernel computation.
-    ginv = gramm_inverse(rs)
-    return kernel(rs.rank, [ginv.mul_vec(b) for b in s.basis])
-
-
-@dataclass(frozen=True)
-class RelativeWeightTable:
-    """Dual-weight data of the subsystem on I, in ambient coordinates.
-
-    Vectors are full-length rows supported on I; they agree with the
-    subsystem's own table under the index map, so they depend only on I.
-    The maps are read-only, since tables are shared through the memo.
-    """
-
-    subset: tuple[int, ...]
-    dual: Mapping[int, Vector]
-    d: Mapping[int, Fraction]
-    weighted: Mapping[int, Vector]
-
-
-def relative_weight_table(rs: RootSystem, subset: Iterable[int]) -> RelativeWeightTable:
-    subset = _as_subset(rs, subset)
-    return rs.cached(
-        ("relative_weight_table", subset),
-        lambda: _relative_weight_table(rs, subset),
+    # inverse Gramm matrix, whose rows are the dual weights, so
+    # orthogonality is a kernel computation.
+    dual = weight_table(rs).dual
+    return kernel(
+        rs.rank, [tuple(dot(dual[i], b) for i in range(rs.rank)) for b in s.basis]
     )
 
 
-def _relative_weight_table(
-    rs: RootSystem, subset: tuple[int, ...]
-) -> RelativeWeightTable:
-    sub_rs, mapping = subsystem(rs, subset)
-    table = weight_table(sub_rs) if subset else None
-    dual, d, weighted = {}, {}, {}
-    for local, amb in enumerate(mapping):
-        row = [Fraction(0)] * rs.rank
-        for local_j, amb_j in enumerate(mapping):
-            row[amb_j] = table.dual[local][local_j]
-        dual[amb] = tuple(row)
-        d[amb] = table.d[local]
-        weighted[amb] = vec_scale(Fraction(1) / table.d[local], tuple(row))
-    return RelativeWeightTable(
-        subset=subset,
-        dual=MappingProxyType(dual),
-        d=MappingProxyType(d),
-        weighted=MappingProxyType(weighted),
-    )
+def relative_weight_table(rs: RootSystem, subset: Iterable[int]) -> WeightTable:
+    """The dual-weight table of the subsystem on a subset, in ambient rows."""
+    return _weight_table(rs, rs.subset(subset))
 
 
 @dataclass(frozen=True)
@@ -130,7 +85,7 @@ class ParabolicDatum:
     subset: tuple[int, ...]
     a_I: Subspace
     a_upper: Subspace
-    relative: RelativeWeightTable
+    relative: WeightTable
 
 
 def make_datum(rs: RootSystem, subset: Iterable[int]) -> ParabolicDatum:
@@ -139,7 +94,7 @@ def make_datum(rs: RootSystem, subset: Iterable[int]) -> ParabolicDatum:
     The coroot span is cross-checked against the orthogonal complement of
     the kernel; the two constructions must agree exactly.
     """
-    subset = _as_subset(rs, subset)
+    subset = rs.subset(subset)
     a_i = kernel_subspace(rs, subset)
     upper = coroot_span(rs, subset)
     complement = _orthogonal_complement(rs, a_i)
@@ -180,23 +135,14 @@ def parabolic_datum_to_dict(datum: ParabolicDatum) -> dict:
         "kernel_dim": datum.a_I.dim,
         "coroot_span_basis": basis_rows(datum.a_upper),
         "coroot_span_dim": datum.a_upper.dim,
-        "relative_weights": {
-            f"alpha_{i + 1}": {
-                "dual_weight": [str(x) for x in datum.relative.dual[i]],
-                "d": str(datum.relative.d[i]),
-                "weighted_dual_weight": [
-                    str(x) for x in datum.relative.weighted[i]
-                ],
-            }
-            for i in datum.relative.subset
-        },
+        "relative_weights": weight_table_to_dict(datum.relative),
     }
 
 
 def relative_torus(rs: RootSystem, upper: Iterable[int], lower: Iterable[int]) -> Subspace:
     """The space a^I_J = a^I intersect a_J for J inside I."""
-    upper = _as_subset(rs, upper)
-    lower = _as_subset(rs, lower)
+    upper = rs.subset(upper)
+    lower = rs.subset(lower)
     if not set(lower) <= set(upper):
         raise SubsetViolation(f"{lower} is not a subset of {upper}")
     return rs.cached(
@@ -217,8 +163,8 @@ def _relative_torus(
 
 def verify_inc(rs: RootSystem, lower: Iterable[int], upper: Iterable[int]) -> bool:
     """Whether a_I sits inside a_J for J inside I."""
-    lower = _as_subset(rs, lower)
-    upper = _as_subset(rs, upper)
+    lower = rs.subset(lower)
+    upper = rs.subset(upper)
     if not set(lower) <= set(upper):
         raise SubsetViolation(f"{lower} is not a subset of {upper}")
     return is_subspace(kernel_subspace(rs, upper), kernel_subspace(rs, lower))
@@ -231,9 +177,9 @@ def verify_tori(
     i1: Iterable[int],
 ) -> bool:
     """Whether a^{I1}_{I3} splits as a^{I2}_{I3} plus a^{I1}_{I2}."""
-    i3 = _as_subset(rs, i3)
-    i2 = _as_subset(rs, i2)
-    i1 = _as_subset(rs, i1)
+    i3 = rs.subset(i3)
+    i2 = rs.subset(i2)
+    i1 = rs.subset(i1)
     if not (set(i3) <= set(i2) <= set(i1)):
         raise SubsetViolation("need I3 inside I2 inside I1")
     return is_direct_sum(
@@ -266,8 +212,8 @@ def verify_discon(
     component sense; otherwise the hypothesis fails and the call raises.
     """
     rs.check_root(alpha)
-    subset_i = _as_subset(rs, subset_i)
-    subset_j = _as_subset(rs, subset_j)
+    subset_i = rs.subset(subset_i)
+    subset_j = rs.subset(subset_j)
     if alpha in subset_i:
         raise PreconditionViolated("alpha must lie outside I")
     remainder = [t for t in range(rs.rank) if t != alpha and t not in subset_i]

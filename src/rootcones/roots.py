@@ -13,7 +13,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
+from math import lcm
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidRank, InvariantViolation, NotProportional, UnknownRoot
 from .linalg import (
@@ -174,6 +176,18 @@ class RootSystem:
     def check_root(self, alpha: int) -> None:
         if not (0 <= alpha < self.rank):
             raise UnknownRoot(f"no simple root with index {alpha}")
+
+    def subset(self, indices: Iterable[int]) -> tuple[int, ...]:
+        """The sorted tuple of the distinct indices, each a simple root.
+
+        Only the two ends of the sorted tuple need a range check; when one
+        fails, the first bad index in sorted order is the one reported.
+        """
+        out = tuple(sorted(set(indices)))
+        if out and not (0 <= out[0] and out[-1] < self.rank):
+            for i in out:
+                self.check_root(i)
+        return out
 
     def root_label(self, alpha: int) -> str:
         return f"alpha_{alpha + 1}"
@@ -387,61 +401,87 @@ def classify_irreducible(gramm: QMatrix):
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Dual weights, their mass d, and the weighted dual weights.
+    """Dual weights, masses and weighted dual weights of the subset I.
 
-    Row alpha of `dual` gives w_alpha in simple-root coordinates; the
-    matrix of rows is exactly the inverse Gramm matrix. d_alpha sums row
-    alpha, and `weighted` divides each row by its d, so its coordinates
-    sum to one.
+    The dual weights are those of the subsystem on I, and every map is
+    keyed by root index. Row alpha of `dual` gives w_alpha as a full-length
+    row in ambient simple-root coordinates, supported on I; on I the rows
+    form the inverse of the Gramm block on I, so they depend only on that
+    block. d_alpha sums row alpha, and `weighted` divides each row by its
+    d, so its coordinates sum to one. The whole system is the case where I
+    holds every root. The maps are read-only, since tables are shared
+    through the memo.
 
     `differences` and `objectives` are the functionals of the Theorem 6.1
-    cones, which depend on alpha and gamma but not on the subset I; each
-    is built on first use and then kept with the table.
+    cones, which depend on alpha and gamma but not on the subset of the
+    cone; `integer_weighted` holds the weighted rows over one shared
+    denominator. Each is built on first use and then kept with the table.
     """
 
-    dual: tuple[Vector, ...]
-    d: tuple[Fraction, ...]
-    weighted: tuple[Vector, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.dual)
+    subset: tuple[int, ...]
+    dual: Mapping[int, Vector]
+    d: Mapping[int, Fraction]
+    weighted: Mapping[int, Vector]
 
     @cached_property
-    def differences(self) -> tuple[tuple[Vector, ...], ...]:
+    def differences(self) -> Mapping[int, Mapping[int, Vector]]:
         """Entry [alpha][gamma] is weighted[alpha] - weighted[gamma]."""
-        return tuple(
-            tuple(vec_sub(w_alpha, w_gamma) for w_gamma in self.weighted)
-            for w_alpha in self.weighted
-        )
+        w = self.weighted
+        return MappingProxyType({
+            alpha: MappingProxyType({gamma: vec_sub(w[alpha], w[gamma]) for gamma in w})
+            for alpha in w
+        })
 
     @cached_property
-    def objectives(self) -> tuple[Vector, ...]:
+    def objectives(self) -> Mapping[int, Vector]:
         """Entry alpha is the coordinate alpha minus weighted[alpha]."""
-        return tuple(
-            vec_sub(unit_vec(self.rank, alpha), w_alpha)
-            for alpha, w_alpha in enumerate(self.weighted)
-        )
+        return MappingProxyType({
+            alpha: vec_sub(unit_vec(len(w_alpha), alpha), w_alpha)
+            for alpha, w_alpha in self.weighted.items()
+        })
 
+    @cached_property
+    def integer_weighted(self) -> tuple[int, Mapping[int, tuple[int, ...]]]:
+        """(den, rows) with rows[alpha] = den * weighted[alpha], all ints.
 
-def gramm_inverse(rs: RootSystem) -> QMatrix:
-    """The inverse Gramm matrix, computed once per system."""
-    return rs.cached(("gramm_inverse",), lambda: invert(rs.gramm))
+        den > 0 is the lcm of the denominators of every weighted row.
+        """
+        den = lcm(*(x.denominator for row in self.weighted.values() for x in row))
+        return den, MappingProxyType({
+            alpha: tuple(x.numerator * (den // x.denominator) for x in row)
+            for alpha, row in self.weighted.items()
+        })
 
 
 def weight_table(rs: RootSystem) -> WeightTable:
-    """Exact dual-weight data computed from the inverse Gramm matrix."""
-    return rs.cached(("weight_table",), lambda: _weight_table(rs))
+    """The dual-weight table of the whole system."""
+    return _weight_table(rs, tuple(range(rs.rank)))
 
 
-def _weight_table(rs: RootSystem) -> WeightTable:
-    ginv = gramm_inverse(rs)
-    dual = tuple(ginv.row(i) for i in range(rs.rank))
-    d = tuple(sum(row, Fraction(0)) for row in dual)
-    if not all(x > 0 for x in d):
-        raise InvariantViolation(f"{rs.spec}: a dual weight has mass d <= 0")
-    weighted = tuple(vec_scale(Fraction(1) / d[i], dual[i]) for i in range(rs.rank))
-    return WeightTable(dual=dual, d=d, weighted=weighted)
+def _weight_table(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
+    """The table of a sorted, checked subset, built once per system and subset."""
+    return rs.cached(("weight_table", subset), lambda: _invert_block(rs, subset))
+
+
+def _invert_block(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
+    block = invert(rs.gramm.submatrix(subset, subset))
+    dual, d, weighted = {}, {}, {}
+    for k, alpha in enumerate(subset):
+        row = [Fraction(0)] * rs.rank
+        for j, beta in enumerate(subset):
+            row[beta] = block.at(k, j)
+        mass = sum(block.row(k), Fraction(0))
+        if not mass > 0:
+            raise InvariantViolation(f"{rs.spec}: a dual weight has mass d <= 0")
+        dual[alpha] = tuple(row)
+        d[alpha] = mass
+        weighted[alpha] = vec_scale(Fraction(1) / mass, dual[alpha])
+    return WeightTable(
+        subset=subset,
+        dual=MappingProxyType(dual),
+        d=MappingProxyType(d),
+        weighted=MappingProxyType(weighted),
+    )
 
 
 def check_2d_identity(rs: RootSystem, wt: WeightTable, alpha: int) -> bool:
@@ -547,9 +587,7 @@ def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[
     Returns the subsystem together with the map from its root indices to
     the ambient ones. Empty subsets yield a rank-zero system.
     """
-    subset = tuple(sorted(set(subset)))
-    for i in subset:
-        rs.check_root(i)
+    subset = rs.subset(subset)
     return rs.cached(("subsystem", subset), lambda: _subsystem(rs, subset))
 
 
@@ -585,12 +623,13 @@ def root_system_to_dict(rs: RootSystem) -> dict:
     }
 
 
-def weight_table_to_dict(rs: RootSystem, wt: WeightTable) -> dict:
-    out = {}
-    for i in range(rs.rank):
-        out[rs.root_label(i)] = {
+def weight_table_to_dict(wt: WeightTable) -> dict:
+    """JSON form of a table: per root of its subset, by 1-based label."""
+    return {
+        f"alpha_{i + 1}": {
             "dual_weight": fractions_to_strings(wt.dual[i]),
             "d": str(wt.d[i]),
             "weighted_dual_weight": fractions_to_strings(wt.weighted[i]),
         }
-    return out
+        for i in wt.subset
+    }

@@ -24,11 +24,12 @@ admissibility verdict, is that of the rational computation.
 The induction replay runs on the same integers. Everything it compares
 that depends only on the root system is kept in the system's memo: per
 torus pair an integer annihilator, so membership is a few dot products;
-per subset the relative weighted rows over one shared denominator; and
-per (ambient subset, later root, final subset) one yes/no for the two
-lemmas that let the later root split the tail. Each trace then scales
-its tail once, by the same positive factor as its slopes, and makes no
-elimination of its own.
+per subset the weight table, which keeps its weighted rows over one
+shared denominator (`WeightTable.integer_weighted`); and per (ambient
+subset, later root, final subset) one yes/no for the two lemmas that let
+the later root split the tail. Each trace then scales its tail once, by
+the same positive factor as its slopes, and makes no elimination of its
+own.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .cones import ConeSpec, extreme_rays
 from .errors import (
@@ -137,28 +136,6 @@ def _validate_selection(rs: RootSystem, selection: Sequence[int]) -> tuple[int, 
     return selection
 
 
-def _integer_weights(
-    rs: RootSystem, subset: tuple[int, ...]
-) -> tuple[int, Mapping[int, tuple[int, ...]]]:
-    """The relative weighted rows of a sorted subset over one denominator.
-
-    Returns (den, rows) with rows[i] = den * weighted[i] and den > 0.
-    """
-    return rs.cached(
-        ("integer_weights", subset), lambda: _compute_integer_weights(rs, subset)
-    )
-
-
-def _compute_integer_weights(rs: RootSystem, subset: tuple[int, ...]):
-    weighted = relative_weight_table(rs, subset).weighted
-    den = lcm(*(x.denominator for row in weighted.values() for x in row))
-    rows = {
-        i: tuple(x.numerator * (den // x.denominator) for x in row)
-        for i, row in weighted.items()
-    }
-    return den, MappingProxyType(rows)
-
-
 def _torus_annihilator(
     rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
@@ -193,7 +170,7 @@ def _splits(
 
 def _compute_splits(rs, ambient, k, final):
     reduced = tuple(t for t in ambient if t != k)
-    _, weighted = _integer_weights(rs, ambient)
+    _, weighted = relative_weight_table(rs, ambient).integer_weighted
     return verify_tori(rs, final, reduced, ambient) and not any(
         dot(weighted[k], v) for v in relative_torus(rs, reduced, final).basis
     )
@@ -228,7 +205,7 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
     rows: list[tuple[tuple[int, ...], str]] = []
     for l in range(1, levels + 1):
         sel = selection[l - 1]
-        _, weighted = _integer_weights(rs, subsets[l - 1])
+        _, weighted = relative_weight_table(rs, subsets[l - 1]).integer_weighted
         functionals = [(weighted[sel], f"level{l}:positivity")]
         for k in range(l + 1, levels + 1):
             other = selection[k - 1]
@@ -476,9 +453,12 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     are checked on tau = theta_slope(j). The value at index n is n times
     tau, and n >= 1, so each check decides the same at every index. The
     checks run on the integer tail of `_scaled_tail`, a positive multiple
-    of tau, against the memoised integer data of the system; positive
-    factors keep every sign and every equality. The decomposition holds
-    when tau lies in a^I_F and every later root passes `_splits`.
+    of tau, against the memoised integer data of the system: the torus
+    annihilators and the ambient subset's `integer_weighted` rows, den
+    times the weighted rows. Positive factors keep every sign and every
+    equality, so the conclusion alpha(tau) >= w_alpha(tau) is checked as
+    den * tau[alpha] >= rows[alpha] . tau. The decomposition holds when
+    tau lies in a^I_F and every later root passes `_splits`.
     """
     levels = trace.levels
     r = levels - 1
@@ -526,7 +506,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
         if not all(checks.values()):
             raise DivergenceFailure(f"disconnected branch fails: {checks}")
         return report
-    den, weighted = _integer_weights(rs, ambient)
+    den, weighted = relative_weight_table(rs, ambient).integer_weighted
     if any(tau[i] != 0 for i in final_subset):
         raise BranchMismatch("tail does not vanish on the final subset")
     walpha = dot(weighted[alpha], tau)

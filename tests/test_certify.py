@@ -10,7 +10,6 @@ from rootcones.certify import (
     connected_induced_subsets,
     expand_coefficients,
     expansion_mass_identity,
-    strict_mass_gap,
     theorem_cone,
     validate_certificate,
     verify_corollary62,
@@ -23,6 +22,7 @@ from rootcones.cones import extreme_rays
 from rootcones.errors import (
     NotIrreducible,
     PreconditionViolated,
+    UnknownRoot,
 )
 from rootcones.linalg import QMatrix, dot, invert, vec
 from rootcones.roots import build, connected_to, weight_table
@@ -235,17 +235,49 @@ class TestCorollaryBound:
             rs = build(spec)
             wt = weight_table(rs)
             for alpha in range(rs.rank):
-                assert strict_mass_gap(rs, wt, alpha) == (
-                    wt.dual[alpha][alpha] < wt.d[alpha]
-                )
                 remainder = [t for t in range(rs.rank) if t != alpha]
                 if connected_to(rs, alpha, remainder):
-                    assert strict_mass_gap(rs, wt, alpha)
+                    assert wt.dual[alpha][alpha] < wt.d[alpha]
 
     def test_mass_gap_fails_when_component_is_exhausted(self):
         rs = build("A1")
         wt = weight_table(rs)
-        assert not strict_mass_gap(rs, wt, 0)
+        assert not wt.dual[0][0] < wt.d[0]
+
+
+class TestSubsetRangeChecks:
+    """Every entry point that takes a subset refuses an out-of-range root."""
+
+    @pytest.mark.parametrize("subset", [[7], [-1], [1, 3]])
+    def test_theorem_cone(self, subset):
+        rs = build("A3")
+        with pytest.raises(UnknownRoot, match="no simple root with index"):
+            theorem_cone(rs, weight_table(rs), 0, subset)
+
+    @pytest.mark.parametrize("subset", [[7], [-1]])
+    def test_corollary_bound(self, subset):
+        rs = build("A3")
+        with pytest.raises(UnknownRoot, match="no simple root with index"):
+            verify_corollary62(rs, weight_table(rs), 0, subset, [vec([1, 0, 0])])
+
+    @pytest.mark.parametrize("subset", [[7], [-1]])
+    def test_expand_coefficients(self, subset):
+        rs = build("A3")
+        with pytest.raises(UnknownRoot, match="no simple root with index"):
+            expand_coefficients(rs, weight_table(rs), 0, subset)
+
+    @pytest.mark.parametrize("subset", [[7], [-1]])
+    def test_constructive_route(self, subset):
+        rs = build("A3")
+        with pytest.raises(UnknownRoot, match="no simple root with index"):
+            verify_theorem61_constructive(rs, weight_table(rs), 0, subset)
+
+    def test_first_bad_index_in_sorted_order_is_named(self):
+        rs = build("A3")
+        with pytest.raises(UnknownRoot, match="index 4$"):
+            theorem_cone(rs, weight_table(rs), 0, [5, 1, 4])
+        with pytest.raises(UnknownRoot, match="index -2$"):
+            theorem_cone(rs, weight_table(rs), 0, [5, -2, -1])
 
 
 class TestMatrixFacts:

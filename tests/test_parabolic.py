@@ -1,6 +1,8 @@
 """Parabolic subset lattice: kernels, coroot spans, and their inclusions."""
 
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -78,6 +80,87 @@ class TestMakeDatum:
                 assert rel.d[amb] == a2.d[local]
                 trimmed = tuple(rel.dual[amb][: len(subset)])
                 assert trimmed == a2.dual[local]
+
+
+def subsystem_route_table(rs, subset):
+    """The weight table of the subsystem on a subset, built as a separate
+    root system from its Gramm block and embedded at the subset.
+
+    Returns (dual, d, weighted) as plain dicts keyed by ambient index.
+    """
+    dual, d, weighted = {}, {}, {}
+    if not subset:
+        return dual, d, weighted
+    table = weight_table(from_gramm(rs.gramm.submatrix(subset, subset)))
+    for local, amb in enumerate(subset):
+        row = [Q(0)] * rs.rank
+        for local_j, amb_j in enumerate(subset):
+            row[amb_j] = table.dual[local][local_j]
+        dual[amb] = tuple(row)
+        d[amb] = table.d[local]
+        weighted[amb] = vec_scale(1 / table.d[local], tuple(row))
+    return dual, d, weighted
+
+
+ORACLE_SYSTEMS = suites.irreducible_catalogue(5) + ["E6"] + list(suites.PARABOLIC_EXTRAS)
+
+
+def assert_read_only(mapping, key):
+    with pytest.raises(TypeError):
+        mapping[key] = None
+
+
+class TestWeightTableOracle:
+    """One table per subset agrees with the subsystem route it replaced."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
+    def test_every_subset_matches_the_subsystem_route(self, spec):
+        rs = build(spec)
+        for subset in subsets(rs.rank):
+            table = relative_weight_table(rs, subset)
+            assert table.subset == subset
+            assert (table.dual, table.d, table.weighted) == subsystem_route_table(
+                rs, subset
+            )
+            # The defining relations (w_a, b) = delta on the Gramm block.
+            for a in subset:
+                assert all(table.dual[a][j] == 0 for j in range(rs.rank) if j not in subset)
+                for b in subset:
+                    pairing = sum(
+                        (rs.gramm.at(b, j) * table.dual[a][j] for j in range(rs.rank)), Q(0)
+                    )
+                    assert pairing == (a == b)
+        assert relative_weight_table(rs, range(rs.rank)) is weight_table(rs)
+
+    @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
+    def test_integer_rows_are_den_times_weighted(self, spec):
+        rs = build(spec)
+        for subset in subsets(rs.rank):
+            table = relative_weight_table(rs, subset)
+            den, rows = table.integer_weighted
+            assert den == math.lcm(
+                *(x.denominator for row in table.weighted.values() for x in row)
+            )
+            assert set(rows) == set(subset)
+            for a, row in rows.items():
+                assert all(type(x) is int for x in row)
+                assert row == tuple(den * x for x in table.weighted[a])
+
+    @pytest.mark.parametrize("spec", ["A3", "B2xA1", "G2"])
+    def test_table_and_derived_rows_are_read_only(self, spec):
+        rs = build(spec)
+        for subset in subsets(rs.rank):
+            table = relative_weight_table(rs, subset)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                table.dual = {}
+            for a in subset:
+                for mapping in (table.dual, table.d, table.weighted,
+                                table.differences, table.differences[a],
+                                table.objectives, table.integer_weighted[1]):
+                    assert_read_only(mapping, a)
+                for row in (table.dual[a], table.weighted[a], table.objectives[a],
+                            table.differences[a][subset[0]]):
+                    assert isinstance(row, tuple)
 
 
 class TestRelativeTorus:

@@ -88,8 +88,8 @@ class TestWeightTable:
     def test_rank_two_chain_by_hand(self):
         rs = build("A2")
         wt = weight_table(rs)
-        assert wt.dual == (vec([Q(2, 3), Q(1, 3)]), vec([Q(1, 3), Q(2, 3)]))
-        assert wt.d == (1, 1)
+        assert wt.dual == {0: vec([Q(2, 3), Q(1, 3)]), 1: vec([Q(1, 3), Q(2, 3)])}
+        assert wt.d == {0: 1, 1: 1}
         assert wt.weighted[0] == vec([Q(2, 3), Q(1, 3)])
 
     def test_rank_one(self):
@@ -100,18 +100,18 @@ class TestWeightTable:
 
     def test_g2_masses(self):
         wt = weight_table(build("G2"))
-        assert wt.d == (3, Q(5, 3))
+        assert wt.d == {0: 3, 1: Q(5, 3)}
 
     def test_b2_masses(self):
         wt = weight_table(build("B2"))
         assert invert(build("B2").gramm) == QMatrix.from_rows([[1, 1], [1, 2]])
-        assert wt.d == (2, 3)
+        assert wt.d == {0: 2, 1: 3}
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "C4", "D4", "F4", "G2", "A2xB2"])
     def test_duality_against_gramm(self, spec):
         rs = build(spec)
         wt = weight_table(rs)
-        assert QMatrix.from_rows(wt.dual) == invert(rs.gramm)
+        assert QMatrix.from_rows([wt.dual[a] for a in range(rs.rank)]) == invert(rs.gramm)
         # Defining relations (w_a, b) = delta, evaluated through the Gramm.
         for a in range(rs.rank):
             pairing = rs.gramm.mul_vec(wt.dual[a])
@@ -121,7 +121,7 @@ class TestWeightTable:
     def test_weighted_rows_sum_to_one(self, spec):
         rs = build(spec)
         wt = weight_table(rs)
-        for row in wt.weighted:
+        for row in wt.weighted.values():
             assert sum(row) == 1
 
     @pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "B3", "E6"])
