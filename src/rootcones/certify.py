@@ -25,7 +25,6 @@ from .linalg import (
     Vector,
     block_coefficient_matrix,
     clear_denominators,
-    determinant,
     dot,
     invert,
     solve,
@@ -38,6 +37,7 @@ from .roots import (
     classify_irreducible,
     connected_to,
     is_connected_subset,
+    is_positive_definite,
 )
 
 
@@ -353,12 +353,7 @@ def verify_lemma65(rs: RootSystem) -> bool:
         raise NotIrreducible(f"{rs.spec} is reducible")
     for subset in connected_induced_subsets(rs):
         sub = rs.gramm.submatrix(subset, subset)
-        k = len(subset)
-        for size in range(1, k + 1):
-            idx = list(range(size))
-            if determinant(sub.submatrix(idx, idx)) <= 0:
-                return False
-        if classify_irreducible(sub) is None:
+        if not is_positive_definite(sub) or classify_irreducible(sub) is None:
             return False
     return True
 

@@ -193,21 +193,22 @@ class RootSystem:
         return f"alpha_{alpha + 1}"
 
 
-def _graph_components(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
-    n = gramm.rows
-    seen = [False] * n
+def _graph_components(gramm: QMatrix, nodes=None) -> tuple[tuple[int, ...], ...]:
+    """Components of the Dynkin graph on nodes (default: all), least first."""
+    nodes = range(gramm.rows) if nodes is None else sorted(set(nodes))
+    seen = set()
     comps = []
-    for start in range(n):
-        if seen[start]:
+    for start in nodes:
+        if start in seen:
             continue
         stack, comp = [start], []
-        seen[start] = True
+        seen.add(start)
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in range(n):
-                if not seen[j] and gramm.at(i, j) != 0:
-                    seen[j] = True
+            for j in nodes:
+                if j not in seen and gramm.at(i, j) != 0:
+                    seen.add(j)
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
@@ -215,18 +216,7 @@ def _graph_components(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
 
 def is_connected_subset(gramm: QMatrix, subset: Sequence[int]) -> bool:
     """Whether the induced Dynkin subgraph on subset is connected."""
-    subset = list(subset)
-    if not subset:
-        return False
-    seen = {subset[0]}
-    stack = [subset[0]]
-    while stack:
-        i = stack.pop()
-        for j in subset:
-            if j not in seen and gramm.at(i, j) != 0:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == len(subset)
+    return len(_graph_components(gramm, subset)) == 1
 
 
 def _enumerate_positive_roots(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
@@ -268,14 +258,20 @@ def _enumerate_positive_roots(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
 
+def is_positive_definite(gramm: QMatrix) -> bool:
+    """Sylvester's criterion: every leading principal minor is positive."""
+    return all(
+        determinant(gramm.submatrix(range(k), range(k))) > 0
+        for k in range(1, gramm.rows + 1)
+    )
+
+
 def _validate_gramm(gramm: QMatrix) -> None:
     if not gramm.is_symmetric():
         raise ValueError("Gramm matrix must be symmetric")
+    if not is_positive_definite(gramm):
+        raise ValueError("Gramm matrix must be positive definite")
     n = gramm.rows
-    for k in range(1, n + 1):
-        idx = list(range(k))
-        if determinant(gramm.submatrix(idx, idx)) <= 0:
-            raise ValueError("Gramm matrix must be positive definite")
     for i in range(n):
         for j in range(n):
             if i != j and gramm.at(i, j) > 0:
@@ -588,21 +584,10 @@ def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[
     the ambient ones. Empty subsets yield a rank-zero system.
     """
     subset = rs.subset(subset)
-    return rs.cached(("subsystem", subset), lambda: _subsystem(rs, subset))
-
-
-def _subsystem(rs: RootSystem, subset: tuple[int, ...]):
-    if not subset:
-        empty = RootSystem(
-            components=(),
-            simple_roots=(),
-            gramm=QMatrix.zero(0, 0),
-            positive_roots=(),
-            dynkin_components=(),
-        )
-        return empty, ()
-    sub = rs.gramm.submatrix(subset, subset)
-    return from_gramm(sub), subset
+    return rs.cached(
+        ("subsystem", subset),
+        lambda: (from_gramm(rs.gramm.submatrix(subset, subset)), subset),
+    )
 
 
 def fractions_to_strings(values) -> list:

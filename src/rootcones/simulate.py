@@ -56,8 +56,8 @@ from .linalg import (
     primitive,
     vec_scale,
 )
-from .parabolic import relative_torus, relative_weight_table, verify_discon, verify_tori
-from .roots import RootSystem, build, connected_to, subsystem
+from .parabolic import relative_torus, relative_weight_table, verify_tori
+from .roots import RootSystem, _graph_components, build
 
 
 @dataclass(frozen=True)
@@ -273,9 +273,7 @@ def make_trace(
 ) -> SimTrace:
     """Assemble a trace from explicit per-level slopes.
 
-    No admissibility is enforced here. Every constraint value at index n
-    is n times its value on the slopes, so n0 is 1 when the slopes meet
-    every constraint (and horizon > 0), and None otherwise.
+    No admissibility is enforced here; n0 is as `_admissibility` gives it.
     """
     selection = _validate_selection(rs, selection)
     if horizon < 0:
@@ -297,39 +295,29 @@ def make_trace(
         )
     )
     _, ints = clear_denominators(slopes)
-    admissible = horizon > 0 and all(
-        dot(row, ints) >= 0 for row, _ in data.constraint_rows
-    )
     return SimTrace(
         rs=rs,
         selection=selection,
         horizon=horizon,
-        n0=1 if admissible else None,
+        n0=_admissibility(data, ints, horizon)[0],
         steps=steps,
     )
 
 
-def _constraint_violations(
-    data: LevelData, slopes: tuple[int, ...], n: int
-) -> list[str]:
-    """Every constraint row that is negative at index n on integer slopes."""
-    problems = []
-    for row, label in data.constraint_rows:
-        if sum(r * s * n for r, s in zip(row, slopes)) < 0:
-            problems.append(f"{label} fails at n={n}")
-    return problems
+def _admissibility(
+    data: LevelData, slopes: tuple[int, ...], horizon: int
+) -> tuple[int | None, list[str]]:
+    """n0 on integer slopes, and each failing constraint, listed at horizon.
 
-
-def _first_admissible_index(
-    horizon: int, data: LevelData, slopes: tuple[int, ...]
-) -> int | None:
-    """Scan n = horizon, ..., 1 for the start of the admissible tail."""
-    n0 = None
-    for n in range(horizon, 0, -1):
-        if _constraint_violations(data, slopes, n):
-            break
-        n0 = n
-    return n0
+    A constraint's value at n is n times its value on the slopes, so n0
+    is 1 when horizon > 0 and no row fails, and None otherwise.
+    """
+    violations = [
+        f"{label} fails at n={horizon}"
+        for row, label in data.constraint_rows
+        if dot(row, slopes) < 0
+    ]
+    return (1 if horizon > 0 and not violations else None), violations
 
 
 def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
@@ -337,8 +325,8 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
 
     Checks each level's line against its connecting torus, strict growth
     of each selected root on its own component, and the per-level
-    domination constraints at every index, whose first admissible index
-    must be the recorded n0.
+    domination constraints, decided once on the slopes as in
+    `make_trace`; the n0 they give must be the recorded one.
     """
     data = _level_data(trace.rs, trace.selection)
     problems: list[str] = []
@@ -354,12 +342,12 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
         if not step.slope * line[step.root] > 0:
             problems.append(f"level{step.level}: selected root does not grow")
     _, slopes = clear_denominators([step.slope for step in trace.steps])
-    n0 = _first_admissible_index(trace.horizon, data, slopes)
+    n0, violations = _admissibility(data, slopes, trace.horizon)
     if trace.n0 != n0:
         problems.append(f"recorded n0={trace.n0} but computed {n0}")
     if n0 is None and trace.horizon > 0:
         problems.append("no admissible start index")
-        problems.extend(_constraint_violations(data, slopes, trace.horizon))
+        problems.extend(violations)
     return (not problems, problems)
 
 
@@ -459,6 +447,13 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     equality, so the conclusion alpha(tau) >= w_alpha(tau) is checked as
     den * tau[alpha] >= rows[alpha] . tau. The decomposition holds when
     tau lies in a^I_F and every later root passes `_splits`.
+
+    Both branch questions go to the ambient system. Connected means that
+    alpha's Dynkin component inside the ambient subset I meets a later
+    root. Otherwise the later roots, all of I outside F, miss it: that is
+    the discon lemma's hypothesis on the subsystem of I. Its conclusion,
+    a^{I-alpha}_F in the kernel of alpha, reads the same on the ambient
+    torus, since the subsystem's tori are the ambient ones on I.
     """
     levels = trace.levels
     r = levels - 1
@@ -471,11 +466,8 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     ambient = data.subsets[j - 1]
     later = list(trace.selection[j:])
     final_subset = data.subsets[-1]
-    sub_rs, mapping = subsystem(rs, ambient)
-    to_local = {amb: loc for loc, amb in enumerate(mapping)}
-    connected = connected_to(
-        sub_rs, to_local[alpha], [to_local[t] for t in later]
-    )
+    component = next(c for c in _graph_components(rs.gramm, ambient) if alpha in c)
+    connected = any(t in component for t in later)
     checks: dict = {}
     # Levels below j never move alpha: their lines kill it exactly.
     checks["kernel_bookkeeping"] = all(
@@ -493,11 +485,9 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     }
     if not connected:
         checks["evaluation_equality"] = tau[alpha] == own_slope * own_line[alpha]
-        checks["kernel_subspace"] = verify_discon(
-            sub_rs,
-            to_local[alpha],
-            [to_local[t] for t in final_subset],
-            [to_local[t] for t in data.subsets[j]],
+        checks["kernel_subspace"] = all(
+            v[alpha] == 0
+            for v in relative_torus(rs, data.subsets[j], final_subset).basis
         )
         tail = tuple(t - own_slope * x for t, x in zip(tau, own_line))
         checks["tail_membership"] = _annihilates(

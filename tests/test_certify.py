@@ -1,5 +1,6 @@
 """Coefficient expansions, both certificate routes, and the matrix facts."""
 
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 
@@ -305,6 +306,12 @@ class TestMatrixFacts:
 
     def test_subdiagram_classification_exceptional(self):
         assert verify_lemma65(build("E8"))
+
+    def test_block_that_is_not_positive_definite_fails(self):
+        # The affine A2 cycle: every proper block is A1 or A2, and the
+        # whole block is singular, so only positive definiteness fails.
+        cycle = QMatrix.from_rows([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+        assert verify_lemma65(dataclasses.replace(build("A3"), gramm=cycle)) is False
 
     def test_connected_subsets_of_chain(self):
         rs = build("A3")

@@ -11,6 +11,7 @@ import pytest
 from rootcones import parabolic, suites
 from rootcones.errors import PreconditionViolated, SubsetViolation, UnknownRoot
 from rootcones.linalg import (
+    Subspace,
     full_space,
     intersect,
     is_direct_sum,
@@ -37,8 +38,13 @@ from rootcones.roots import build, from_gramm, subsystem, weight_table
 
 
 def subsets(n):
-    for r in range(n + 1):
-        yield from itertools.combinations(range(n), r)
+    yield from subsets_of(range(n))
+
+
+def subsets_of(universe):
+    universe = tuple(universe)
+    for r in range(len(universe) + 1):
+        yield from itertools.combinations(universe, r)
 
 
 class TestMakeDatum:
@@ -245,6 +251,33 @@ class TestToriLemma:
         with pytest.raises(SubsetViolation):
             verify_tori(build("A3"), [2], [0], [0, 1])
 
+    @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
+    def test_pair_bits_match_the_direct_sum(self, spec):
+        # 10,196 triples over all these systems.
+        rs = fresh(spec)
+        checked = 0
+        for i1 in subsets(rs.rank):
+            for i2 in subsets_of(i1):
+                for i3 in subsets_of(i2):
+                    checked += 1
+                    expected = is_direct_sum(
+                        relative_torus(rs, i2, i3),
+                        relative_torus(rs, i1, i2),
+                        relative_torus(rs, i1, i3),
+                    )
+                    assert verify_tori(rs, i3, i2, i1) == expected, (i3, i2, i1)
+        assert checked == 4 ** rs.rank
+
+    def test_a_singular_pair_block_fails_the_tori_row(self, monkeypatch):
+        # The right dimension, but zero on the coordinate of I minus J.
+        rs = fresh("A3")
+        rs.cached(("relative_torus", (0, 1), (0,)), lambda: Subspace(3, ((0, 0, 1),)))
+        monkeypatch.setattr(suites, "build", lambda spec: rs)
+        rows = suites.run_parabolic("A3")
+        status = {row["route"]: row["status"] for row in rows}
+        assert status["tori"] == "fail"
+        assert status["inc"] == status["trivial"] == "pass"
+
 
 class TestTrivialLemma:
     def test_rank_one_vacuous(self):
@@ -342,13 +375,21 @@ class TestMemo:
             pairs.append((tuple(sorted(upper)), tuple(sorted(lower))))
             return real_torus(rs_, upper, lower)
 
+        bits = []
+        real_bit = parabolic._compute_block_is_nonsingular
+
+        def recording_bit(rs_, upper, lower):
+            bits.append((upper, lower))
+            return real_bit(rs_, upper, lower)
+
         monkeypatch.setattr(parabolic, "intersect", counting_intersect)
         monkeypatch.setattr(parabolic, "relative_torus", recording_torus)
+        monkeypatch.setattr(parabolic, "_compute_block_is_nonsingular", recording_bit)
         monkeypatch.setattr(suites, "build", lambda spec: rs)
         rows = suites.run_parabolic("D4")
         assert all(row["status"] == "pass" for row in rows)
         assert len(set(pairs)) == 3 ** 4  # every J inside I inside {0..3}
-        assert len(pairs) > 10 * len(set(pairs))
+        assert len(bits) == len(set(bits)) == 3 ** 4  # one splitting bit per pair
         assert len(intersections) == len(set(pairs))
 
     @pytest.mark.parametrize("spec", ["B3", "G2", "A2xA1"])

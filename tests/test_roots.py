@@ -16,6 +16,7 @@ from rootcones.roots import (
     build,
     check_2d_identity,
     classify_irreducible,
+    _graph_components,
     connected_to,
     from_gramm,
     is_connected_subset,
@@ -190,6 +191,16 @@ class TestConnectedTo:
         rs = build("A3")
         # alpha_1 and alpha_3 are not adjacent but share a component.
         assert connected_to(rs, 0, [2])
+
+    def test_components_of_a_subset_keep_ambient_indices(self):
+        g = build("D4").gramm  # alpha_2 is the branch node
+        assert _graph_components(g) == ((0, 1, 2, 3),)
+        assert _graph_components(g, [3, 0, 2]) == ((0,), (2,), (3,))
+        assert _graph_components(g, (1, 3, 0)) == ((0, 1, 3),)
+        assert _graph_components(g, []) == ()
+        assert is_connected_subset(g, [0, 1, 3])
+        assert not is_connected_subset(g, [0, 2])
+        assert not is_connected_subset(g, [])
 
     def test_monotone_in_target(self):
         rs = build("A3xA1")

@@ -478,7 +478,8 @@ ORACLE_SELECTIONS = [
 class TestReplayOracle:
     """Integer replay and divergence against the Fraction oracle above."""
 
-    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    # D4 has a branch node and A1xA1xA1 three components.
+    @pytest.mark.parametrize("spec", ORACLE_SPECS + ("D4", "A1xA1xA1"))
     def test_generated_traces(self, spec):
         rs = build(spec)
         for selection in all_selections(rs.rank):
