@@ -65,7 +65,6 @@ CONFIG_TYPES = {
 
 @dataclass
 class RunConfig:
-    command: str
     # None means "not given": verify falls back to per-suite defaults,
     # while an explicit empty list is a vacuous sweep.
     systems: list[str] | None = None
@@ -114,9 +113,9 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _merge(args: argparse.Namespace, command: str) -> RunConfig:
+def _merge(args: argparse.Namespace) -> RunConfig:
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    config = RunConfig(command=command)
+    config = RunConfig()
     for key in CONFIG_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -401,16 +400,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "selection", None) is not None:
             args.selection = _parse_selection(args.selection)
-        config = _merge(args, args.command)
+        config = _merge(args)
         if args.command == "build":
             return cmd_build(config)
         if args.command == "verify":
             return cmd_verify(config)
         return cmd_simulate(config)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RootconesError as err:
+    except (ValueError, OSError, RootconesError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

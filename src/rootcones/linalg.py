@@ -360,7 +360,7 @@ def contains(s: Subspace, v: Sequence[Fraction]) -> bool:
     # which keeps it integral and leaves whether it vanishes unchanged.
     _, residue = clear_denominators(v)
     for b in s.basis:
-        p = next(i for i, x in enumerate(b) if x != 0)
+        p = b.index(next(filter(None, b)))  # the pivot, b's first nonzero entry
         f = residue[p]
         if f != 0:
             c = b[p]

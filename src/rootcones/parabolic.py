@@ -179,17 +179,18 @@ def verify_tori(
 ) -> bool:
     """Whether a^{I1}_{I3} splits as a^{I2}_{I3} plus a^{I1}_{I2}.
 
-    Decided from one memoised bit per torus pair: the basis of a^I_J,
-    read on the coordinates of I - J, is a nonsingular square block. Both
-    tori lie in a^{I1}_{I3}; with square blocks, and a^{I1}_{I3} of
-    dimension |I1 - I3|, their dimensions add up to its own. On the
-    coordinates I1 - I3, ordered I2 - I3 then I1 - I2, their joint basis
-    is block triangular, since a^{I1}_{I2} vanishes on I2, with the two
-    bits' blocks on the diagonal. So two true bits make the joint basis
-    independent and the sum direct, and a false bit can only turn a pass
-    into a failed `tori` row. For true tori both bits hold: a vector of
-    a^I_J that vanishes on I - J vanishes on I, and a^I meets a_I only in
-    zero.
+    Decided from three memoised bits, one per torus pair of the chain:
+    the basis of a^I_J, read on the coordinates of I - J, is a nonsingular
+    square block. Square means dim a^I_J = |I - J|, so the (I1, I3) bit is
+    the dimension check of a^{I1}_{I3}. Both smaller tori lie in
+    a^{I1}_{I3}; with square blocks their dimensions add up to its own. On
+    the coordinates I1 - I3, ordered I2 - I3 then I1 - I2, their joint
+    basis is block triangular, since a^{I1}_{I2} vanishes on I2, with the
+    (I2, I3) and (I1, I2) blocks on the diagonal. So true bits make the
+    joint basis independent and the sum direct, and a false bit can only
+    turn a pass into a failed `tori` row. For true tori every bit holds: a
+    vector of a^I_J that vanishes on I - J vanishes on I, and a^I meets
+    a_I only in zero.
     """
     i3 = rs.subset(i3)
     i2 = rs.subset(i2)
@@ -197,7 +198,7 @@ def verify_tori(
     if not (set(i3) <= set(i2) <= set(i1)):
         raise SubsetViolation("need I3 inside I2 inside I1")
     return (
-        relative_torus(rs, i1, i3).dim == len(i1) - len(i3)
+        _block_is_nonsingular(rs, i1, i3)
         and _block_is_nonsingular(rs, i2, i3)
         and _block_is_nonsingular(rs, i1, i2)
     )

@@ -124,7 +124,6 @@ class RootSystem:
     """One (possibly reducible) root system with its Weyl-invariant product."""
 
     components: tuple[tuple[str, int], ...]
-    simple_roots: tuple[Vector, ...]
     gramm: QMatrix
     positive_roots: tuple[tuple[int, ...], ...]
     dynkin_components: tuple[tuple[int, ...], ...]
@@ -157,7 +156,7 @@ class RootSystem:
 
     @property
     def rank(self) -> int:
-        return len(self.simple_roots)
+        return self.gramm.rows
 
     @property
     def spec(self) -> str:
@@ -302,10 +301,8 @@ def from_gramm(gramm: QMatrix, components=None) -> RootSystem:
             rank != len(comp) for (_, rank), comp in zip(components, comps)
         ):
             raise ValueError("declared components do not match the Gramm blocks")
-    n = gramm.rows
     return RootSystem(
         components=tuple(components),
-        simple_roots=tuple(unit_vec(n, i) for i in range(n)),
         gramm=gramm,
         positive_roots=_enumerate_positive_roots(gramm),
         dynkin_components=comps,
@@ -529,26 +526,13 @@ def parabolic_character(rs: RootSystem, alpha: int, wt: WeightTable | None = Non
                 acc[j] += root[j]
     character = tuple(acc)
     w = wt.dual[alpha]
-    lam = None
-    for x, y in zip(character, w):
-        if y == 0:
-            if x != 0:
-                raise NotProportional(
-                    f"character of {rs.root_label(alpha)} is not a multiple "
-                    f"of its dual weight"
-                )
-            continue
-        ratio = x / y
-        if lam is None:
-            lam = ratio
-        elif ratio != lam:
-            raise NotProportional(
-                f"character of {rs.root_label(alpha)} is not a multiple "
-                f"of its dual weight"
-            )
-    if lam is None or lam <= 0:
+    # character[alpha] >= 1, since alpha is a positive root, so a positive
+    # ratio exists only when w[alpha] > 0, and then it is this one.
+    lam = character[alpha] / w[alpha] if w[alpha] > 0 else None
+    if lam is None or character != tuple(lam * y for y in w):
         raise NotProportional(
-            f"character of {rs.root_label(alpha)} has no positive ratio"
+            f"character of {rs.root_label(alpha)} is not a positive multiple "
+            f"of its dual weight"
         )
     return character, lam
 
@@ -570,7 +554,6 @@ def rescale_components(rs: RootSystem, factors: Sequence) -> RootSystem:
     ]
     return RootSystem(
         components=rs.components,
-        simple_roots=rs.simple_roots,
         gramm=QMatrix.from_rows(rows),
         positive_roots=rs.positive_roots,
         dynkin_components=rs.dynkin_components,

@@ -23,13 +23,14 @@ admissibility verdict, is that of the rational computation.
 
 The induction replay runs on the same integers. Everything it compares
 that depends only on the root system is kept in the system's memo: per
-torus pair an integer annihilator, so membership is a few dot products;
-per subset the weight table, which keeps its weighted rows over one
-shared denominator (`WeightTable.integer_weighted`); and per (ambient
-subset, later root, final subset) one yes/no for the two lemmas that let
-the later root split the tail. Each trace then scales its tail once, by
-the same positive factor as its slopes, and makes no elimination of its
-own.
+torus pair the canonical basis of `relative_torus`, against which
+`contains` decides membership by reducing the integer vector, with no
+elimination; per subset the weight table, which keeps its weighted rows
+over one shared denominator (`WeightTable.integer_weighted`); and per
+(ambient subset, later root, final subset) one yes/no for the two lemmas
+that let the later root split the tail. Each trace then scales its tail
+once, by the same positive factor as its slopes, and makes no elimination
+of its own.
 """
 
 from __future__ import annotations
@@ -48,14 +49,7 @@ from .errors import (
     InvariantViolation,
     PreconditionViolated,
 )
-from .linalg import (
-    Vector,
-    clear_denominators,
-    dot,
-    kernel,
-    primitive,
-    vec_scale,
-)
+from .linalg import Vector, clear_denominators, contains, dot, primitive, vec_scale
 from .parabolic import relative_torus, relative_weight_table, verify_tori
 from .roots import RootSystem, _graph_components, build
 
@@ -134,20 +128,6 @@ def _validate_selection(rs: RootSystem, selection: Sequence[int]) -> tuple[int, 
     if len(set(selection)) != len(selection):
         raise ValueError("selection must not repeat roots")
     return selection
-
-
-def _torus_annihilator(
-    rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
-) -> tuple[tuple[int, ...], ...]:
-    """The primitive integer annihilator of relative_torus(rs, upper, lower)."""
-    return rs.cached(
-        ("torus_annihilator", upper, lower),
-        lambda: kernel(rs.rank, relative_torus(rs, upper, lower).basis).basis,
-    )
-
-
-def _annihilates(functionals, v: Sequence[int]) -> bool:
-    return not any(dot(f, v) for f in functionals)
 
 
 def _splits(
@@ -334,10 +314,10 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
         if step.line != line:
             problems.append(f"level{step.level}: line mismatch")
             continue
-        annihilator = _torus_annihilator(
+        torus = relative_torus(
             trace.rs, data.subsets[step.level - 1], data.subsets[step.level]
         )
-        if not _annihilates(annihilator, line):
+        if not contains(torus, line):
             problems.append(f"level{step.level}: line outside torus")
         if not step.slope * line[step.root] > 0:
             problems.append(f"level{step.level}: selected root does not grow")
@@ -441,10 +421,11 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     are checked on tau = theta_slope(j). The value at index n is n times
     tau, and n >= 1, so each check decides the same at every index. The
     checks run on the integer tail of `_scaled_tail`, a positive multiple
-    of tau, against the memoised integer data of the system: the torus
-    annihilators and the ambient subset's `integer_weighted` rows, den
-    times the weighted rows. Positive factors keep every sign and every
-    equality, so the conclusion alpha(tau) >= w_alpha(tau) is checked as
+    of tau, against the memoised integer data of the system: every
+    membership is `contains` on the canonical basis of its torus, and the
+    ambient subset's `integer_weighted` rows are den times the weighted
+    rows. Positive factors keep every sign and every equality, so the
+    conclusion alpha(tau) >= w_alpha(tau) is checked as
     den * tau[alpha] >= rows[alpha] . tau. The decomposition holds when
     tau lies in a^I_F and every later root passes `_splits`.
 
@@ -490,8 +471,8 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
             for v in relative_torus(rs, data.subsets[j], final_subset).basis
         )
         tail = tuple(t - own_slope * x for t, x in zip(tau, own_line))
-        checks["tail_membership"] = _annihilates(
-            _torus_annihilator(rs, data.subsets[j], final_subset), tail
+        checks["tail_membership"] = contains(
+            relative_torus(rs, data.subsets[j], final_subset), tail
         )
         if not all(checks.values()):
             raise DivergenceFailure(f"disconnected branch fails: {checks}")
@@ -508,7 +489,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
             "domination hypotheses fail on an admissible trace"
         )
     checks["conclusion"] = den * tau[alpha] >= walpha
-    membership = _annihilates(_torus_annihilator(rs, ambient, final_subset), tau)
+    membership = contains(relative_torus(rs, ambient, final_subset), tau)
     checks["theta_membership"] = membership
     checks["decomposition_bookkeeping"] = membership and all(
         _splits(rs, ambient, k, final_subset) for k in later

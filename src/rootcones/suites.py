@@ -12,50 +12,12 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 from . import certify, parabolic, roots
 from .errors import InvariantViolation
 from .linalg import QMatrix, invert
 from .roots import build, weight_table
-
-SUITE_NAMES = (
-    "gramm-inverse",
-    "identity-2d",
-    "lemma64",
-    "theorem61-constructive",
-    "theorem61-rays",
-    "lemma65",
-    "lemma66",
-    "parabolic-lemmas",
-    "chi-proportionality",
-    "controls",
-)
-
-ANCHORS = {
-    "gramm-inverse": "Eq2-3",
-    "identity-2d": "Eq5",
-    "lemma64": "Lem6.4",
-    "theorem61-constructive": "Thm6.1",
-    "theorem61-rays": "Thm6.1",
-    "lemma65": "Lem6.5",
-    "lemma66": "Lem6.6",
-    "parabolic-lemmas": "Sec3.2",
-    "chi-proportionality": "Chi-prop",
-    "controls": "Thm6.1-control",
-}
-
-RANK_CAPS = {
-    "gramm-inverse": 8,
-    "identity-2d": 8,
-    "lemma64": 6,
-    "theorem61-constructive": 5,
-    "theorem61-rays": 5,
-    "lemma65": 8,
-    "lemma66": 8,
-    "parabolic-lemmas": 5,
-    "chi-proportionality": 8,
-    "controls": 3,
-}
 
 PARABOLIC_EXTRAS = ("A1xA1", "A2xA1", "A2xA2", "B2xA1")
 
@@ -76,7 +38,7 @@ def irreducible_catalogue(max_rank: int) -> list[str]:
 def systems_for(suite: str, max_rank: int | None, explicit: list[str] | None):
     if explicit is not None:
         return list(explicit)
-    cap = RANK_CAPS[suite]
+    cap = SUITES[suite].rank_cap
     if max_rank is not None:
         cap = min(cap, max_rank)
     if suite == "controls":
@@ -94,7 +56,7 @@ def systems_for(suite: str, max_rank: int | None, explicit: list[str] | None):
 def _row(suite, system, status, alpha=None, subset=None, route=None, detail=""):
     return {
         "suite": suite,
-        "anchor": ANCHORS[suite],
+        "anchor": SUITES[suite].anchor,
         "system": system,
         "alpha": alpha,
         "subset": subset,
@@ -383,21 +345,36 @@ def _controls_joint_summary(rows: list[dict]) -> dict:
     )
 
 
-# Every worker takes (spec, max_subset_size); only the subset sweeps use the cap.
-_WORKERS = {
-    "gramm-inverse": lambda spec, cap: run_gramm_inverse(spec),
-    "identity-2d": lambda spec, cap: run_identity_2d(spec),
-    "lemma64": run_lemma64,
-    "theorem61-constructive": (
-        lambda spec, cap: run_theorem61(spec, "constructive", cap)
+class Suite(NamedTuple):
+    """A suite's paper anchor, default rank cap and worker.
+
+    Every worker takes (spec, max_subset_size); only the subset sweeps use
+    the cap.
+    """
+
+    anchor: str
+    rank_cap: int
+    worker: Callable[[str, int | None], list[dict]]
+
+
+SUITES = {
+    "gramm-inverse": Suite("Eq2-3", 8, lambda spec, cap: run_gramm_inverse(spec)),
+    "identity-2d": Suite("Eq5", 8, lambda spec, cap: run_identity_2d(spec)),
+    "lemma64": Suite("Lem6.4", 6, run_lemma64),
+    "theorem61-constructive": Suite(
+        "Thm6.1", 5, lambda spec, cap: run_theorem61(spec, "constructive", cap)
     ),
-    "theorem61-rays": lambda spec, cap: run_theorem61(spec, "rays", cap),
-    "lemma65": lambda spec, cap: run_lemma65(spec),
-    "lemma66": lambda spec, cap: run_lemma66(spec),
-    "parabolic-lemmas": lambda spec, cap: run_parabolic(spec),
-    "chi-proportionality": lambda spec, cap: run_chi(spec),
-    "controls": run_controls,
+    "theorem61-rays": Suite(
+        "Thm6.1", 5, lambda spec, cap: run_theorem61(spec, "rays", cap)
+    ),
+    "lemma65": Suite("Lem6.5", 8, lambda spec, cap: run_lemma65(spec)),
+    "lemma66": Suite("Lem6.6", 8, lambda spec, cap: run_lemma66(spec)),
+    "parabolic-lemmas": Suite("Sec3.2", 5, lambda spec, cap: run_parabolic(spec)),
+    "chi-proportionality": Suite("Chi-prop", 8, lambda spec, cap: run_chi(spec)),
+    "controls": Suite("Thm6.1-control", 3, run_controls),
 }
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def _run_task(task: tuple[str, str, int | None]) -> tuple[list[dict], dict]:
@@ -409,7 +386,7 @@ def _run_task(task: tuple[str, str, int | None]) -> tuple[list[dict], dict]:
     suite, spec, max_subset_size = task
     start = time.perf_counter()
     try:
-        rows = _WORKERS[suite](spec, max_subset_size)
+        rows = SUITES[suite].worker(spec, max_subset_size)
     except InvariantViolation as err:
         rows = [_row(suite, spec, "fail", detail=str(err))]
     elapsed = round(time.perf_counter() - start, 6)
@@ -446,7 +423,7 @@ def run_verification(
     controls) to subsets of at most that size.
     """
     for name in suites:
-        if name not in SUITE_NAMES:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
     tasks = []
     for suite in suites:

@@ -408,6 +408,28 @@ class TestSubspaces:
         shuffled = data.draw(st.permutations(rescaled))
         assert span(n, shuffled).basis == results[0].basis
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_contains_matches_the_rank_oracle(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=5))
+        entry = st.one_of(FRACTION_ENTRY, st.integers(min_value=-4, max_value=4))
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4)
+        )
+        # Half the time v is a combination of the rows, so it lies in their span.
+        if data.draw(st.booleans()):
+            coeffs = data.draw(
+                st.lists(entry, min_size=len(rows), max_size=len(rows))
+            )
+            v = [sum((c * r[j] for c, r in zip(coeffs, rows)), 0) for j in range(n)]
+        else:
+            v = data.draw(st.lists(entry, min_size=n, max_size=n))
+        # v lies in the span exactly when adjoining it leaves the rank unchanged.
+        rank = len(gauss_jordan_rref(rows)[0])
+        assert contains(span(n, rows), v) == (
+            len(gauss_jordan_rref(rows + [v])[0]) == rank
+        )
+
     @settings(max_examples=60, deadline=None)
     @given(low_rank_rows(max_rows=4, max_cols=5), st.data())
     def test_intersect_matches_annihilator_formula(self, drawn, data):

@@ -278,6 +278,20 @@ class TestToriLemma:
         assert status["tori"] == "fail"
         assert status["inc"] == status["trivial"] == "pass"
 
+    def test_a_torus_of_the_wrong_dimension_fails_the_tori_row(self, monkeypatch):
+        # The (I1, I3) bit's square-block test is the dimension check of
+        # a^{I1}_{I3}: a plane where a^{0,1,2} is three-dimensional.
+        rs = fresh("A3")
+        rs.cached(
+            ("relative_torus", (0, 1, 2), ()),
+            lambda: Subspace(3, ((1, 0, 0), (0, 1, 0))),
+        )
+        monkeypatch.setattr(suites, "build", lambda spec: rs)
+        rows = suites.run_parabolic("A3")
+        status = {row["route"]: row["status"] for row in rows}
+        assert status["tori"] == "fail"
+        assert status["inc"] == status["trivial"] == "pass"
+
 
 class TestTrivialLemma:
     def test_rank_one_vacuous(self):

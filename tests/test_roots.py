@@ -1,5 +1,6 @@
 """Root system construction, weight tables, and character proportionality."""
 
+import dataclasses
 import pickle
 import random
 from fractions import Fraction as Q
@@ -8,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rootcones.errors import InvalidRank, UnknownRoot
+from rootcones.errors import InvalidRank, NotProportional, UnknownRoot
 from rootcones.linalg import QMatrix, invert, unit_vec, vec
 from rootcones.parabolic import relative_torus
 from rootcones.roots import (
@@ -242,6 +243,19 @@ class TestParabolicCharacter:
             character, lam = parabolic_character(rs, a, wt)
             assert lam > 0
             assert vec(character) == vec([lam * x for x in wt.dual[a]])
+
+    @pytest.mark.parametrize(
+        "row",
+        [(Q(2, 3), Q(2, 3)), (Q(-2, 3), Q(-1, 3)), (Q(0), Q(1, 3))],
+        ids=["not-proportional", "negative-multiple", "zero-on-alpha"],
+    )
+    def test_a_row_that_is_no_positive_multiple_raises(self, row):
+        # The character of alpha_1 in A2 is (2, 1) = 3 * (2/3, 1/3).
+        rs = build("A2")
+        wt = weight_table(rs)
+        broken = dataclasses.replace(wt, dual={**wt.dual, 0: row})
+        with pytest.raises(NotProportional):
+            parabolic_character(rs, 0, broken)
 
 
 class TestRescaling:
