@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .cones import ConeSpec, extreme_rays, satisfies
@@ -22,10 +23,12 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import (
+    QMatrix,
     Vector,
     block_coefficient_matrix,
     clear_denominators,
     dot,
+    full_space,
     invert,
     solve,
     unit_vec,
@@ -56,25 +59,26 @@ def expand_coefficients(
 ) -> CoefficientExpansion:
     """Expand alpha over I and the dual weights outside I, exactly.
 
-    Computed by the block re-basing formula, then cross-checked by an
-    independent linear solve in the same basis. The off-diagonal
+    Row alpha of the block re-basing formula, which depends on I and not
+    on alpha, so one matrix per system and subset is memoised for every
+    alpha. Each call cross-checks its row by an independent linear solve
+    over `wt`'s dual weights, which is never memoised. The off-diagonal
     coefficients must come out non-positive; a violation would disprove
     the sign property this toolkit exists to check, so it stops the run.
     """
     rs.check_root(alpha)
     subset = rs.subset(subset)
     rest = tuple(i for i in range(rs.rank) if i not in subset)
-    perm = subset + rest
     m = len(subset)
-    b = rs.gramm.submatrix(subset, subset)
-    c = rs.gramm.submatrix(subset, rest)
-    row = block_coefficient_matrix(rs.gramm.submatrix([alpha], perm), b, c).row(0)
+    row = rs.cached(
+        ("expansion", subset), lambda: _block_expansion(rs, subset, rest)
+    ).row(alpha)
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
     # Independent route: solve for alpha over the explicit basis vectors.
-    columns = [unit_vec(rs.rank, beta) for beta in subset]
-    columns += [wt.dual[gamma] for gamma in rest]
-    direct = solve(columns, unit_vec(rs.rank, alpha))
+    units = full_space(rs.rank).basis
+    columns = [units[beta] for beta in subset] + [wt.dual[g] for g in rest]
+    direct = solve(columns, units[alpha])
     if direct is None or list(direct) != list(row):
         raise InvariantViolation("block formula disagrees with the direct solve")
     for delta, coeff in on_roots + on_weights:
@@ -84,6 +88,18 @@ def expand_coefficients(
             )
     return CoefficientExpansion(
         alpha=alpha, subset=subset, on_roots=on_roots, on_weights=on_weights
+    )
+
+
+def _block_expansion(
+    rs: RootSystem, subset: tuple[int, ...], rest: tuple[int, ...]
+) -> QMatrix:
+    """Every simple root over the mixed basis of I: row alpha is alpha's."""
+    g = rs.gramm
+    return block_coefficient_matrix(
+        g.submatrix(range(rs.rank), subset + rest),
+        g.submatrix(subset, subset),
+        g.submatrix(subset, rest),
     )
 
 
@@ -133,14 +149,22 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
     eq_multipliers = cert.equality_multipliers or ()
     if len(eq_multipliers) != len(cone.equalities):
         return False
-    acc = [Fraction(0)] * cone.ambient_dim
-    for mult, functional in zip(cert.inequality_multipliers, cone.inequalities):
-        for j, x in enumerate(functional):
-            acc[j] += mult * x
-    for mult, functional in zip(eq_multipliers, cone.equalities):
-        for j, x in enumerate(functional):
-            acc[j] += mult * x
-    return tuple(acc) == tuple(cone.objective)
+    # Re-expanded on integers: with the multipliers M / den and each
+    # functional F_k / f_k, the combination is acc / (den * scale), where
+    # scale is the lcm of the f_k and acc sums M_k * F_k * (scale / f_k).
+    den, mults = clear_denominators((*cert.inequality_multipliers, *eq_multipliers))
+    functionals = [
+        clear_denominators(f) for f in (*cone.inequalities, *cone.equalities)
+    ]
+    scale = lcm(*(f for f, _ in functionals))
+    acc = [0] * cone.ambient_dim
+    for mult, (f, ints) in zip(mults, functionals):
+        factor = mult * (scale // f)
+        for j, x in enumerate(ints):
+            acc[j] += factor * x
+    obj_den, objective = clear_denominators(cone.objective)
+    den *= scale
+    return all(x * obj_den == y * den for x, y in zip(acc, objective))
 
 
 def theorem_cone(

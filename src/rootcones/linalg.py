@@ -205,14 +205,12 @@ def _fraction_free_reduce(
     return pivots, sign, prev
 
 
-def invert(m: QMatrix) -> QMatrix:
-    """Exact matrix inverse; raises SingularMatrix when m is rank deficient.
+def _integer_inverse(m: QMatrix) -> tuple[int, list[list[int]]]:
+    """d and the rows of d m^-1, all ints; raises SingularMatrix if m is.
 
     With D the diagonal of row scales that make D m integral, reducing
     [D m | D] leaves [d I | d m^-1].
     """
-    if m.rows != m.cols:
-        raise DimensionMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
     n = m.rows
     a, scales = _integer_rows(m.row(i) for i in range(n))
     for i in range(n):
@@ -220,7 +218,16 @@ def invert(m: QMatrix) -> QMatrix:
     pivots, _, d = _fraction_free_reduce(a, n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is not invertible")
-    return QMatrix(n, n, tuple(Fraction(x, d) for row in a for x in row[n:]))
+    return d, [row[n:] for row in a]
+
+
+def invert(m: QMatrix) -> QMatrix:
+    """Exact matrix inverse; raises SingularMatrix when m is rank deficient."""
+    if m.rows != m.cols:
+        raise DimensionMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
+    d, inverse = _integer_inverse(m)
+    entries = tuple(Fraction(x, d) for row in inverse for x in row)
+    return QMatrix(m.rows, m.cols, entries)
 
 
 def determinant(m: QMatrix) -> Fraction:
@@ -244,6 +251,12 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     replaced through b. By associativity it is [a_I b^-1 | a_rest -
     (a_I b^-1) c], with a_I the first m columns of a, so the n x n block
     matrix is never formed.
+
+    It is computed on integers. The fraction-free reduction behind
+    `invert` gives N = d b^-1 with N and d integral. With c = C / t and a
+    row of a equal to (A_I, A_rest) / s, all integral, that row of the
+    product is [A_I N t | A_rest d t - A_I N C] / (s d t), so a Fraction
+    is built only for each returned entry.
     """
     n = a.cols
     m = b.rows
@@ -255,12 +268,20 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
         raise DimensionMismatch(
             f"coupling block must be {m}x{n - m}, got {c.rows}x{c.cols}"
         )
-    left = a.submatrix(range(a.rows), range(m)).mul(invert(b))
-    coupled = left.mul(c)
+    d, inverse = _integer_inverse(b)
+    n_cols = list(zip(*inverse))  # columns of N
+    t, c_ints = clear_denominators(c.entries)
+    c_cols = [c_ints[j :: n - m] for j in range(n - m)]  # columns of C
+    dt = d * t
     entries: list[Fraction] = []
-    for i in range(a.rows):
-        entries += left.row(i)
-        entries += vec_sub(a.row(i)[m:], coupled.row(i))
+    for row, s in zip(*_integer_rows(a.row(i) for i in range(a.rows))):
+        head = [dot(row[:m], col) for col in n_cols]  # A_I N
+        den = s * dt
+        entries += [Fraction(x * t, den) for x in head]
+        entries += [
+            Fraction(x * dt - dot(head, col), den)
+            for x, col in zip(row[m:], c_cols)
+        ]
     return QMatrix(a.rows, n, tuple(entries))
 
 

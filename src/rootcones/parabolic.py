@@ -146,12 +146,20 @@ def relative_torus(rs: RootSystem, upper: Iterable[int], lower: Iterable[int]) -
     lower = rs.subset(lower)
     if not set(lower) <= set(upper):
         raise SubsetViolation(f"{lower} is not a subset of {upper}")
-    return rs.cached(
-        ("relative_torus", upper, lower), lambda: _relative_torus(rs, upper, lower)
-    )
+    return _relative_torus(rs, upper, lower)
 
 
 def _relative_torus(
+    rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
+) -> Subspace:
+    """`relative_torus` of sorted, checked subsets with J inside I, memoised."""
+    return rs.cached(
+        ("relative_torus", upper, lower),
+        lambda: _compute_relative_torus(rs, upper, lower),
+    )
+
+
+def _compute_relative_torus(
     rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
 ) -> Subspace:
     result = intersect(coroot_span(rs, upper), kernel_subspace(rs, lower))

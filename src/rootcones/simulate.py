@@ -23,10 +23,12 @@ admissibility verdict, is that of the rational computation.
 
 The induction replay runs on the same integers. Everything it compares
 that depends only on the root system is kept in the system's memo: per
-torus pair the canonical basis of `relative_torus`, against which
-`contains` decides membership by reducing the integer vector, with no
-elimination; per subset the weight table, which keeps its weighted rows
-over one shared denominator (`WeightTable.integer_weighted`); and per
+torus pair the canonical basis of `relative_torus`, read straight from
+the memo since the level data's subsets are already sorted and checked,
+against which `contains` decides membership by reducing the integer
+vector, with no elimination; per subset the weight table, which keeps
+its weighted rows over one shared denominator
+(`WeightTable.integer_weighted`); and per
 (ambient subset, later root, final subset) one yes/no for the two lemmas
 that let the later root split the tail. Each trace then scales its tail
 once, by the same positive factor as its slopes, and makes no elimination
@@ -50,7 +52,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import Vector, clear_denominators, contains, dot, primitive, vec_scale
-from .parabolic import relative_torus, relative_weight_table, verify_tori
+from .parabolic import _relative_torus, relative_weight_table, verify_tori
 from .roots import RootSystem, _graph_components, build
 
 
@@ -152,7 +154,7 @@ def _compute_splits(rs, ambient, k, final):
     reduced = tuple(t for t in ambient if t != k)
     _, weighted = relative_weight_table(rs, ambient).integer_weighted
     return verify_tori(rs, final, reduced, ambient) and not any(
-        dot(weighted[k], v) for v in relative_torus(rs, reduced, final).basis
+        dot(weighted[k], v) for v in _relative_torus(rs, reduced, final).basis
     )
 
 
@@ -169,7 +171,7 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
         subsets.append(tuple(i for i in subsets[-1] if i != root))
     lines = []
     for l in range(1, levels + 1):
-        line_space = relative_torus(rs, subsets[l - 1], subsets[l])
+        line_space = _relative_torus(rs, subsets[l - 1], subsets[l])
         if line_space.dim != 1:
             raise InvariantViolation(
                 f"level {l}: connecting torus has dimension {line_space.dim}"
@@ -314,7 +316,7 @@ def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
         if step.line != line:
             problems.append(f"level{step.level}: line mismatch")
             continue
-        torus = relative_torus(
+        torus = _relative_torus(
             trace.rs, data.subsets[step.level - 1], data.subsets[step.level]
         )
         if not contains(torus, line):
@@ -468,11 +470,11 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
         checks["evaluation_equality"] = tau[alpha] == own_slope * own_line[alpha]
         checks["kernel_subspace"] = all(
             v[alpha] == 0
-            for v in relative_torus(rs, data.subsets[j], final_subset).basis
+            for v in _relative_torus(rs, data.subsets[j], final_subset).basis
         )
         tail = tuple(t - own_slope * x for t, x in zip(tau, own_line))
         checks["tail_membership"] = contains(
-            relative_torus(rs, data.subsets[j], final_subset), tail
+            _relative_torus(rs, data.subsets[j], final_subset), tail
         )
         if not all(checks.values()):
             raise DivergenceFailure(f"disconnected branch fails: {checks}")
@@ -489,7 +491,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
             "domination hypotheses fail on an admissible trace"
         )
     checks["conclusion"] = den * tau[alpha] >= walpha
-    membership = contains(relative_torus(rs, ambient, final_subset), tau)
+    membership = contains(_relative_torus(rs, ambient, final_subset), tau)
     checks["theta_membership"] = membership
     checks["decomposition_bookkeeping"] = membership and all(
         _splits(rs, ambient, k, final_subset) for k in later

@@ -5,6 +5,7 @@ import itertools
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rootcones import certify, suites
 from rootcones.certify import (
@@ -19,20 +20,47 @@ from rootcones.certify import (
     verify_theorem61_constructive,
     verify_theorem61_rays,
 )
-from rootcones.cones import extreme_rays
+from rootcones.cones import ConeSpec, extreme_rays
 from rootcones.errors import (
+    InvariantViolation,
     NotIrreducible,
     PreconditionViolated,
     UnknownRoot,
 )
 from rootcones.linalg import QMatrix, dot, invert, vec
-from rootcones.roots import build, connected_to, weight_table
+from rootcones.roots import build, connected_to, from_gramm, weight_table
 
 
 def subsets_of(universe):
     universe = list(universe)
     for r in range(len(universe) + 1):
         yield from itertools.combinations(universe, r)
+
+
+def gauss_jordan_solve(columns, target):
+    """Independent oracle: the unique x with sum x_j columns[j] = target.
+
+    Plain rational Gauss-Jordan on the augmented matrix; the columns must
+    be independent and span the target's space.
+    """
+    n = len(target)
+    a = [[Q(c[i]) for c in columns] + [Q(target[i])] for i in range(n)]
+    for col in range(n):
+        p = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[p] = a[p], a[col]
+        pv = a[col][col]
+        a[col] = [x / pv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+ORACLE_SYSTEMS = [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4",
+    "C5", "D3", "D4", "D5", "F4", "G2", "E6",
+]
 
 
 class TestExpandCoefficients:
@@ -57,6 +85,43 @@ class TestExpandCoefficients:
         assert dict(exp.on_roots) == {0: Q(-1, 3), 1: Q(-2, 3)}
         assert dict(exp.on_weights) == {2: Q(4, 3)}
         assert expansion_mass_identity(exp, wt)
+
+    @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
+    def test_matches_gauss_jordan_solve(self, spec):
+        # The dual weights are the rows of the inverse Gramm matrix, each
+        # solved for here; alpha is then solved for over the mixed basis.
+        rs = build(spec)
+        wt = weight_table(rs)
+        n = rs.rank
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        gramm = [list(rs.gramm.row(i)) for i in range(n)]
+        dual = [gauss_jordan_solve(gramm, units[i]) for i in range(n)]
+        for subset in subsets_of(range(n)):
+            rest = [g for g in range(n) if g not in subset]
+            columns = [units[beta] for beta in subset] + [dual[g] for g in rest]
+            for alpha in range(n):
+                x = gauss_jordan_solve(columns, units[alpha])
+                exp = expand_coefficients(rs, wt, alpha, subset)
+                assert [c for _, c in exp.on_roots + exp.on_weights] == x
+                assert [i for i, _ in exp.on_roots + exp.on_weights] == [
+                    *subset, *rest
+                ]
+
+    def test_memo_does_not_hide_a_bad_table(self):
+        # The memoised block matrix depends on the Gramm matrix only; the
+        # direct solve reads the caller's table on every call.
+        rs = from_gramm(build("A3").gramm)
+        wt = weight_table(rs)
+        for alpha in range(3):
+            expand_coefficients(rs, wt, alpha, [0])
+        assert ("expansion", (0,)) in rs._memo
+        dual = dict(wt.dual)
+        dual[2] = tuple(x + 1 if k == 2 else x for k, x in enumerate(dual[2]))
+        bad = dataclasses.replace(wt, dual=dual)
+        with pytest.raises(
+            InvariantViolation, match="block formula disagrees with the direct solve"
+        ):
+            expand_coefficients(rs, bad, 1, [0])
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_signs_and_mass_exhaustively(self, spec):
@@ -192,6 +257,99 @@ class TestSuiteWork:
         assert len(rows) == 12
         assert all(row["status"] == "pass" for row in rows)
         assert counts == {"theorem_cone": 12, "validate_certificate": 12}
+
+
+    def test_one_block_expansion_per_subset(self, monkeypatch):
+        # lemma64 sweeps every alpha over every subset of A3: 24 rows, but
+        # the block formula depends on the subset only, so 8 computations.
+        calls = []
+        real = certify.block_coefficient_matrix
+
+        def counted(a, b, c):
+            calls.append(b.rows)
+            return real(a, b, c)
+
+        rs = from_gramm(build("A3").gramm)
+        monkeypatch.setattr(certify, "block_coefficient_matrix", counted)
+        monkeypatch.setattr(suites, "build", lambda spec: rs)
+        rows = suites.run_lemma64("A3")
+        assert len(rows) == 24
+        assert all(row["status"] == "pass" for row in rows)
+        assert len(calls) == 8
+
+
+def accumulate(cone, ineq, eq):
+    """Independent oracle: the plain Fraction sum of multiplier times row."""
+    acc = [Q(0)] * cone.ambient_dim
+    for mult, row in zip(list(ineq) + list(eq), cone.inequalities + cone.equalities):
+        for j, x in enumerate(row):
+            acc[j] += Q(mult) * Q(x)
+    return acc
+
+
+def oracle_accepts(cone, ineq, eq):
+    return (
+        len(ineq) == len(cone.inequalities)
+        and len(eq) == len(cone.equalities)
+        and all(m >= 0 for m in ineq)
+        and accumulate(cone, ineq, eq) == [Q(x) for x in cone.objective]
+    )
+
+
+ENTRY = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+MULTIPLIER = st.one_of(
+    st.integers(min_value=-1, max_value=4),
+    st.fractions(min_value=-1, max_value=4, max_denominator=6),
+)
+
+
+class TestValidateCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_accumulator(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=4))
+        row = st.lists(ENTRY, min_size=dim, max_size=dim).map(tuple)
+        ineqs = data.draw(st.lists(row, min_size=1, max_size=5))
+        eqs = data.draw(st.lists(row, min_size=1, max_size=3))
+        ineq = data.draw(st.lists(MULTIPLIER, min_size=len(ineqs), max_size=len(ineqs)))
+        eq = data.draw(st.lists(MULTIPLIER, min_size=len(eqs), max_size=len(eqs)))
+        exact = data.draw(st.booleans())
+        if exact:
+            ineq = [abs(m) for m in ineq]
+            probe = ConeSpec(dim, tuple(eqs), tuple(ineqs), (0,) * dim)
+            objective = tuple(accumulate(probe, ineq, eq))
+        else:
+            objective = data.draw(row)
+        cone = ConeSpec(dim, tuple(eqs), tuple(ineqs), objective)
+
+        def check(ineq_m, eq_m):
+            cert = certify.Certificate(
+                kind="conic_combination",
+                inequality_multipliers=tuple(ineq_m),
+                equality_multipliers=tuple(eq_m),
+            )
+            return validate_certificate(cone, cert)
+
+        assert check(ineq, eq) == oracle_accepts(cone, ineq, eq)
+        if exact:
+            assert check(ineq, eq)
+        assert not check(ineq + [0], eq)
+        assert not check(ineq, eq[:-1])
+        if not exact:
+            return
+        for k, f in enumerate(ineqs):
+            if any(f):
+                moved = list(ineq)
+                moved[k] += Q(1, 7)
+                assert not check(moved, eq)
+        for k, f in enumerate(eqs):
+            if any(f):
+                moved = list(eq)
+                moved[k] -= 1
+                assert not check(ineq, moved)
 
 
 class TestCorollaryBound:

@@ -278,6 +278,28 @@ class TestBlockCoefficientMatrix:
         assert (d.rows, d.cols) == (k, n)
         assert d.to_rows() == expected
 
+    def test_int_entries_match_fraction_entries(self, monkeypatch):
+        # The product runs on integer rows: QMatrix values holding plain
+        # ints give the same Fractions, and no inverse or product is built.
+        def raw(rows):
+            return QMatrix(len(rows), len(rows[0]), tuple(x for r in rows for x in r))
+
+        def refuse(*args):
+            raise AssertionError("block_coefficient_matrix must not call this")
+
+        a = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -2, 4]]
+        b = [[2, -1], [-1, 2]]
+        c = [[0, 0], [-1, 0]]
+        expected = block_coefficient_matrix(
+            QMatrix.from_rows(a), QMatrix.from_rows(b), QMatrix.from_rows(c)
+        )
+        monkeypatch.setattr(linalg, "invert", refuse)
+        monkeypatch.setattr(QMatrix, "mul", refuse)
+        d = block_coefficient_matrix(raw(a), raw(b), raw(c))
+        assert d == expected
+        assert all(type(x) is Q for x in d.entries)
+        assert d.row(2) == (Q(-1, 3), Q(-2, 3), Q(4, 3), -2)  # by hand
+
     def test_shape_errors(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
         with pytest.raises(DimensionMismatch):
