@@ -38,16 +38,6 @@ _RANK_BOUNDS = {
     "G": (2, 2),
 }
 
-POSITIVE_ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
-}
-
 
 def _chain_gramm(rank, diagonal, links):
     g = [[Fraction(0)] * rank for _ in range(rank)]

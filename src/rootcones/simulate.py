@@ -51,7 +51,7 @@ from .errors import (
     InvariantViolation,
     PreconditionViolated,
 )
-from .linalg import Vector, clear_denominators, contains, dot, primitive, vec_scale
+from .linalg import clear_denominators, contains, dot, primitive
 from .parabolic import _relative_torus, relative_weight_table, verify_tori
 from .roots import RootSystem, _graph_components, build
 
@@ -74,36 +74,42 @@ class CoupleStep:
 class SimTrace:
     """A full multi-level trace over a finite horizon.
 
-    n0 is the first index from which every admissibility constraint
-    holds; None marks a trace that never becomes admissible. Every
-    constraint value at n is n times its value at 1, so n0 is 1 or None.
+    A trace is its selection and its slopes: level l moves along line l of
+    `_level_data(rs, selection)` with slope `slopes[l - 1]`. n0 is the
+    first index from which every admissibility constraint holds; None
+    marks a trace that never becomes admissible. Every constraint value at
+    n is n times its value at 1, so n0 is 1 or None.
     """
 
     rs: RootSystem
     selection: tuple[int, ...]
     horizon: int
     n0: int | None
-    steps: tuple[CoupleStep, ...]
+    slopes: tuple[Fraction, ...]
 
     @property
     def levels(self) -> int:
         return len(self.selection)
 
-    def theta(self, level: int, n: int) -> Vector:
+    @property
+    def steps(self) -> tuple[CoupleStep, ...]:
+        """Each level's root, subset, line and slope, from the level data."""
+        data = _level_data(self.rs, self.selection)
+        return tuple(
+            CoupleStep(l, root, data.subsets[l], line, slope)
+            for l, (root, line, slope) in enumerate(
+                zip(self.selection, data.lines, self.slopes), start=1
+            )
+        )
+
+    def theta(self, level: int, n: int) -> tuple[Fraction, ...]:
         """Accumulated tail sum of components from `level` up, at index n.
 
         Component n of every level is n times its slope times its line, so
-        this is n times `theta_slope`.
+        this is n times the integer tail of `_scaled_tail` over its factor.
         """
-        return vec_scale(n, self.theta_slope(level))
-
-    def theta_slope(self, level: int) -> Vector:
-        """Sum of slope times line over the levels from `level` up."""
-        tail = [Fraction(0)] * self.rs.rank
-        for step in self.steps[level - 1 :]:
-            for i, x in enumerate(step.line):
-                tail[i] += step.slope * x
-        return tuple(tail)
+        den, _, tail = _scaled_tail(self, level)
+        return tuple(Fraction(n * x, den) for x in tail)
 
 
 @dataclass(frozen=True)
@@ -216,13 +222,18 @@ def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData
     )
 
 
+def _starved_level(data: LevelData) -> int | None:
+    """The first level, 0-based, that no ray of the slope cone grows."""
+    for l in range(len(data.lines)):
+        if not any(ray[l] > 0 for ray in data.rays):
+            return l
+    return None
+
+
 def selection_is_feasible(rs: RootSystem, selection: Sequence[int]) -> bool:
     """Whether some admissible trace grows strictly at every level."""
     selection = _validate_selection(rs, selection)
-    data = _level_data(rs, selection)
-    return all(
-        any(ray[l] > 0 for ray in data.rays) for l in range(len(selection))
-    )
+    return _starved_level(_level_data(rs, selection)) is None
 
 
 def _derive_seed(spec: str, selection: tuple[int, ...], seed: int) -> int:
@@ -233,16 +244,17 @@ def _derive_seed(spec: str, selection: tuple[int, ...], seed: int) -> int:
 def _scaled_tail(
     trace: SimTrace, level: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Integer form of theta_slope(level), with the factor that gives it.
+    """The tail from `level` up at n = 1, as an integer vector and its factor.
 
     Returns (den, ints, tail): den and ints as `clear_denominators` gives
-    them for the slopes, and tail = den * theta_slope(level), an integer
-    vector.
+    them for the slopes, and tail, the sum of ints times the level data's
+    line over the levels from `level` up: den times the rational tail.
     """
-    den, ints = clear_denominators([step.slope for step in trace.steps])
+    den, ints = clear_denominators(trace.slopes)
+    lines = _level_data(trace.rs, trace.selection).lines
     tail = [0] * trace.rs.rank
-    for step, s in zip(trace.steps[level - 1 :], ints[level - 1 :]):
-        for i, x in enumerate(step.line):
+    for line, s in zip(lines[level - 1 :], ints[level - 1 :]):
+        for i, x in enumerate(line):
             tail[i] += s * x
     return den, ints, tuple(tail)
 
@@ -260,29 +272,16 @@ def make_trace(
     selection = _validate_selection(rs, selection)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    slopes = [Fraction(s) for s in slopes]
+    slopes = tuple(Fraction(s) for s in slopes)
     if len(slopes) != len(selection):
         raise ValueError("one slope per level required")
-    data = _level_data(rs, selection)
-    steps = tuple(
-        CoupleStep(
-            level=l,
-            root=root,
-            subset_after=data.subsets[l],
-            line=line,
-            slope=slope,
-        )
-        for l, (root, line, slope) in enumerate(
-            zip(selection, data.lines, slopes), start=1
-        )
-    )
     _, ints = clear_denominators(slopes)
     return SimTrace(
         rs=rs,
         selection=selection,
         horizon=horizon,
-        n0=_admissibility(data, ints, horizon)[0],
-        steps=steps,
+        n0=_admissibility(_level_data(rs, selection), ints, horizon)[0],
+        slopes=slopes,
     )
 
 
@@ -305,25 +304,21 @@ def _admissibility(
 def check_admissibility(trace: SimTrace) -> tuple[bool, list[str]]:
     """Re-verify every trace invariant from scratch.
 
-    Checks each level's line against its connecting torus, strict growth
-    of each selected root on its own component, and the per-level
-    domination constraints, decided once on the slopes as in
-    `make_trace`; the n0 they give must be the recorded one.
+    Checks strict growth of each selected root on its own component, and
+    the per-level domination constraints, decided once on the slopes as in
+    `make_trace`; the n0 they give must be the recorded one. The lines are
+    the level data's, each the basis of its one-dimensional connecting
+    torus, so no torus is read here.
     """
     data = _level_data(trace.rs, trace.selection)
-    problems: list[str] = []
-    for step, line in zip(trace.steps, data.lines):
-        if step.line != line:
-            problems.append(f"level{step.level}: line mismatch")
-            continue
-        torus = _relative_torus(
-            trace.rs, data.subsets[step.level - 1], data.subsets[step.level]
+    problems = [
+        f"level{l}: selected root does not grow"
+        for l, (root, line, slope) in enumerate(
+            zip(trace.selection, data.lines, trace.slopes), start=1
         )
-        if not contains(torus, line):
-            problems.append(f"level{step.level}: line outside torus")
-        if not step.slope * line[step.root] > 0:
-            problems.append(f"level{step.level}: selected root does not grow")
-    _, slopes = clear_denominators([step.slope for step in trace.steps])
+        if not slope * line[root] > 0
+    ]
+    _, slopes = clear_denominators(trace.slopes)
     n0, violations = _admissibility(data, slopes, trace.horizon)
     if trace.n0 != n0:
         problems.append(f"recorded n0={trace.n0} but computed {n0}")
@@ -348,16 +343,16 @@ def generate_trace(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     data = _level_data(rs, selection)
-    for l in range(len(selection)):
-        if not any(ray[l] > 0 for ray in data.rays):
-            raise InfeasibleSelection(
-                f"selection {selection} in {rs.spec}: no ray grows at level "
-                f"{l + 1} ({rs.root_label(selection[l])})"
-            )
+    starved = _starved_level(data)
+    if starved is not None:
+        raise InfeasibleSelection(
+            f"selection {selection} in {rs.spec}: no ray grows at level "
+            f"{starved + 1} ({rs.root_label(selection[starved])})"
+        )
     rng = random.Random(_derive_seed(rs.spec, selection, seed))
     coefficients = [1 + rng.randrange(7) for _ in data.rays]
     slopes = [
-        Fraction(sum(c * ray[l] for c, ray in zip(coefficients, data.rays)))
+        sum(c * ray[l] for c, ray in zip(coefficients, data.rays))
         for l in range(len(selection))
     ]
     trace = make_trace(rs, selection, slopes, horizon)
@@ -374,10 +369,11 @@ def assert_divergence(trace: SimTrace) -> dict:
     """Check that every selected root grows without bound on the product.
 
     Traces are exactly linear: root i's value at index n is n times its
-    slope theta_slope(1)[i], so a positive slope decides divergence. The
-    slopes are read from the integer tail of `_scaled_tail`. The report
-    carries each root's series over the horizon. Also records that the
-    last-selected root sees only its own component's contribution.
+    slope, coordinate i of the tail from level 1, so a positive slope
+    decides divergence. The slopes are read from the integer tail of
+    `_scaled_tail`. The report carries each root's series over the
+    horizon. Also records that the last-selected root sees only its own
+    component's contribution.
     """
     den, ints, tail = _scaled_tail(trace, 1)
     labels = [trace.rs.root_label(root) for root in trace.selection]
@@ -407,7 +403,8 @@ def assert_divergence(trace: SimTrace) -> dict:
             "final": series[label][-1],
         }
     last = trace.selection[-1]
-    report["base_case_exact"] = tail[last] == ints[-1] * trace.steps[-1].line[last]
+    last_line = _level_data(trace.rs, trace.selection).lines[-1]
+    report["base_case_exact"] = tail[last] == ints[-1] * last_line[last]
     if not report["base_case_exact"]:
         raise DivergenceFailure("last-selected root sees foreign contributions")
     return report
@@ -420,14 +417,14 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     Depending on whether that root stays connected to the later-selected
     ones inside its ambient subset, the step is either an exact equality
     of evaluations or an application of the domination inequality; both
-    are checked on tau = theta_slope(j). The value at index n is n times
-    tau, and n >= 1, so each check decides the same at every index. The
-    checks run on the integer tail of `_scaled_tail`, a positive multiple
-    of tau, against the memoised integer data of the system: every
-    membership is `contains` on the canonical basis of its torus, and the
-    ambient subset's `integer_weighted` rows are den times the weighted
-    rows. Positive factors keep every sign and every equality, so the
-    conclusion alpha(tau) >= w_alpha(tau) is checked as
+    are checked on tau, the tail from level j up at n = 1. The value at
+    index n is n times tau, and n >= 1, so each check decides the same at
+    every index. The checks run on the integer tail of `_scaled_tail`, a
+    positive multiple of tau, against the memoised integer data of the
+    system: every membership is `contains` on the canonical basis of its
+    torus, and the ambient subset's `integer_weighted` rows are den times
+    the weighted rows. Positive factors keep every sign and every
+    equality, so the conclusion alpha(tau) >= w_alpha(tau) is checked as
     den * tau[alpha] >= rows[alpha] . tau. The decomposition holds when
     tau lies in a^I_F and every later root passes `_splits`.
 
@@ -457,7 +454,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
         data.lines[m][alpha] == 0 for m in range(j - 1)
     )
     _, ints, tau = _scaled_tail(trace, j)
-    own_slope, own_line = ints[j - 1], trace.steps[j - 1].line
+    own_slope, own_line = ints[j - 1], data.lines[j - 1]
     report = {
         "depth": depth,
         "level": j,

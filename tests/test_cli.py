@@ -3,17 +3,21 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction as Q
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from test_linalg import gauss_jordan_rref
 
 from rootcones import cli, simulate, suites
 from rootcones.errors import InfeasibleSelection
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def powerset(items):
@@ -107,6 +111,14 @@ class TestBuild:
 
 
 class TestVerify:
+    def test_readme_lists_every_default_rank_cap(self):
+        rows = re.findall(
+            r"^\| `([a-z0-9-]+)` \| (\d+) \|", README.read_text(), re.MULTILINE
+        )
+        assert [(name, int(cap)) for name, cap in rows] == [
+            (name, suite.rank_cap) for name, suite in suites.SUITES.items()
+        ]
+
     def test_small_sweep_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(

@@ -13,7 +13,6 @@ from rootcones.errors import InvalidRank, NotProportional, UnknownRoot
 from rootcones.linalg import QMatrix, invert, unit_vec, vec
 from rootcones.parabolic import relative_torus
 from rootcones.roots import (
-    POSITIVE_ROOT_COUNTS,
     build,
     check_2d_identity,
     classify_irreducible,
@@ -37,6 +36,18 @@ CATALOGUE = (
     + [("E", n) for n in (6, 7, 8)]
     + [("F", 4), ("G", 2)]
 )
+
+# Number of positive roots per type and rank (Bourbaki, Lie Groups and Lie
+# Algebras, Ch. VI, Plates I-IX).
+POSITIVE_ROOT_COUNTS = {
+    "A": lambda n: n * (n + 1) // 2,
+    "B": lambda n: n * n,
+    "C": lambda n: n * n,
+    "D": lambda n: n * (n - 1),
+    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
+    "F": lambda n: 24,
+    "G": lambda n: 6,
+}
 
 
 class TestBuild:

@@ -28,7 +28,7 @@ def _referenced_names(node) -> set[str]:
     """Names a statement reads: plain names, attributes and imports."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -37,25 +37,50 @@ def _referenced_names(node) -> set[str]:
     return names
 
 
-def test_every_module_level_function_is_used():
-    # A helper that nothing in the package calls, imports or re-exports is
-    # dead code. Methods are not checked. A reference inside the helper's
-    # own definition (recursion) does not count.
+def _unused_module_level(kinds):
+    """Labels of the top-level definitions of `kinds` that nothing reads.
+
+    A function or class defines its name; an assignment defines each
+    plain name among its targets, except dunder names. A reference inside
+    the definition itself (recursion) does not count.
+    """
     defined = []
     references = []
     for path in sorted(SOURCE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((f"{path.name}:{node.lineno}: {node.name}", node))
             references.append((node, _referenced_names(node)))
-    unused = [
+            if not isinstance(node, kinds):
+                continue
+            where = f"{path.name}:{node.lineno}: "
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                defined.append((where + node.name, node.name, node))
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and not sub.id.startswith("__"):
+                        defined.append((where + sub.id, sub.id, node))
+    return [
         label
-        for label, definition in defined
+        for label, name, definition in defined
         if not any(
-            definition.name in names
-            for node, names in references
-            if node is not definition
+            name in names for node, names in references if node is not definition
         )
     ]
-    assert unused == []
+
+
+def test_every_module_level_function_is_used():
+    # A helper that nothing in the package calls, imports or re-exports is
+    # dead code. Methods are not checked.
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    assert _unused_module_level(kinds) == []
+
+
+def test_every_module_level_assignment_is_used():
+    # Likewise a module-level table or constant that the package never
+    # reads; a table only tests read belongs in the tests.
+    assert _unused_module_level((ast.Assign, ast.AnnAssign)) == []
