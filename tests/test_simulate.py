@@ -361,7 +361,7 @@ def fraction_replay(trace, depth):
     subsets = [tuple(range(rs.rank))]
     for root in trace.selection:
         subsets.append(tuple(i for i in subsets[-1] if i != root))
-    lines = _level_data(rs, trace.selection).lines
+    lines = [step.line for step in trace.steps]
     j = r - depth
     alpha = trace.selection[j - 1]
     ambient = subsets[j - 1]
@@ -510,7 +510,34 @@ class TestReplayOracle:
         trace = make_trace(build(spec), selection, slopes[: len(selection)], horizon)
         assert_same_as_oracle(trace)
 
-        assert_same_as_oracle(trace)
+    @pytest.mark.parametrize(
+        "spec,selection", [c for c in ORACLE_SELECTIONS if len(c[1]) > 1]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_lines_outside_their_tori(self, spec, selection, data):
+        # A forged line in the level data moves tau off its torus, so the
+        # memberships and the solvability of the decomposition can fail.
+        rs = build(spec)
+        trace = generate_trace(rs, selection, 4, seed=0)
+        level = data.draw(st.integers(0, len(selection) - 1))
+        line = data.draw(
+            st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank)
+        )
+        real = sim._level_data
+        lines = list(real(rs, trace.selection).lines)
+        lines[level] = tuple(line)
+        forged = dataclasses.replace(real(rs, trace.selection), lines=tuple(lines))
+
+        def level_data(system, chosen):
+            if system is rs and chosen == trace.selection:
+                return forged
+            return real(system, chosen)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_level_data", level_data)
+            assert trace.steps[level].line == tuple(line)
+            assert_same_as_oracle(trace)
 
 
 def test_second_trace_of_a_selection_runs_no_elimination(monkeypatch):
