@@ -1,11 +1,14 @@
 """Rational polyhedral cones in H-representation and their extreme rays.
 
 The enumerator is a double description pass on integers. The cone is
-first written in a primitive integer basis of its equality subspace, then
-split off its lineality space, and the pointed remainder is built one
-inequality at a time with the combinatorial adjacency test, each ray
-carrying the set of constraints it is tight on (Fukuda and Prodon,
-"Double description method revisited", 1996). Rays come back as primitive
+first written in a primitive integer basis of its equality subspace (one
+`kernel` elimination, none without equalities). One reduction of
+(rows^T | Id) then both decides the lineality space and, for a pointed
+cone, seeds the pass; a cone with lineality is projected onto a pointed
+section and reduced once more. The pointed cone is built one inequality
+at a time with the combinatorial adjacency test, each ray carrying the
+set of constraints it is tight on (Fukuda and Prodon, "Double
+description method revisited", 1996). Rays come back as primitive
 integer vectors in the original coordinates, sorted for determinism.
 """
 
@@ -16,7 +19,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Vector, dot, is_zero_vec, kernel, primitive, rref, vec
+from .linalg import (
+    Vector,
+    dot,
+    is_zero_vec,
+    kernel,
+    primitive,
+    rref,
+    unit_vec,
+    vec,
+)
 
 
 @dataclass(frozen=True)
@@ -52,8 +64,17 @@ class RayEnumeration:
     lineality: tuple[tuple[int, ...], ...]
 
 
-def _pointed_double_description(
+def _seed_reduction(
     rows: Sequence[tuple[int, ...]], dim: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """`rref` of (rows^T | Id), one row per coordinate, even with no rows."""
+    return rref([(*(r[j] for r in rows), *unit_vec(dim, j)) for j in range(dim)])
+
+
+def _pointed_double_description(
+    rows: Sequence[tuple[int, ...]],
+    dim: int,
+    seed: tuple[list[tuple[int, ...]], list[int]] | None = None,
 ) -> list[tuple[int, ...]]:
     """Extreme rays of {y : rows . y >= 0} for integer rows of rank dim.
 
@@ -61,20 +82,20 @@ def _pointed_double_description(
     cut with the remaining halfspaces, only combining adjacent rays. Each
     ray carries its zero set over the rows processed so far; adjacency is
     the zero-set containment test, which is exact for pointed cones.
+    `seed` is the `_seed_reduction` of the rows when the caller has it.
     """
     m = len(rows)
     # Reducing (rows^T | Id) picks dim independent rows as the pivots and
     # leaves in each right half a column of the inverse of their block:
     # the seed ray tight on every seed row but its own.
-    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    reduced, pivots = rref([(*col, *e) for col, e in zip(zip(*rows), identity)])
+    reduced, pivots = seed if seed is not None else _seed_reduction(rows, dim)
     if sum(s < m for s in pivots) < dim:
         raise InvariantViolation("the rows do not span; the cone is not pointed")
-    seed = frozenset(pivots)
+    seed_rows = frozenset(pivots)
     rays = [primitive(r[m:]) for r in reduced]
-    zero_sets = [seed - {s} for s in pivots]
+    zero_sets = [seed_rows - {s} for s in pivots]
     for t, row in enumerate(rows):
-        if t in seed:
+        if t in seed_rows:
             continue
         values = [dot(row, r) for r in rays]
         pos = [k for k, v in enumerate(values) if v > 0]
@@ -114,21 +135,32 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     basis = kernel(cone.ambient_dim, equalities).basis
     restricted = [tuple(dot(f, b) for b in basis) for f in inequalities]
     rows = [primitive(r) for r in restricted if not is_zero_vec(r)]
-    lin = kernel(len(basis), rows)
-    # Coordinates outside the lineality basis's pivots (the first nonzero
-    # entry of each reduced echelon vector) give a pointed section of the
-    # cone; with no lineality that is every coordinate.
-    pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lin.basis}
-    free = [j for j in range(len(basis)) if j not in pivots]
-    pointed = [tuple(r[j] for j in free) for r in rows]
-    rays = _pointed_double_description(
-        [r for r in pointed if not is_zero_vec(r)], len(free)
-    )
+    dim = len(basis)
+    # In the seed reduction, the rows that pivot past the rows' columns
+    # have a zero left half, and their right halves are the canonical
+    # basis of the lineality space, the kernel of the rows (Zassenhaus, as
+    # in `intersect`).
+    seed = _seed_reduction(rows, dim)
+    m = len(rows)
+    lineality = [r[m:] for r, p in zip(*seed) if p >= m]
+    if lineality:
+        # Coordinates outside the lineality basis's pivots (the first
+        # nonzero entry of each reduced echelon vector) give a pointed
+        # section of the cone, enumerated from its own seed.
+        pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lineality}
+        free = [j for j in range(dim) if j not in pivots]
+        pointed = [tuple(r[j] for j in free) for r in rows]
+        rays = _pointed_double_description(
+            [r for r in pointed if not is_zero_vec(r)], len(free)
+        )
+    else:
+        free = range(dim)
+        rays = _pointed_double_description(rows, dim, seed)
     columns = list(zip(*basis))
     free_columns = list(zip(*(basis[j] for j in free)))
     return RayEnumeration(
         rays=tuple(sorted(primitive([dot(y, c) for c in free_columns]) for y in rays)),
-        lineality=tuple(primitive([dot(v, c) for c in columns]) for v in lin.basis),
+        lineality=tuple(primitive([dot(v, c) for c in columns]) for v in lineality),
     )
 
 

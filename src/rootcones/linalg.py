@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -27,15 +28,16 @@ def vec(values: Iterable) -> Vector:
     return tuple(Fraction(x) for x in values)
 
 
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+def unit_vec(n: int, i: int) -> IntVector:
+    """The i-th standard basis vector of length n, in ints."""
+    return tuple(int(j == i) for j in range(n))
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    """Exact dot product; integer vectors give an int."""
+    """Exact dot product, summed from 0 in order; integer vectors give an int."""
     if len(u) != len(v):
         raise DimensionMismatch(f"dot product of lengths {len(u)} and {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), 0)
+    return sum(map(mul, u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -56,8 +58,11 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
 def clear_denominators(v: Sequence[Fraction]) -> tuple[int, IntVector]:
     """The lcm of the entries' denominators, and the entries times it.
 
-    Entries must be Fractions or ints.
+    Entries must be Fractions or ints; a vector of plain ints comes back
+    as it is, with 1.
     """
+    if all(type(x) is int for x in v):
+        return 1, tuple(v)
     den = lcm(*(x.denominator for x in v))
     return den, tuple(x.numerator * (den // x.denominator) for x in v)
 
@@ -117,9 +122,6 @@ class QMatrix:
     def column(self, j: int) -> Vector:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def mul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -130,11 +132,6 @@ class QMatrix:
         cols = [other.column(j) for j in range(other.cols)]
         entries = tuple(dot(self.row(i), c) for i in range(self.rows) for c in cols)
         return QMatrix(self.rows, other.cols, entries)
-
-    def mul_vec(self, v: Sequence[Fraction]) -> Vector:
-        if self.cols != len(v):
-            raise DimensionMismatch("matrix-vector size mismatch")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "QMatrix":
         row_idx, col_idx = list(row_idx), list(col_idx)
@@ -351,25 +348,39 @@ def full_space(ambient_dim: int) -> Subspace:
 
 
 def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subspace:
-    """Common kernel of the functionals, as a canonical subspace."""
+    """Common kernel of the functionals, as a canonical subspace.
+
+    One elimination, with the columns reversed: each pivot row then ends
+    at its pivot, so the kernel vector of free column f is nonzero only at
+    f and at the pivot columns after f. No other kernel vector is nonzero
+    at f, so these vectors, divided by their gcd with f's entry positive,
+    are already the canonical basis. With no functionals there is no
+    elimination at all.
+    """
     for f in functionals:
         if len(f) != ambient_dim:
             raise DimensionMismatch("functional of wrong length")
-    rows, pivots = rref(functionals)
-    # Scaled by the lcm of the pivot entries, the kernel vector of free
-    # column f is scale at f and -row[f] * (scale / row pivot) at each pivot.
-    scale = lcm(*(r[p] for r, p in zip(rows, pivots)))
-    factors = [(p, scale // r[p], r) for r, p in zip(rows, pivots)]
+    if not functionals:
+        return full_space(ambient_dim)
+    a, _ = _integer_rows(f[::-1] for f in functionals)
+    pivots, _, d = _fraction_free_reduce(a, ambient_dim)
+    # Reduced row k is d times the reduced echelon row with pivot column
+    # p = ambient_dim - 1 - pivots[k], so the kernel vector of free column
+    # f, scaled by d, is d at f and -row[ambient_dim - 1 - f] at each p.
+    last = ambient_dim - 1
+    pivot_rows = [(last - c, row) for c, row in zip(pivots, a)]
+    taken = {p for p, _ in pivot_rows}
     basis = []
     for f in range(ambient_dim):
-        if f in pivots:
+        if f in taken:
             continue
         v = [0] * ambient_dim
-        v[f] = scale
-        for p, m, r in factors:
-            v[p] = -m * r[f]
-        basis.append(v)
-    return span(ambient_dim, basis)
+        v[f] = d
+        for p, row in pivot_rows:
+            v[p] = -row[last - f]
+        g = gcd(*v) if d > 0 else -gcd(*v)
+        basis.append(tuple(x // g for x in v))
+    return Subspace(ambient_dim, tuple(basis))
 
 
 def contains(s: Subspace, v: Sequence[Fraction]) -> bool:

@@ -280,7 +280,7 @@ class TestVerify:
             "    d = real(a, b, c)\n"
             "    if b.rows < 2:\n"
             "        return d\n"
-            "    rows = [[r[0] + 1, r[1] - 1, *r[2:]] for r in d.to_rows()]\n"
+            "    rows = [[r[0] + 1, r[1] - 1, *r[2:]] for r in map(d.row, range(d.rows))]\n"
             "    return QMatrix.from_rows(rows)\n"
             "certify.block_coefficient_matrix = corrupt\n"
             "sys.exit(cli.main(['verify', '--suite', 'lemma64', '--system', 'A3']))\n"

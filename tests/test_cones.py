@@ -1,40 +1,122 @@
 """Extreme-ray enumeration against an independent combinatorial oracle."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from rootcones import cones
+from rootcones import certify, cones, linalg
 from rootcones.cones import ConeSpec, extreme_rays, satisfies
 from rootcones.errors import InvariantViolation
-from rootcones.linalg import dot, kernel, primitive, rref, vec
+from rootcones.linalg import dot, vec
+from rootcones.roots import build, weight_table
+
+
+# The oracle below is plain Fraction Gauss-Jordan, independent of the
+# fraction-free elimination behind `rref`, `kernel` and the enumerator.
+
+
+def gauss_jordan(rows, ncols):
+    """Reduced echelon rows (pivot entry 1) and pivot columns."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots, r = [], 0
+    for col in range(ncols):
+        p = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pv = a[r][col]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return [tuple(row) for row in a[:r]], pivots
+
+
+def rank(rows, ncols):
+    return len(gauss_jordan(rows, ncols)[1])
+
+
+def null_space(rows, ncols):
+    """One vector per free column f: 1 at f, minus f's entry at each pivot."""
+    reduced, pivots = gauss_jordan(rows, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def pairing(u, v):
+    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+
+
+def smallest_integer_multiple(v):
+    """The primitive integer vector on the ray of a nonzero v."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * den) for x in v]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def brute_force_rays(rows, dim, equalities=()):
     """Oracle: a ray of a pointed cone is the feasible direction of a
     rank dim-1 set of tight constraints, where the equalities are always
     tight. Enumerate all of them."""
-    rows = [vec(r) for r in rows]
-    equalities = [vec(e) for e in equalities]
+    rows = [tuple(map(Fraction, r)) for r in rows]
+    equalities = [tuple(map(Fraction, e)) for e in equalities]
     rays = set()
     idx = range(len(rows))
     for size in range(dim):
         for subset in itertools.combinations(idx, size):
-            chosen = equalities + [rows[i] for i in subset]
-            if len(rref(chosen)[0]) != dim - 1:
+            line = null_space(equalities + [rows[i] for i in subset], dim)
+            if len(line) != 1:
                 continue
-            line = kernel(dim, chosen)
-            if line.dim != 1:
-                continue
-            v = line.basis[0]
+            v = line[0]
             for cand in (v, tuple(-x for x in v)):
-                if all(dot(r, cand) >= 0 for r in rows):
-                    tight = equalities + [r for r in rows if dot(r, cand) == 0]
-                    if len(rref(tight)[0]) == dim - 1:
-                        rays.add(primitive(cand))
+                if all(pairing(r, cand) >= 0 for r in rows):
+                    tight = equalities + [r for r in rows if pairing(r, cand) == 0]
+                    if rank(tight, dim) == dim - 1:
+                        rays.add(smallest_integer_multiple(cand))
     return tuple(sorted(rays))
+
+
+def brute_force_faces(rows, dim, equalities=()):
+    """Oracle for a cone with lineality L: the faces one dimension above
+    L, each named by the indices of the inequalities tight on it. A face
+    is cut out by tight constraints of rank dim - dim L - 1; the
+    inequalities vanish on L, so their signs on the face are those of any
+    of its directions outside L."""
+    lineality = null_space(list(equalities) + list(rows), dim)
+    faces = set()
+    for size in range(len(rows) + 1):
+        for subset in itertools.combinations(range(len(rows)), size):
+            plane = null_space(list(equalities) + [rows[i] for i in subset], dim)
+            if len(plane) != len(lineality) + 1:
+                continue
+            v = next(
+                b for b in plane
+                if rank(lineality + [b], dim) > len(lineality)
+            )
+            for cand in (v, tuple(-x for x in v)):
+                values = [pairing(r, cand) for r in rows]
+                if all(x >= 0 for x in values):
+                    tight = tuple(i for i, x in enumerate(values) if x == 0)
+                    face = list(equalities) + [rows[i] for i in tight]
+                    if rank(face, dim) == dim - len(lineality) - 1:
+                        faces.add(tight)
+    return lineality, sorted(faces)
 
 
 def enumerate_cone(rows, dim, equalities=()):
@@ -188,3 +270,104 @@ class TestLinealityAndEqualities:
         enum = extreme_rays(cone)
         for ray in enum.rays:
             assert satisfies(cone, ray)
+
+    def test_random_cones_with_lineality_match_oracle(self):
+        # No orthant rows, so the lineality space is often nonzero.
+        rng = random.Random(23)
+
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+        with_lineality = 0
+        for _ in range(120):
+            dim = rng.randint(1, 4)
+            rows = [[entry() for _ in range(dim)] for _ in range(rng.randint(0, 4))]
+            equalities = [
+                [entry() for _ in range(dim)] for _ in range(rng.randint(0, 2))
+            ]
+            enum = enumerate_cone(rows, dim, equalities)
+            lineality, faces = brute_force_faces(rows, dim, equalities)
+            with_lineality += bool(lineality)
+            assert gauss_jordan(enum.lineality, dim) == gauss_jordan(lineality, dim)
+            for ray in enum.rays:
+                assert all(pairing(e, ray) == 0 for e in equalities)
+                assert all(pairing(r, ray) >= 0 for r in rows)
+                assert rank(lineality + [ray], dim) == len(lineality) + 1
+            tight = sorted(
+                tuple(i for i, r in enumerate(rows) if pairing(r, ray) == 0)
+                for ray in enum.rays
+            )
+            assert tight == faces
+        assert with_lineality >= 40
+
+
+def control_cones_digest(specs):
+    """sha256 over the enumeration of every control cone of the specs:
+    each (alpha, I), with no constraint dropped and with each drop."""
+    h = hashlib.sha256()
+    for spec in specs:
+        rs = build(spec)
+        wt = weight_table(rs)
+        for alpha in range(rs.rank):
+            others = [i for i in range(rs.rank) if i != alpha]
+            for k in range(len(others) + 1):
+                for subset in itertools.combinations(others, k):
+                    full = certify.theorem_cone(rs, wt, alpha, subset)
+                    drops = [None, "ordering-family", "positivity"] + [
+                        label for label in full.inequality_labels
+                        if label.startswith("ordering:")
+                    ]
+                    for drop in drops:
+                        cone = certify.theorem_cone(rs, wt, alpha, subset, drop=drop)
+                        enum = extreme_rays(cone)
+                        h.update(repr(
+                            (spec, alpha, subset, drop, enum.rays, enum.lineality)
+                        ).encode())
+    return h.hexdigest()
+
+
+def test_control_cone_enumerations_are_pinned():
+    # Taken before the enumerator read its lineality off the seed
+    # reduction; any change to a ray or lineality vector moves it.
+    assert control_cones_digest(["A2", "A3", "B3", "G2", "A2xA1"]) == (
+        "9b17e56d2585fe6905297eb7bf06095c9fb6d5d3f3bdfa19c0601b9579fc2c6b"
+    )
+
+
+class TestOneEliminationPerStep:
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        real = linalg._fraction_free_reduce
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_fraction_free_reduce", counting)
+        return calls
+
+    def test_kernel_reduces_once_and_not_at_all_without_functionals(
+        self, eliminations
+    ):
+        linalg.kernel(4, [[1, 2, 0, -1], [0, 1, 3, 1]])
+        assert len(eliminations) == 1
+        eliminations.clear()
+        assert linalg.kernel(4, []) == linalg.full_space(4)
+        assert eliminations == []
+
+    @pytest.mark.parametrize("subset, expected", [((2, 3), 2), ((), 1)])
+    def test_theorem_cone(self, eliminations, subset, expected):
+        # One reduction for the equality basis when I is nonempty, and one
+        # seed reduction that also decides the (here trivial) lineality.
+        rs = build("E6")
+        cone = certify.theorem_cone(rs, weight_table(rs), 0, subset)
+        eliminations.clear()
+        enum = extreme_rays(cone)
+        assert enum.lineality == () and enum.rays
+        assert len(eliminations) == expected
+
+    def test_pointed_cone_without_equalities(self, eliminations):
+        enum = enumerate_cone([[1, -1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]], 3)
+        assert enum.lineality == ()
+        assert len(eliminations) == 1

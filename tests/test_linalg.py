@@ -2,7 +2,7 @@
 
 from fractions import Fraction as Q
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +65,31 @@ def gauss_jordan_rref(rows):
         pivots.append(col)
         r += 1
     return [tuple(row) for row in a[:r]], pivots
+
+
+def gauss_jordan_null_space(rows, n):
+    """Independent oracle: the canonical basis of the null space of rows.
+
+    The textbook vectors (1 at a free column f, minus f's entry at each
+    pivot) are reduced once more to reduced echelon form, then each is
+    scaled to its primitive integer row, whose pivot entry is positive.
+    """
+    reduced, pivots = gauss_jordan_rref(rows) if rows else ([], [])
+    vectors = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Q(0)] * n
+        v[f] = Q(1)
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        vectors.append(v)
+    basis = []
+    for v in (gauss_jordan_rref(vectors)[0] if vectors else []):
+        ints = [x * lcm(*(y.denominator for y in v)) for x in v]
+        g = gcd(*(x.numerator for x in ints))
+        basis.append(tuple(x.numerator // g for x in ints))
+    return tuple(basis)
 
 
 def leibniz_determinant(rows):
@@ -159,7 +184,7 @@ class TestInvert:
                 invert(m)
             return
         inv = invert(m)
-        assert inv.to_rows() == oracle
+        assert [list(inv.row(i)) for i in range(n)] == oracle
         assert m.mul(inv) == QMatrix.identity(n)
         assert inv.mul(m) == QMatrix.identity(n)
 
@@ -276,7 +301,7 @@ class TestBlockCoefficientMatrix:
         ]
         d = block_coefficient_matrix(matrix(a, n), matrix(b, m), matrix(c, n - m))
         assert (d.rows, d.cols) == (k, n)
-        assert d.to_rows() == expected
+        assert [list(d.row(i)) for i in range(k)] == expected
 
     def test_int_entries_match_fraction_entries(self, monkeypatch):
         # The product runs on integer rows: QMatrix values holding plain
@@ -486,6 +511,32 @@ class TestSubspaces:
             target.basis
         )
         assert is_direct_sum(s1, s2, target) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_kernel_is_the_canonical_null_space(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        row = st.one_of(
+            st.lists(
+                st.one_of(FRACTION_ENTRY, st.integers(min_value=-4, max_value=4)),
+                min_size=n, max_size=n,
+            ),
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+            st.just([0] * n),
+        )
+        rows = data.draw(st.lists(row, max_size=4))
+        built = []
+        new = Q.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Q, "__new__", counting_new)
+            k = kernel(n, rows)
+        assert built == []
+        assert k.basis == gauss_jordan_null_space(rows, n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
