@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .errors import InfeasibleSelection, RootconesError
 from .parabolic import make_datum, parabolic_datum_to_dict
@@ -152,15 +153,19 @@ def _selection_roots(rs: RootSystem, selection: list[int]) -> tuple[int, ...]:
     return tuple(i - 1 for i in selection)
 
 
-def _emit(config: RunConfig, payload: dict, csv_rows: tuple[list[str], list[list]]):
+def _emit(config: RunConfig, payload: dict, header: list[str], csv_rows: Iterable[list]):
+    """Write the report in the configured format.
+
+    `csv_rows` is read only for a CSV report, so callers pass a generator
+    and a JSON run never builds the CSV lines.
+    """
     if config.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        header, rows = csv_rows
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(csv_rows)
         text = buffer.getvalue()
     if config.out:
         with open(config.out, "w", encoding="utf-8") as handle:
@@ -195,7 +200,7 @@ def cmd_build(config: RunConfig) -> int:
             )
     payload = {"schema": SCHEMA_VERSION, "command": "build", "systems": payload_systems}
     header = ["system", "root", "d", "dual_weight", "weighted_dual_weight"]
-    _emit(config, payload, (header, csv_lines))
+    _emit(config, payload, header, csv_lines)
     return 0
 
 
@@ -228,7 +233,7 @@ def cmd_verify(config: RunConfig) -> int:
         "suite", "anchor", "system", "alpha", "subset", "route",
         "status", "detail",
     ]
-    csv_lines = [
+    csv_lines = (
         [
             r["suite"], r["anchor"], r["system"],
             "" if r["alpha"] is None else r["alpha"],
@@ -237,8 +242,8 @@ def cmd_verify(config: RunConfig) -> int:
             json.dumps(r["detail"], sort_keys=True),
         ]
         for r in rows
-    ]
-    _emit(config, payload, (header, csv_lines))
+    )
+    _emit(config, payload, header, csv_lines)
     if not ok:
         failures = [r for r in rows if r["status"] == "fail"]
         print(
@@ -329,22 +334,22 @@ def cmd_simulate(config: RunConfig) -> int:
         "traces": entries,
     }
     header = ["anchor", "system", "selection", "seed", "status", "root", "n", "value"]
-    csv_lines = []
+    _emit(config, payload, header, _simulate_csv_lines(entries))
+    return 0 if ok else 1
+
+
+def _simulate_csv_lines(entries: list[dict]):
+    """The CSV lines of a simulate report: one per series value, or one
+    for a trace that has no series."""
     for e in entries:
+        head = [e["anchor"], e["system"], " ".join(map(str, e["selection"])),
+                e["seed"], e["status"]]
         if e["status"] != "ok":
-            csv_lines.append(
-                [e["anchor"], e["system"], " ".join(map(str, e["selection"])),
-                 e["seed"], e["status"], "", "", ""]
-            )
+            yield head + ["", "", ""]
             continue
         for label, series in sorted(e["series"].items()):
             for n, value in enumerate(series, start=1):
-                csv_lines.append(
-                    [e["anchor"], e["system"], " ".join(map(str, e["selection"])),
-                     e["seed"], e["status"], label, n, value]
-                )
-    _emit(config, payload, (header, csv_lines))
-    return 0 if ok else 1
+                yield head + [label, n, value]
 
 
 def _build_parser() -> argparse.ArgumentParser:

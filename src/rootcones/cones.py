@@ -2,7 +2,8 @@
 
 The enumerator is a double description pass on integers. The cone is
 first written in a primitive integer basis of its equality subspace (one
-`kernel` elimination, none without equalities). One reduction of
+`kernel` elimination; without equalities the ambient coordinates are
+kept, with no restriction or map back). One reduction of
 (rows^T | Id) then both decides the lineality space and, for a pointed
 cone, seeds the pass; a cone with lineality is projected onto a pointed
 section and reduced once more. The pointed cone is built one inequality
@@ -128,14 +129,19 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     """Enumerate the extreme rays and lineality of a ConeSpec."""
     # A positive rescaling of a row leaves the cone unchanged, so every
     # nonzero equality and inequality is taken as its primitive integer
-    # row; everything below then runs on ints. Coordinates are over the
-    # primitive integer basis of the equality subspace that `kernel` gives.
+    # row; everything below then runs on ints. With equalities, the
+    # coordinates are over the primitive integer basis of the equality
+    # subspace that `kernel` gives; without, they are the ambient ones and
+    # the primitive inequalities are the rows as they are.
     equalities = [primitive(e) for e in cone.equalities if not is_zero_vec(e)]
-    inequalities = [primitive(f) for f in cone.inequalities if not is_zero_vec(f)]
-    basis = kernel(cone.ambient_dim, equalities).basis
-    restricted = [tuple(dot(f, b) for b in basis) for f in inequalities]
-    rows = [primitive(r) for r in restricted if not is_zero_vec(r)]
-    dim = len(basis)
+    rows = [primitive(f) for f in cone.inequalities if not is_zero_vec(f)]
+    if equalities:
+        basis = kernel(cone.ambient_dim, equalities).basis
+        restricted = [tuple(dot(f, b) for b in basis) for f in rows]
+        rows = [primitive(r) for r in restricted if not is_zero_vec(r)]
+        dim = len(basis)
+    else:
+        dim = cone.ambient_dim
     # In the seed reduction, the rows that pivot past the rows' columns
     # have a zero left half, and their right halves are the canonical
     # basis of the lineality space, the kernel of the rows (Zassenhaus, as
@@ -146,22 +152,27 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     if lineality:
         # Coordinates outside the lineality basis's pivots (the first
         # nonzero entry of each reduced echelon vector) give a pointed
-        # section of the cone, enumerated from its own seed.
+        # section of the cone, enumerated from its own seed, whose rays
+        # are put back with zeros at those pivots.
         pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lineality}
         free = [j for j in range(dim) if j not in pivots]
         pointed = [tuple(r[j] for j in free) for r in rows]
-        rays = _pointed_double_description(
+        rays = []
+        for y in _pointed_double_description(
             [r for r in pointed if not is_zero_vec(r)], len(free)
-        )
+        ):
+            ray = [0] * dim
+            for j, x in zip(free, y):
+                ray[j] = x
+            rays.append(tuple(ray))
     else:
-        free = range(dim)
         rays = _pointed_double_description(rows, dim, seed)
-    columns = list(zip(*basis))
-    free_columns = list(zip(*(basis[j] for j in free)))
-    return RayEnumeration(
-        rays=tuple(sorted(primitive([dot(y, c) for c in free_columns]) for y in rays)),
-        lineality=tuple(primitive([dot(v, c) for c in columns]) for v in lineality),
-    )
+    if equalities:
+        columns = list(zip(*basis))
+        rays = [primitive([dot(y, c) for c in columns]) for y in rays]
+        lineality = [primitive([dot(v, c) for c in columns]) for v in lineality]
+    # Rays and the reduced lineality rows are primitive already.
+    return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))
 
 
 def satisfies(cone: ConeSpec, point: Sequence[Fraction]) -> bool:

@@ -70,13 +70,14 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[int, IntVector]:
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Smallest integer vector on the same ray; direction is preserved.
 
-    Entries must be Fractions or ints.
+    Entries must be Fractions or ints; ints whose gcd is 1 come back as
+    they are, as a tuple.
     """
     _, ints = clear_denominators(v)
     g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
+    return ints if g == 1 else tuple(x // g for x in ints)
 
 
 @dataclass(frozen=True)

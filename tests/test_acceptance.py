@@ -156,9 +156,9 @@ def test_05_controls_expose_dropped_hypotheses():
     report(5, "controls-expose-dropped-hypotheses", started)
 
 
-def test_06_parabolic_lemma_suite_rank_five():
+def test_06_parabolic_lemma_suite_rank_eight():
     started = time.time()
-    specs = irreducible_catalogue(5) + ["A1xA1", "A2xA1", "A2xA2", "B2xA1"]
+    specs = irreducible_catalogue(8) + ["A1xA1", "A2xA1", "A2xA2", "B2xA1"]
     for spec in specs:
         rs = build(spec)
         wt = weight_table(rs)
@@ -178,7 +178,7 @@ def test_06_parabolic_lemma_suite_rank_five():
                     continue
                 for subset_j in subsets_of(range(n)):
                     assert verify_discon(rs, alpha, subset_i, subset_j)
-    report(6, "parabolic-lemma-suite-rank-five", started)
+    report(6, "parabolic-lemma-suite-rank-eight", started)
 
 
 def test_07_character_proportionality_rank_eight():

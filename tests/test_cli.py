@@ -183,6 +183,35 @@ class TestVerify:
             "suite,anchor,system,alpha,subset,route,status,detail"
         )
 
+    def test_a_json_run_builds_no_csv_lines(self, capsys, monkeypatch):
+        # A CSV line holds its row's detail as JSON; a JSON run encodes
+        # only the report itself.
+        encoded = []
+        real_dumps = json.dumps
+
+        def counting_dumps(value, **kwargs):
+            encoded.append(value)
+            return real_dumps(value, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", counting_dumps)
+        code, out, _ = run(
+            ["verify", "--suite", "theorem61-rays", "--system", "A3"], capsys
+        )
+        assert code == 0
+        assert len(json.loads(out)["rows"]) == 12
+        assert len(encoded) == 1 and encoded[0]["command"] == "verify"
+
+    def test_csv_report_digest_is_pinned(self, capsys):
+        args = [
+            "verify", "--suite", "theorem61-rays", "--suite", "parabolic-lemmas",
+            "--system", "A3", "--system", "B2xA1", "--format", "csv",
+        ]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fd602395bd847ed7985cbe4929e7cb0cb97addb696e19449125cf222f01d1285"
+        )
+
     @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
     def test_every_suite_runs(self, suite, capsys):
         code, out, _ = run(["verify", "--suite", suite, "--system", "A2"], capsys)
@@ -300,13 +329,17 @@ class TestVerify:
     def test_invariant_violation_fails_the_task(self):
         # A broken internal invariant is a failed check, not bad input:
         # the task becomes one fail row, the report is written and the
-        # run exits 1. Run apart, so the stubbed tori memoised on the
-        # shared A2 instance never reach another test.
+        # run exits 1. The `tori` and `discon` routes fail their own row
+        # on a broken torus, so the stub breaks the `inc` route, which
+        # lets the error escape the worker. Run apart, so the stub never
+        # reaches another test.
         script = (
             "import sys\n"
             "from rootcones import cli, parabolic\n"
-            "from rootcones.linalg import full_space\n"
-            "parabolic.intersect = lambda s1, s2: full_space(s1.ambient_dim)\n"
+            "from rootcones.errors import InvariantViolation\n"
+            "def broken(rs, lower, upper):\n"
+            "    raise InvariantViolation(f'kernel of {upper} has dimension 2')\n"
+            "parabolic.verify_inc = broken\n"
             "sys.exit(cli.main(['verify', '--suite', 'parabolic-lemmas',"
             " '--system', 'A2']))\n"
         )
@@ -323,7 +356,7 @@ class TestVerify:
         assert [(r["suite"], r["system"], r["status"], r["detail"])
                 for r in payload["rows"]] == [
             ("parabolic-lemmas", "A2", "fail",
-             "relative torus of () in () has dimension 2"),
+             "kernel of () has dimension 2"),
         ]
 
 
@@ -350,6 +383,20 @@ class TestSimulate:
         assert run(args, capsys)[0] == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "fbdb47ff21a5b7a5a75d0cede2a4f6a7b2409585a57d8c7793af34ef6e242f89"
+        )
+
+    def test_csv_report_digest_is_pinned(self, capsys):
+        # The CSV lines are built only on a CSV run; their bytes are those
+        # of the report that built them on every run.
+        args = [
+            "simulate", "--system", "A2", "--system", "B2",
+            "--seed", "7", "--horizon", "40", "--traces", "3",
+            "--format", "csv",
+        ]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "088f878af330e77c34f4e2042cf5150f54508963397015381b6eba2d4461852c"
         )
 
     def test_positive_slopes_reported(self, capsys):

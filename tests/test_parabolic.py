@@ -8,8 +8,13 @@ from fractions import Fraction as Q
 
 import pytest
 
-from rootcones import parabolic, suites
-from rootcones.errors import PreconditionViolated, SubsetViolation, UnknownRoot
+from rootcones import linalg, parabolic, suites
+from rootcones.errors import (
+    InvariantViolation,
+    PreconditionViolated,
+    SubsetViolation,
+    UnknownRoot,
+)
 from rootcones.linalg import (
     Subspace,
     full_space,
@@ -293,6 +298,67 @@ class TestToriLemma:
         assert status["inc"] == status["trivial"] == "pass"
 
 
+    def test_a_wrong_parent_torus_fails_the_tori_row_through_its_children(
+        self, monkeypatch
+    ):
+        # a^{0,1,2}_{(0,)} seeded as a line, and its own pair bit seeded
+        # as passing: the row can then fail only through the children,
+        # which the cut builds from this parent.
+        rs = fresh("A3")
+        rs.cached(("relative_torus", (0, 1, 2), (0,)), lambda: Subspace(3, ((0, 1, 0),)))
+        rs.cached(("torus_block", (0, 1, 2), (0,)), lambda: True)
+        monkeypatch.setattr(suites, "build", lambda spec: rs)
+        rows = suites.run_parabolic("A3")
+        status = {row["route"]: row["status"] for row in rows}
+        detail = {row["route"]: row["detail"] for row in rows}
+        assert status["tori"] == "fail"
+        assert detail["tori"] == "relative torus of (0, 1) in (0, 1, 2) has dimension 0"
+        assert status["inc"] == status["trivial"] == "pass"
+
+
+class TestHyperplaneCut:
+    @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
+    def test_every_cut_equals_the_zassenhaus_intersection(self, spec):
+        rs = fresh(spec)
+        for upper in subsets(rs.rank):
+            for lower in subsets_of(upper):
+                assert relative_torus(rs, upper, lower) == intersect(
+                    coroot_span(rs, upper), kernel_subspace(rs, lower)
+                ), (upper, lower)
+
+    def test_e6_takes_one_span_per_pair_and_no_intersection(self, monkeypatch):
+        rs = fresh("E6")
+        spans = []
+        intersections = []
+        real_span = parabolic.span
+
+        def counting_span(n, vectors):
+            spans.append(n)
+            return real_span(n, vectors)
+
+        def counting_intersect(s1, s2):
+            intersections.append((s1, s2))
+            return intersect(s1, s2)
+
+        monkeypatch.setattr(parabolic, "span", counting_span)
+        monkeypatch.setattr(linalg, "intersect", counting_intersect)
+        monkeypatch.setattr(parabolic, "intersect", counting_intersect, raising=False)
+        pairs = [(upper, lower) for upper in subsets(6) for lower in subsets_of(upper)]
+        for upper, lower in pairs:
+            assert relative_torus(rs, upper, lower).dim == len(upper) - len(lower)
+        assert len(pairs) == 3 ** 6
+        assert intersections == []
+        assert len(spans) == len(pairs)
+
+    def test_a_parent_inside_the_hyperplane_raises(self):
+        # No parent vector has a nonzero j entry, so the cut keeps the
+        # whole parent and the dimension check refuses it.
+        rs = fresh("A3")
+        rs.cached(("relative_torus", (0, 1), ()), lambda: Subspace(3, ((1, 0, 0), (0, 0, 1))))
+        with pytest.raises(InvariantViolation, match=r"of \(1,\) in \(0, 1\) has dimension 2"):
+            relative_torus(rs, [0, 1], [1])
+
+
 class TestTrivialLemma:
     def test_rank_one_vacuous(self):
         assert verify_trivial(build("A1"), 0)
@@ -376,14 +442,14 @@ def fresh(spec):
 class TestMemo:
     def test_sweep_computes_each_torus_once(self, monkeypatch):
         rs = fresh("D4")
-        intersections = []
+        computations = []
         pairs = []
-        real_intersect = parabolic.intersect
+        real_compute = parabolic._compute_relative_torus
         real_torus = parabolic.relative_torus
 
-        def counting_intersect(s1, s2):
-            intersections.append((s1, s2))
-            return real_intersect(s1, s2)
+        def counting_compute(rs_, upper, lower):
+            computations.append((upper, lower))
+            return real_compute(rs_, upper, lower)
 
         def recording_torus(rs_, upper, lower):
             pairs.append((tuple(sorted(upper)), tuple(sorted(lower))))
@@ -396,7 +462,7 @@ class TestMemo:
             bits.append((upper, lower))
             return real_bit(rs_, upper, lower)
 
-        monkeypatch.setattr(parabolic, "intersect", counting_intersect)
+        monkeypatch.setattr(parabolic, "_compute_relative_torus", counting_compute)
         monkeypatch.setattr(parabolic, "relative_torus", recording_torus)
         monkeypatch.setattr(parabolic, "_compute_block_is_nonsingular", recording_bit)
         monkeypatch.setattr(suites, "build", lambda spec: rs)
@@ -404,7 +470,7 @@ class TestMemo:
         assert all(row["status"] == "pass" for row in rows)
         assert len(set(pairs)) == 3 ** 4  # every J inside I inside {0..3}
         assert len(bits) == len(set(bits)) == 3 ** 4  # one splitting bit per pair
-        assert len(intersections) == len(set(pairs))
+        assert len(computations) == len(set(pairs))
 
     @pytest.mark.parametrize("spec", ["B3", "G2", "A2xA1"])
     def test_memoised_spaces_equal_direct_ones(self, spec):
