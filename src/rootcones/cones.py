@@ -167,11 +167,12 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
             rays.append(tuple(ray))
     else:
         rays = _pointed_double_description(rows, dim, seed)
+    # Without equalities the rays and the reduced lineality rows are
+    # already primitive vectors in the ambient coordinates.
     if equalities:
         columns = list(zip(*basis))
         rays = [primitive([dot(y, c) for c in columns]) for y in rays]
         lineality = [primitive([dot(v, c) for c in columns]) for v in lineality]
-    # Rays and the reduced lineality rows are primitive already.
     return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))
 
 
