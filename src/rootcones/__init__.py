@@ -59,7 +59,6 @@ from .certify import (
     expand_coefficients,
     theorem_cone,
     validate_certificate,
-    verify_corollary62,
     verify_lemma65,
     verify_lemma66,
     verify_theorem61_constructive,

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .cones import ConeSpec, extreme_rays, satisfies
+from .cones import ConeSpec, extreme_rays
 from .errors import (
     CertificateFailure,
     InvariantViolation,
@@ -28,17 +28,14 @@ from .linalg import (
     block_coefficient_matrix,
     clear_denominators,
     dot,
-    full_space,
     invert,
     solve,
     unit_vec,
-    vec,
 )
 from .roots import (
     RootSystem,
     WeightTable,
     classify_irreducible,
-    connected_to,
     is_connected_subset,
     is_positive_definite,
 )
@@ -76,9 +73,8 @@ def expand_coefficients(
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
     # Independent route: solve for alpha over the explicit basis vectors.
-    units = full_space(rs.rank).basis
-    columns = [units[beta] for beta in subset] + [wt.dual[g] for g in rest]
-    direct = solve(columns, units[alpha])
+    columns = [unit_vec(rs.rank, b) for b in subset] + [wt.dual[g] for g in rest]
+    direct = solve(columns, unit_vec(rs.rank, alpha))
     if direct is None or list(direct) != list(row):
         raise InvariantViolation("block formula disagrees with the direct solve")
     for delta, coeff in on_roots + on_weights:
@@ -135,8 +131,11 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
     if cert.kind == "violating_ray":
         if cert.ray is None:
             return False
-        value = dot(cone.objective, vec(cert.ray))
-        return satisfies(cone, cert.ray) and value < 0 and value == cert.objective_value
+        ray = cert.ray
+        tight = all(dot(e, ray) == 0 for e in cone.equalities)
+        inside = all(dot(f, ray) >= 0 for f in cone.inequalities)
+        value = dot(cone.objective, ray)
+        return tight and inside and value < 0 and value == cert.objective_value
     if cert.kind != "conic_combination":
         return False
     if cert.inequality_multipliers is None:
@@ -294,60 +293,6 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
         min_ray_objective=min(values) if values else None,
         ray_count=len(enum.rays),
     )
-
-
-def verify_corollary62(
-    rs: RootSystem,
-    wt: WeightTable,
-    alpha: int,
-    subset: Iterable[int],
-    trace: Sequence[Sequence[Fraction]],
-) -> bool:
-    """Check the quantitative growth bound along a dual-space trace.
-
-    Preconditions: alpha is connected to the complement of I outside
-    alpha, every trace point kills I, and the domination hypotheses hold
-    pointwise. Then the mass gap is strict and the bound
-    (1 - (w,w)/d) alpha(a) >= (1/d) sum (w, w_beta) beta(a) must hold at
-    every index.
-    """
-    rs.check_root(alpha)
-    subset = rs.subset(subset)
-    if alpha in subset:
-        raise PreconditionViolated("alpha must lie outside I")
-    remainder = [
-        t for t in range(rs.rank) if t != alpha and t not in subset
-    ]
-    if not connected_to(rs, alpha, remainder):
-        raise PreconditionViolated(
-            f"{rs.root_label(alpha)} is not connected to the complement of I"
-        )
-    rest = [g for g in range(rs.rank) if g not in subset]
-    for a in trace:
-        a = vec(a)
-        if len(a) != rs.rank:
-            raise PreconditionViolated("trace point of wrong dimension")
-        if any(a[i] != 0 for i in subset):
-            raise PreconditionViolated("trace point does not kill I")
-        walpha = dot(wt.weighted[alpha], a)
-        if walpha < 0:
-            raise PreconditionViolated("nonnegativity hypothesis fails")
-        for gamma in rest:
-            if walpha < dot(wt.weighted[gamma], a):
-                raise PreconditionViolated("domination hypothesis fails")
-    self_mass = wt.dual[alpha][alpha]  # (w_alpha, w_alpha)
-    if not self_mass < wt.d[alpha]:
-        return False
-    for a in trace:
-        a = vec(a)
-        lhs = (1 - self_mass / wt.d[alpha]) * a[alpha]
-        rhs = sum(
-            (wt.dual[alpha][beta] * a[beta] for beta in remainder),
-            Fraction(0),
-        ) / wt.d[alpha]
-        if lhs < rhs:
-            return False
-    return True
 
 
 def verify_lemma66(rs: RootSystem) -> bool:

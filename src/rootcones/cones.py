@@ -16,19 +16,16 @@ integer vectors in the original coordinates, sorted for determinism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
 from .linalg import (
     Vector,
     dot,
-    is_zero_vec,
     kernel,
     primitive,
     rref,
     unit_vec,
-    vec,
 )
 
 
@@ -133,12 +130,12 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     # coordinates are over the primitive integer basis of the equality
     # subspace that `kernel` gives; without, they are the ambient ones and
     # the primitive inequalities are the rows as they are.
-    equalities = [primitive(e) for e in cone.equalities if not is_zero_vec(e)]
-    rows = [primitive(f) for f in cone.inequalities if not is_zero_vec(f)]
+    equalities = [primitive(e) for e in cone.equalities if any(e)]
+    rows = [primitive(f) for f in cone.inequalities if any(f)]
     if equalities:
         basis = kernel(cone.ambient_dim, equalities).basis
         restricted = [tuple(dot(f, b) for b in basis) for f in rows]
-        rows = [primitive(r) for r in restricted if not is_zero_vec(r)]
+        rows = [primitive(r) for r in restricted if any(r)]
         dim = len(basis)
     else:
         dim = cone.ambient_dim
@@ -159,7 +156,7 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
         pointed = [tuple(r[j] for j in free) for r in rows]
         rays = []
         for y in _pointed_double_description(
-            [r for r in pointed if not is_zero_vec(r)], len(free)
+            [r for r in pointed if any(r)], len(free)
         ):
             ray = [0] * dim
             for j, x in zip(free, y):
@@ -175,10 +172,3 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
         lineality = [primitive([dot(v, c) for c in columns]) for v in lineality]
     return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))
 
-
-def satisfies(cone: ConeSpec, point: Sequence[Fraction]) -> bool:
-    """Whether a point meets every equality and inequality of the cone."""
-    p = vec(point)
-    return all(dot(e, p) == 0 for e in cone.equalities) and all(
-        dot(f, p) >= 0 for f in cone.inequalities
-    )

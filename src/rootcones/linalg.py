@@ -40,21 +40,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum(map(mul, u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise DimensionMismatch("vector subtraction of unequal lengths")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * x for x in v)
-
-
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
-
-
 def clear_denominators(v: Sequence[Fraction]) -> tuple[int, IntVector]:
     """The lcm of the entries' denominators, and the entries times it.
 
@@ -412,6 +397,8 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     s2. The rows whose left half vanishes have right halves that span the
     intersection. Those right halves are already reduced echelon rows and,
     with a zero left half, primitive with a positive pivot, hence canonical.
+    No package code calls it; it is kept as the test oracle for relative
+    tori and because the perfbench tracer wraps it.
     """
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
@@ -448,7 +435,7 @@ def solve(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
     Free coefficients, if any, are set to zero.
     """
     if not columns:
-        return () if is_zero_vec(target) else None
+        return None if any(target) else ()
     n = len(columns[0])
     if len(target) != n or any(len(c) != n for c in columns):
         raise DimensionMismatch("solve shape mismatch")

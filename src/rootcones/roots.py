@@ -24,8 +24,6 @@ from .linalg import (
     determinant,
     invert,
     unit_vec,
-    vec_scale,
-    vec_sub,
 )
 
 _RANK_BOUNDS = {
@@ -411,7 +409,9 @@ class WeightTable:
         """Entry [alpha][gamma] is weighted[alpha] - weighted[gamma]."""
         w = self.weighted
         return MappingProxyType({
-            alpha: MappingProxyType({gamma: vec_sub(w[alpha], w[gamma]) for gamma in w})
+            alpha: MappingProxyType({
+                gamma: tuple(a - b for a, b in zip(w[alpha], w[gamma])) for gamma in w
+            })
             for alpha in w
         })
 
@@ -419,7 +419,7 @@ class WeightTable:
     def objectives(self) -> Mapping[int, Vector]:
         """Entry alpha is the coordinate alpha minus weighted[alpha]."""
         return MappingProxyType({
-            alpha: vec_sub(unit_vec(len(w_alpha), alpha), w_alpha)
+            alpha: tuple(int(j == alpha) - x for j, x in enumerate(w_alpha))
             for alpha, w_alpha in self.weighted.items()
         })
 
@@ -458,7 +458,7 @@ def _invert_block(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
             raise InvariantViolation(f"{rs.spec}: a dual weight has mass d <= 0")
         dual[alpha] = tuple(row)
         d[alpha] = mass
-        weighted[alpha] = vec_scale(Fraction(1) / mass, dual[alpha])
+        weighted[alpha] = tuple(x / mass for x in dual[alpha])
     return WeightTable(
         subset=subset,
         dual=MappingProxyType(dual),
@@ -554,7 +554,8 @@ def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[
     """Root system generated by a subset of the simple roots.
 
     Returns the subsystem together with the map from its root indices to
-    the ambient ones. Empty subsets yield a rank-zero system.
+    the ambient ones. Empty subsets yield a rank-zero system. No package
+    code calls it; it is kept because the perfbench tracer wraps it.
     """
     subset = rs.subset(subset)
     return rs.cached(

@@ -107,6 +107,8 @@ class SimTrace:
 
         Component n of every level is n times its slope times its line, so
         this is n times the integer tail of `_scaled_tail` over its factor.
+        No package code calls it; it is kept because the perfbench tracer
+        wraps it.
         """
         den, _, tail = _scaled_tail(self, level)
         return tuple(Fraction(n * x, den) for x in tail)

@@ -23,16 +23,13 @@ PARABOLIC_EXTRAS = ("A1xA1", "A2xA1", "A2xA2", "B2xA1")
 
 
 def irreducible_catalogue(max_rank: int) -> list[str]:
-    """Spec strings of all irreducible types up to a rank bound."""
-    out = []
-    for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        out += [f"{letter}{n}" for n in range(lo, max_rank + 1)]
-    out += [f"E{n}" for n in (6, 7, 8) if n <= max_rank]
-    if max_rank >= 4:
-        out.append("F4")
-    if max_rank >= 2:
-        out.append("G2")
-    return out
+    """Spec strings of all irreducible types up to a rank bound, in the
+    letter order of `roots._RANK_BOUNDS` (the order of default reports)."""
+    return [
+        f"{letter}{n}"
+        for letter, (lo, hi) in roots._RANK_BOUNDS.items()
+        for n in range(lo, min(max_rank, hi or max_rank) + 1)
+    ]
 
 
 def systems_for(suite: str, max_rank: int | None, explicit: list[str] | None):

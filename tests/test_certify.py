@@ -14,7 +14,6 @@ from rootcones.certify import (
     expansion_mass_identity,
     theorem_cone,
     validate_certificate,
-    verify_corollary62,
     verify_lemma65,
     verify_lemma66,
     verify_theorem61_constructive,
@@ -352,58 +351,6 @@ class TestValidateCertificate:
                 assert not check(ineq, moved)
 
 
-class TestCorollaryBound:
-    def test_rank_two_equality_case(self):
-        rs = build("A2")
-        wt = weight_table(rs)
-        trace = [vec([n, n]) for n in range(1, 8)]
-        assert verify_corollary62(rs, wt, 0, [], trace)
-
-    def test_zero_trace(self):
-        rs = build("A2")
-        wt = weight_table(rs)
-        assert verify_corollary62(rs, wt, 0, [], [vec([0, 0])])
-
-    def test_asymmetric_pair_growth(self):
-        rs = build("G2")
-        wt = weight_table(rs)
-        # Make both coordinates grow linearly with the first dominating
-        # enough to satisfy the ordering hypothesis.
-        trace = []
-        for n in range(1, 6):
-            a = vec([3 * n, n])
-            assert dot(wt.weighted[0], a) >= dot(wt.weighted[1], a)
-            trace.append(a)
-        assert verify_corollary62(rs, wt, 0, [], trace)
-
-    def test_disconnected_rejected(self):
-        rs = build("A2xA1")
-        wt = weight_table(rs)
-        with pytest.raises(PreconditionViolated):
-            verify_corollary62(rs, wt, 2, [], [vec([0, 0, 1])])
-
-    def test_hypothesis_failure_rejected(self):
-        rs = build("A2")
-        wt = weight_table(rs)
-        with pytest.raises(PreconditionViolated):
-            # Second coordinate dominates: ordering hypothesis fails.
-            verify_corollary62(rs, wt, 0, [], [vec([0, 5])])
-
-    def test_strict_mass_gap_under_connectivity(self):
-        for spec in ["A2", "A3", "B3", "G2", "F4"]:
-            rs = build(spec)
-            wt = weight_table(rs)
-            for alpha in range(rs.rank):
-                remainder = [t for t in range(rs.rank) if t != alpha]
-                if connected_to(rs, alpha, remainder):
-                    assert wt.dual[alpha][alpha] < wt.d[alpha]
-
-    def test_mass_gap_fails_when_component_is_exhausted(self):
-        rs = build("A1")
-        wt = weight_table(rs)
-        assert not wt.dual[0][0] < wt.d[0]
-
-
 class TestSubsetRangeChecks:
     """Every entry point that takes a subset refuses an out-of-range root."""
 
@@ -412,12 +359,6 @@ class TestSubsetRangeChecks:
         rs = build("A3")
         with pytest.raises(UnknownRoot, match="no simple root with index"):
             theorem_cone(rs, weight_table(rs), 0, subset)
-
-    @pytest.mark.parametrize("subset", [[7], [-1]])
-    def test_corollary_bound(self, subset):
-        rs = build("A3")
-        with pytest.raises(UnknownRoot, match="no simple root with index"):
-            verify_corollary62(rs, weight_table(rs), 0, subset, [vec([1, 0, 0])])
 
     @pytest.mark.parametrize("subset", [[7], [-1]])
     def test_expand_coefficients(self, subset):
@@ -454,6 +395,20 @@ class TestMatrixFacts:
     def test_reducible_rejected(self):
         with pytest.raises(NotIrreducible):
             verify_lemma66(build("A1xA1"))
+
+    def test_strict_mass_gap_under_connectivity(self):
+        for spec in ["A2", "A3", "B3", "G2", "F4"]:
+            rs = build(spec)
+            wt = weight_table(rs)
+            for alpha in range(rs.rank):
+                remainder = [t for t in range(rs.rank) if t != alpha]
+                if connected_to(rs, alpha, remainder):
+                    assert wt.dual[alpha][alpha] < wt.d[alpha]
+
+    def test_mass_gap_fails_when_component_is_exhausted(self):
+        rs = build("A1")
+        wt = weight_table(rs)
+        assert not wt.dual[0][0] < wt.d[0]
 
     def test_subdiagram_classification_chain(self):
         assert verify_lemma65(build("A3"))

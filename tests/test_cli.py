@@ -119,6 +119,19 @@ class TestVerify:
             (name, suite.rank_cap) for name, suite in suites.SUITES.items()
         ]
 
+    def test_catalogue_is_pinned(self):
+        # The catalogue sets the row order of every default report.
+        full = [
+            "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
+            "B2", "B3", "B4", "B5", "B6", "B7", "B8", "B9",
+            "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9",
+            "D3", "D4", "D5", "D6", "D7", "D8", "D9",
+            "E6", "E7", "E8", "F4", "G2",
+        ]
+        for k in range(10):
+            expected = [spec for spec in full if int(spec[1:]) <= k]
+            assert suites.irreducible_catalogue(k) == expected
+
     def test_small_sweep_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(

@@ -25,7 +25,6 @@ from rootcones.linalg import (
     span,
     unit_vec,
     vec,
-    vec_scale,
 )
 from rootcones.parabolic import (
     coroot_span,
@@ -109,7 +108,7 @@ def subsystem_route_table(rs, subset):
             row[amb_j] = table.dual[local][local_j]
         dual[amb] = tuple(row)
         d[amb] = table.d[local]
-        weighted[amb] = vec_scale(1 / table.d[local], tuple(row))
+        weighted[amb] = tuple(x / table.d[local] for x in row)
     return dual, d, weighted
 
 
@@ -190,7 +189,7 @@ class TestRelativeTorus:
         v = line.basis[0]
         # Normalize so the second coordinate is 2: this is the coroot
         # image, on which the first root evaluates to -1.
-        w = vec_scale(Q(2) / v[1], v)
+        w = tuple(Q(2) / v[1] * x for x in v)
         assert w == vec([-1, 2])
         assert w == coroot_vector(rs, 1)
 

@@ -15,7 +15,7 @@ from rootcones.errors import (
     DivergenceFailure,
     PreconditionViolated,
 )
-from rootcones.linalg import contains, solve, vec, vec_scale
+from rootcones.linalg import contains, solve, vec
 from rootcones.parabolic import relative_torus, relative_weight_table, verify_discon
 from rootcones.roots import build, connected_to, from_gramm, subsystem
 from rootcones.simulate import (
@@ -33,7 +33,7 @@ from rootcones.simulate import (
 
 def component(step):
     """A level's component at n = 1: slope times line."""
-    return vec_scale(step.slope, vec(step.line))
+    return tuple(Q(step.slope) * x for x in step.line)
 
 
 def all_selections(rank, max_len=None):
