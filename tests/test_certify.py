@@ -351,8 +351,97 @@ class TestValidateCertificate:
                 assert not check(ineq, moved)
 
 
+def corollary_gap(wt, alpha, a):
+    """Corollary 6.2 with a_I = 0, as lhs - rhs in plain Fraction arithmetic:
+    (1 - (w,w)/d) alpha(a) - (1/d) sum_{beta != alpha} (w, w_beta) beta(a).
+    """
+    d = wt.d[alpha]
+    lhs = (1 - wt.dual[alpha][alpha] / d) * a[alpha]
+    rhs = sum(
+        (wt.dual[alpha][beta] * a[beta] for beta in range(len(a)) if beta != alpha),
+        Q(0),
+    ) / d
+    return lhs - rhs
+
+
+def in_cone(cone, a):
+    return all(dot(f, a) == 0 for f in cone.equalities) and all(
+        dot(f, a) >= 0 for f in cone.inequalities
+    )
+
+
+class TestCorollaryBound:
+    """Corollary 6.2 is the objective of the Theorem 6.1 cone, rearranged."""
+
+    @pytest.mark.parametrize("spec", ["A2", "A3", "B3", "G2", "A2xA1"])
+    def test_bound_is_theorem_cone_objective(self, spec):
+        rs = build(spec)
+        wt = weight_table(rs)
+        for alpha in range(rs.rank):
+            rest = [t for t in range(rs.rank) if t != alpha]
+            for subset in subsets_of(rest):
+                cone = theorem_cone(rs, wt, alpha, subset)
+                for coords in itertools.product(range(-1, 3), repeat=rs.rank):
+                    a = vec([0 if i in subset else c for i, c in enumerate(coords)])
+                    assert dot(cone.objective, a) == corollary_gap(wt, alpha, a)
+
+    def test_rank_two_equality_case(self):
+        rs = build("A2")
+        wt = weight_table(rs)
+        cone = theorem_cone(rs, wt, 0, [])
+        for n in range(1, 8):
+            a = vec([n, n])
+            assert in_cone(cone, a)
+            assert corollary_gap(wt, 0, a) == 0
+
+    def test_zero_trace(self):
+        rs = build("A2")
+        wt = weight_table(rs)
+        zero = vec([0, 0])
+        assert in_cone(theorem_cone(rs, wt, 0, []), zero)
+        assert corollary_gap(wt, 0, zero) == 0
+
+    def test_asymmetric_pair_growth(self):
+        rs = build("G2")
+        wt = weight_table(rs)
+        cone = theorem_cone(rs, wt, 0, [])
+        # Both coordinates grow linearly, the first dominating enough to
+        # satisfy the ordering hypothesis.
+        for n in range(1, 6):
+            a = vec([3 * n, n])
+            assert dot(wt.weighted[0], a) >= dot(wt.weighted[1], a)
+            assert in_cone(cone, a)
+            assert corollary_gap(wt, 0, a) >= 0
+        assert verify_theorem61_rays(cone).kind == "conic_combination"
+
+    def test_disconnected_root_gives_no_bound(self):
+        # A1 is its own component of A2xA1: the coefficient
+        # 1 - (w,w)/d vanishes and the bound reads 0 >= 0.
+        rs = build("A2xA1")
+        wt = weight_table(rs)
+        assert wt.dual[2][2] == wt.d[2]
+        assert all(x == 0 for x in theorem_cone(rs, wt, 2, []).objective)
+
+    def test_bound_fails_where_the_ordering_hypothesis_fails(self):
+        rs = build("A2")
+        wt = weight_table(rs)
+        cone = theorem_cone(rs, wt, 0, [])
+        # Second coordinate dominates: the point leaves the cone through
+        # its ordering inequality, and the bound is then false.
+        a = vec([0, 5])
+        assert dot(wt.differences[0][1], a) < 0
+        assert not in_cone(cone, a)
+        assert corollary_gap(wt, 0, a) < 0
+
+
 class TestSubsetRangeChecks:
     """Every entry point that takes a subset refuses an out-of-range root."""
+
+    @pytest.mark.parametrize("alpha", [7, -1])
+    def test_theorem_cone_alpha(self, alpha):
+        rs = build("A3")
+        with pytest.raises(UnknownRoot, match="no simple root with index"):
+            theorem_cone(rs, weight_table(rs), alpha, [])
 
     @pytest.mark.parametrize("subset", [[7], [-1], [1, 3]])
     def test_theorem_cone(self, subset):
