@@ -206,7 +206,12 @@ def cmd_build(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     suites = config.suites or list(SUITE_NAMES)
-    if suites == ["all"]:
+    if "all" in suites:
+        if suites != ["all"]:
+            raise ValueError(
+                f"suite 'all' cannot be combined with other suites: "
+                f"{', '.join(suites)}"
+            )
         suites = list(SUITE_NAMES)
     rows, ok, tasks = run_verification(
         suites,

@@ -72,7 +72,7 @@ def _seed_reduction(
 def _pointed_double_description(
     rows: Sequence[tuple[int, ...]],
     dim: int,
-    seed: tuple[list[tuple[int, ...]], list[int]] | None = None,
+    seed: tuple[list[tuple[int, ...]], list[int]],
 ) -> list[tuple[int, ...]]:
     """Extreme rays of {y : rows . y >= 0} for integer rows of rank dim.
 
@@ -80,13 +80,13 @@ def _pointed_double_description(
     cut with the remaining halfspaces, only combining adjacent rays. Each
     ray carries its zero set over the rows processed so far; adjacency is
     the zero-set containment test, which is exact for pointed cones.
-    `seed` is the `_seed_reduction` of the rows when the caller has it.
+    `seed` is the `_seed_reduction` of the rows.
     """
     m = len(rows)
     # Reducing (rows^T | Id) picks dim independent rows as the pivots and
     # leaves in each right half a column of the inverse of their block:
     # the seed ray tight on every seed row but its own.
-    reduced, pivots = seed if seed is not None else _seed_reduction(rows, dim)
+    reduced, pivots = seed
     if sum(s < m for s in pivots) < dim:
         raise InvariantViolation("the rows do not span; the cone is not pointed")
     seed_rows = frozenset(pivots)
@@ -153,10 +153,11 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
         # are put back with zeros at those pivots.
         pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lineality}
         free = [j for j in range(dim) if j not in pivots]
-        pointed = [tuple(r[j] for j in free) for r in rows]
+        section = [tuple(r[j] for j in free) for r in rows]
+        section = [r for r in section if any(r)]
         rays = []
         for y in _pointed_double_description(
-            [r for r in pointed if any(r)], len(free)
+            section, len(free), _seed_reduction(section, len(free))
         ):
             ray = [0] * dim
             for j, x in zip(free, y):

@@ -1,9 +1,9 @@
 """Verification sweeps behind the command line.
 
-Each suite maps to a worker function that takes a system spec plus caps
-and returns report rows. Workers are pure and picklable, so the driver
-can fan them out over a process pool; rows are reassembled in task order
-to keep reports deterministic.
+Each suite maps to a worker function that takes a built system plus the
+subset cap and returns report rows. Workers are pure and picklable, so
+the driver can fan them out over a process pool; rows are reassembled in
+task order to keep reports deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 from . import certify, parabolic, roots
 from .errors import InvariantViolation
 from .linalg import QMatrix, invert
-from .roots import build, weight_table
+from .roots import RootSystem, build, weight_table
 
 PARABOLIC_EXTRAS = ("A1xA1", "A2xA1", "A2xA2", "B2xA1")
 
@@ -38,29 +38,26 @@ def systems_for(suite: str, max_rank: int | None, explicit: list[str] | None):
     cap = SUITES[suite].rank_cap
     if max_rank is not None:
         cap = min(cap, max_rank)
+
+    def fits(spec):
+        return sum(n for _, n in roots.parse_spec(spec)) <= cap
+
     if suite == "controls":
-        return [s for s in ("A2", "A3") if int(s[1]) <= cap]
+        return [spec for spec in ("A2", "A3") if fits(spec)]
     catalogue = irreducible_catalogue(cap)
     if suite == "parabolic-lemmas":
-        catalogue += [
-            spec
-            for spec in PARABOLIC_EXTRAS
-            if sum(int(p[1]) for p in spec.split("x")) <= cap
-        ]
+        catalogue += [spec for spec in PARABOLIC_EXTRAS if fits(spec)]
     return catalogue
 
 
-def _row(suite, system, status, alpha=None, subset=None, route=None, detail=""):
-    return {
-        "suite": suite,
-        "anchor": SUITES[suite].anchor,
-        "system": system,
-        "alpha": alpha,
-        "subset": subset,
-        "route": route,
-        "status": status,
-        "detail": detail,
-    }
+def _result(status, alpha=None, subset=None, route=None, detail=""):
+    """A worker's row: everything but the suite, anchor and system."""
+    return dict(alpha=alpha, subset=subset, route=route, status=status, detail=detail)
+
+
+def _row(suite, system, result):
+    """A report row: `result` stamped with its suite, anchor and system."""
+    return {"suite": suite, "anchor": SUITES[suite].anchor, "system": system, **result}
 
 
 def _labels(indices):
@@ -74,38 +71,28 @@ def _subsets(universe, max_size=None):
         yield from itertools.combinations(universe, r)
 
 
-def run_gramm_inverse(spec: str) -> list[dict]:
-    rs = build(spec)
+def run_gramm_inverse(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     wt = weight_table(rs)
     ginv = invert(rs.gramm)
     ok = rs.gramm.mul(ginv) == QMatrix.identity(rs.rank)
     ok = ok and QMatrix.from_rows([wt.dual[i] for i in range(rs.rank)]) == ginv
     detail = "inverse exact; dual-weight matrix equals inverse Gramm"
-    return [_row("gramm-inverse", spec, "pass" if ok else "fail", detail=detail)]
+    return [_result("pass" if ok else "fail", detail=detail)]
 
 
-def run_identity_2d(spec: str) -> list[dict]:
-    rs = build(spec)
+def run_identity_2d(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     wt = weight_table(rs)
+    detail = "coefficient-sum identity and expansion round trip"
     rows = []
     for alpha in range(rs.rank):
         ok = roots.check_2d_identity(rs, wt, alpha)
         ok = ok and roots.roundtrip_simple_root(rs, wt, alpha)
         ok = ok and sum(wt.weighted[alpha]) == 1
-        rows.append(
-            _row(
-                "identity-2d",
-                spec,
-                "pass" if ok else "fail",
-                alpha=alpha + 1,
-                detail="coefficient-sum identity and expansion round trip",
-            )
-        )
+        rows.append(_result("pass" if ok else "fail", alpha=alpha + 1, detail=detail))
     return rows
 
 
-def run_lemma64(spec: str, max_subset_size: int | None = None) -> list[dict]:
-    rs = build(spec)
+def run_lemma64(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
@@ -118,9 +105,7 @@ def run_lemma64(spec: str, max_subset_size: int | None = None) -> list[dict]:
                 ok = False
                 detail = str(err)
             rows.append(
-                _row(
-                    "lemma64",
-                    spec,
+                _result(
                     "pass" if ok else "fail",
                     alpha=alpha + 1,
                     subset=_labels(subset),
@@ -131,11 +116,9 @@ def run_lemma64(spec: str, max_subset_size: int | None = None) -> list[dict]:
 
 
 def run_theorem61(
-    spec: str, route: str, max_subset_size: int | None = None
+    rs: RootSystem, route: str, max_subset_size: int | None = None
 ) -> list[dict]:
-    rs = build(spec)
     wt = weight_table(rs)
-    suite = f"theorem61-{route}"
     rows = []
     for alpha in range(rs.rank):
         others = [i for i in range(rs.rank) if i != alpha]
@@ -157,9 +140,7 @@ def run_theorem61(
                 ok = False
                 detail = str(err)
             rows.append(
-                _row(
-                    suite,
-                    spec,
+                _result(
                     "pass" if ok else "fail",
                     alpha=alpha + 1,
                     subset=_labels(subset),
@@ -170,34 +151,20 @@ def run_theorem61(
     return rows
 
 
-def run_lemma65(spec: str) -> list[dict]:
-    rs = build(spec)
+def run_lemma65(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     ok = certify.verify_lemma65(rs)
     count = sum(1 for _ in certify.connected_induced_subsets(rs))
-    return [
-        _row(
-            "lemma65",
-            spec,
-            "pass" if ok else "fail",
-            detail=f"{count} connected subdiagrams classified",
-        )
-    ]
+    detail = f"{count} connected subdiagrams classified"
+    return [_result("pass" if ok else "fail", detail=detail)]
 
 
-def run_lemma66(spec: str) -> list[dict]:
-    rs = build(spec)
+def run_lemma66(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     ok = certify.verify_lemma66(rs)
-    return [
-        _row(
-            "lemma66",
-            spec,
-            "pass" if ok else "fail",
-            detail="inverse Gramm entries strictly positive",
-        )
-    ]
+    detail = "inverse Gramm entries strictly positive"
+    return [_result("pass" if ok else "fail", detail=detail)]
 
 
-def run_parabolic(spec: str) -> list[dict]:
+def run_parabolic(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     """The four Section 3.2 lemma rows of one system.
 
     The `tori` row covers every chain I3 inside I2 inside I1, 4^rank of
@@ -212,7 +179,6 @@ def run_parabolic(spec: str) -> list[dict]:
     A broken torus construction (`InvariantViolation`) fails the row of
     the route that met it, with the error as the detail.
     """
-    rs = build(spec)
     wt = weight_table(rs)
     n = rs.rank
     rows = []
@@ -224,10 +190,8 @@ def run_parabolic(spec: str) -> list[dict]:
             checked += 1
             if not parabolic.verify_inc(rs, lower, upper):
                 ok = False
-    rows.append(
-        _row("parabolic-lemmas", spec, "pass" if ok else "fail",
-             route="inc", detail=f"{checked} nested pairs")
-    )
+    detail = f"{checked} nested pairs"
+    rows.append(_result("pass" if ok else "fail", route="inc", detail=detail))
 
     detail = f"{4 ** n} chains with dim additivity"
     try:
@@ -239,16 +203,11 @@ def run_parabolic(spec: str) -> list[dict]:
     except InvariantViolation as err:
         ok = False
         detail = str(err)
-    rows.append(
-        _row("parabolic-lemmas", spec, "pass" if ok else "fail",
-             route="tori", detail=detail)
-    )
+    rows.append(_result("pass" if ok else "fail", route="tori", detail=detail))
 
     ok = all(parabolic.verify_trivial(rs, alpha, wt) for alpha in range(n))
-    rows.append(
-        _row("parabolic-lemmas", spec, "pass" if ok else "fail",
-             route="trivial", detail=f"{n} roots")
-    )
+    detail = f"{n} roots"
+    rows.append(_result("pass" if ok else "fail", route="trivial", detail=detail))
 
     checked = 0
     ok = True
@@ -267,15 +226,11 @@ def run_parabolic(spec: str) -> list[dict]:
     except InvariantViolation as err:
         ok = False
         detail = str(err)
-    rows.append(
-        _row("parabolic-lemmas", spec, "pass" if ok else "fail",
-             route="discon", detail=detail)
-    )
+    rows.append(_result("pass" if ok else "fail", route="discon", detail=detail))
     return rows
 
 
-def run_chi(spec: str) -> list[dict]:
-    rs = build(spec)
+def run_chi(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
@@ -286,37 +241,28 @@ def run_chi(spec: str) -> list[dict]:
         except roots.NotProportional as err:
             ok = False
             detail = str(err)
-        rows.append(
-            _row(
-                "chi-proportionality",
-                spec,
-                "pass" if ok else "fail",
-                alpha=alpha + 1,
-                detail=detail,
-            )
-        )
+        rows.append(_result("pass" if ok else "fail", alpha=alpha + 1, detail=detail))
     return rows
 
 
-def run_controls(spec: str, max_subset_size: int | None = None) -> list[dict]:
+def run_controls(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
     """Hypothesis-dropping sweeps: violations are the expected outcome.
 
     Emits one row per found violating ray. Whether every dropped
     constraint kind is witnessed somewhere is a joint property of the
     whole sweep, so the driver adds that summary across systems.
     """
-    rs = build(spec)
     wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
         others = [i for i in range(rs.rank) if i != alpha]
         for subset in _subsets(others, max_subset_size):
-            cone_full = certify.theorem_cone(rs, wt, alpha, subset)
+            # One ordering inequality per root outside I, as in `theorem_cone`.
             drops = ["ordering-family", "positivity"]
             drops += [
-                label
-                for label in cone_full.inequality_labels
-                if label.startswith("ordering:")
+                f"ordering:{gamma + 1}"
+                for gamma in range(rs.rank)
+                if gamma not in subset
             ]
             for drop in drops:
                 cone = certify.theorem_cone(rs, wt, alpha, subset, drop=drop)
@@ -324,9 +270,7 @@ def run_controls(spec: str, max_subset_size: int | None = None) -> list[dict]:
                 if cert.kind == "violating_ray":
                     valid = certify.validate_certificate(cone, cert)
                     rows.append(
-                        _row(
-                            "controls",
-                            spec,
+                        _result(
                             "expected-violation" if valid else "fail",
                             alpha=alpha + 1,
                             subset=_labels(subset),
@@ -355,38 +299,38 @@ def _controls_joint_summary(rows: list[dict]) -> dict:
     return _row(
         "controls",
         "ALL",
-        "pass" if ok else "fail",
-        route="joint-summary",
-        detail=detail,
+        _result("pass" if ok else "fail", route="joint-summary", detail=detail),
     )
 
 
 class Suite(NamedTuple):
     """A suite's paper anchor, default rank cap and worker.
 
-    Every worker takes (spec, max_subset_size); only the subset sweeps use
-    the cap.
+    Every worker takes (rs, max_subset_size): the system the task built
+    from its spec, and the subset cap, which only the subset sweeps use.
+    It returns its rows without the suite, anchor and system; `_run_task`
+    adds those.
     """
 
     anchor: str
     rank_cap: int
-    worker: Callable[[str, int | None], list[dict]]
+    worker: Callable[[RootSystem, int | None], list[dict]]
 
 
 SUITES = {
-    "gramm-inverse": Suite("Eq2-3", 8, lambda spec, cap: run_gramm_inverse(spec)),
-    "identity-2d": Suite("Eq5", 8, lambda spec, cap: run_identity_2d(spec)),
+    "gramm-inverse": Suite("Eq2-3", 8, run_gramm_inverse),
+    "identity-2d": Suite("Eq5", 8, run_identity_2d),
     "lemma64": Suite("Lem6.4", 6, run_lemma64),
     "theorem61-constructive": Suite(
-        "Thm6.1", 5, lambda spec, cap: run_theorem61(spec, "constructive", cap)
+        "Thm6.1", 5, lambda rs, cap: run_theorem61(rs, "constructive", cap)
     ),
     "theorem61-rays": Suite(
-        "Thm6.1", 5, lambda spec, cap: run_theorem61(spec, "rays", cap)
+        "Thm6.1", 5, lambda rs, cap: run_theorem61(rs, "rays", cap)
     ),
-    "lemma65": Suite("Lem6.5", 8, lambda spec, cap: run_lemma65(spec)),
-    "lemma66": Suite("Lem6.6", 8, lambda spec, cap: run_lemma66(spec)),
-    "parabolic-lemmas": Suite("Sec3.2", 8, lambda spec, cap: run_parabolic(spec)),
-    "chi-proportionality": Suite("Chi-prop", 8, lambda spec, cap: run_chi(spec)),
+    "lemma65": Suite("Lem6.5", 8, run_lemma65),
+    "lemma66": Suite("Lem6.6", 8, run_lemma66),
+    "parabolic-lemmas": Suite("Sec3.2", 8, run_parabolic),
+    "chi-proportionality": Suite("Chi-prop", 8, run_chi),
     "controls": Suite("Thm6.1-control", 3, run_controls),
 }
 
@@ -402,9 +346,10 @@ def _run_task(task: tuple[str, str, int | None]) -> tuple[list[dict], dict]:
     suite, spec, max_subset_size = task
     start = time.perf_counter()
     try:
-        rows = SUITES[suite].worker(spec, max_subset_size)
+        results = SUITES[suite].worker(build(spec), max_subset_size)
     except InvariantViolation as err:
-        rows = [_row(suite, spec, "fail", detail=str(err))]
+        results = [_result("fail", detail=str(err))]
+    rows = [_row(suite, spec, result) for result in results]
     elapsed = round(time.perf_counter() - start, 6)
     return rows, {"suite": suite, "system": spec, "wall_time": elapsed}
 

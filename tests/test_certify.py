@@ -252,7 +252,7 @@ class TestSuiteWork:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(certify, name, counted)
-        rows = suites.run_theorem61("A3", route)
+        rows = suites.run_theorem61(build("A3"), route)
         assert len(rows) == 12
         assert all(row["status"] == "pass" for row in rows)
         assert counts == {"theorem_cone": 12, "validate_certificate": 12}
@@ -270,8 +270,7 @@ class TestSuiteWork:
 
         rs = from_gramm(build("A3").gramm)
         monkeypatch.setattr(certify, "block_coefficient_matrix", counted)
-        monkeypatch.setattr(suites, "build", lambda spec: rs)
-        rows = suites.run_lemma64("A3")
+        rows = suites.run_lemma64(rs)
         assert len(rows) == 24
         assert all(row["status"] == "pass" for row in rows)
         assert len(calls) == 8

@@ -132,6 +132,20 @@ class TestVerify:
             expected = [spec for spec in full if int(spec[1:]) <= k]
             assert suites.irreducible_catalogue(k) == expected
 
+    def test_controls_and_parabolic_systems_are_pinned(self):
+        # Each spec with its total rank, in report order.
+        controls = [("A2", 2), ("A3", 3)]
+        extras = [("A1xA1", 2), ("A2xA1", 3), ("A2xA2", 4), ("B2xA1", 3)]
+        for k in range(1, 9):
+            assert suites.systems_for("controls", k, None) == [
+                spec for spec, rank in controls if rank <= k
+            ]
+            assert suites.systems_for(
+                "parabolic-lemmas", k, None
+            ) == suites.irreducible_catalogue(k) + [
+                spec for spec, rank in extras if rank <= k
+            ]
+
     def test_small_sweep_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
         code, _, _ = run(
@@ -171,6 +185,21 @@ class TestVerify:
         code, _, err = run(["verify", "--suite", "nope"], capsys)
         assert code == 2
         assert "unknown suite" in err
+
+    @pytest.mark.parametrize(
+        "names", [["all", "lemma66"], ["lemma66", "all"], ["all", "all"]]
+    )
+    def test_all_with_another_suite_exits_2(self, names, capsys, tmp_path):
+        # Both from flags and from a config file, before any sweep runs.
+        message = "suite 'all' cannot be combined with other suites: "
+        message += ", ".join(names)
+        flags = [arg for name in names for arg in ("--suite", name)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"suites": names}))
+        for args in (flags, ["--config", str(config)]):
+            code, out, err = run(["verify", *args], capsys)
+            assert (code, out) == (2, "")
+            assert message in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         fake_rows = [
@@ -223,6 +252,18 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fd602395bd847ed7985cbe4929e7cb0cb97addb696e19449125cf222f01d1285"
+        )
+
+    def test_all_suite_csv_digest_is_pinned(self, capsys):
+        # Every suite's rows up to rank 3, the controls summary included.
+        code, out, _ = run(
+            ["verify", "--suite", "all", "--max-rank", "3", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 411
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ee5dd13c0578140f87d71709fb5687139916deae614fa28fadecb98c90d9123c"
         )
 
     @pytest.mark.parametrize("suite", suites.SUITE_NAMES)

@@ -227,8 +227,9 @@ class TestPointedCones:
             enumerate_cone([[1, 0], [0, 1]], 2)
 
     def test_rows_that_do_not_span_raise(self):
+        rows = [(1, 0), (2, 0)]
         with pytest.raises(InvariantViolation, match="not pointed"):
-            cones._pointed_double_description([(1, 0), (2, 0)], 2)
+            cones._pointed_double_description(rows, 2, cones._seed_reduction(rows, 2))
 
 
 class TestLinealityAndEqualities:

@@ -272,17 +272,16 @@ class TestToriLemma:
                     assert verify_tori(rs, i3, i2, i1) == expected, (i3, i2, i1)
         assert checked == 4 ** rs.rank
 
-    def test_a_singular_pair_block_fails_the_tori_row(self, monkeypatch):
+    def test_a_singular_pair_block_fails_the_tori_row(self):
         # The right dimension, but zero on the coordinate of I minus J.
         rs = fresh("A3")
         rs.cached(("relative_torus", (0, 1), (0,)), lambda: Subspace(3, ((0, 0, 1),)))
-        monkeypatch.setattr(suites, "build", lambda spec: rs)
-        rows = suites.run_parabolic("A3")
+        rows = suites.run_parabolic(rs)
         status = {row["route"]: row["status"] for row in rows}
         assert status["tori"] == "fail"
         assert status["inc"] == status["trivial"] == "pass"
 
-    def test_a_torus_of_the_wrong_dimension_fails_the_tori_row(self, monkeypatch):
+    def test_a_torus_of_the_wrong_dimension_fails_the_tori_row(self):
         # The (I1, I3) bit's square-block test is the dimension check of
         # a^{I1}_{I3}: a plane where a^{0,1,2} is three-dimensional.
         rs = fresh("A3")
@@ -290,24 +289,20 @@ class TestToriLemma:
             ("relative_torus", (0, 1, 2), ()),
             lambda: Subspace(3, ((1, 0, 0), (0, 1, 0))),
         )
-        monkeypatch.setattr(suites, "build", lambda spec: rs)
-        rows = suites.run_parabolic("A3")
+        rows = suites.run_parabolic(rs)
         status = {row["route"]: row["status"] for row in rows}
         assert status["tori"] == "fail"
         assert status["inc"] == status["trivial"] == "pass"
 
 
-    def test_a_wrong_parent_torus_fails_the_tori_row_through_its_children(
-        self, monkeypatch
-    ):
+    def test_a_wrong_parent_torus_fails_the_tori_row_through_its_children(self):
         # a^{0,1,2}_{(0,)} seeded as a line, and its own pair bit seeded
         # as passing: the row can then fail only through the children,
         # which the cut builds from this parent.
         rs = fresh("A3")
         rs.cached(("relative_torus", (0, 1, 2), (0,)), lambda: Subspace(3, ((0, 1, 0),)))
         rs.cached(("torus_block", (0, 1, 2), (0,)), lambda: True)
-        monkeypatch.setattr(suites, "build", lambda spec: rs)
-        rows = suites.run_parabolic("A3")
+        rows = suites.run_parabolic(rs)
         status = {row["route"]: row["status"] for row in rows}
         detail = {row["route"]: row["detail"] for row in rows}
         assert status["tori"] == "fail"
@@ -464,8 +459,7 @@ class TestMemo:
         monkeypatch.setattr(parabolic, "_compute_relative_torus", counting_compute)
         monkeypatch.setattr(parabolic, "relative_torus", recording_torus)
         monkeypatch.setattr(parabolic, "_compute_block_is_nonsingular", recording_bit)
-        monkeypatch.setattr(suites, "build", lambda spec: rs)
-        rows = suites.run_parabolic("D4")
+        rows = suites.run_parabolic(rs)
         assert all(row["status"] == "pass" for row in rows)
         assert len(set(pairs)) == 3 ** 4  # every J inside I inside {0..3}
         assert len(bits) == len(set(bits)) == 3 ** 4  # one splitting bit per pair
