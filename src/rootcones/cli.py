@@ -21,6 +21,7 @@ from .parabolic import make_datum, parabolic_datum_to_dict
 from .roots import (
     RootSystem,
     build,
+    parse_spec,
     root_system_to_dict,
     weight_table,
     weight_table_to_dict,
@@ -153,6 +154,15 @@ def _selection_roots(rs: RootSystem, selection: list[int]) -> tuple[int, ...]:
     return tuple(i - 1 for i in selection)
 
 
+def _refuse_repeats(kind: str, names: list[str] | None, key=str) -> None:
+    """Refuse a suite or system named twice: it would run once per mention."""
+    seen = set()
+    for name in names or ():
+        if key(name) in seen:
+            raise ValueError(f"{kind} {name!r} is given more than once")
+        seen.add(key(name))
+
+
 def _emit(config: RunConfig, payload: dict, header: list[str], csv_rows: Iterable[list]):
     """Write the report in the configured format.
 
@@ -213,6 +223,8 @@ def cmd_verify(config: RunConfig) -> int:
                 f"{', '.join(suites)}"
             )
         suites = list(SUITE_NAMES)
+    _refuse_repeats("suite", suites)
+    _refuse_repeats("system", config.systems, parse_spec)
     rows, ok, tasks = run_verification(
         suites,
         systems=config.systems,
@@ -318,6 +330,7 @@ def _simulate_task(task: tuple[str, tuple[int, ...], int, int]) -> dict:
 def cmd_simulate(config: RunConfig) -> int:
     if not config.systems:
         raise ValueError("simulate needs at least one --system")
+    _refuse_repeats("system", config.systems, parse_spec)
     tasks = []
     for spec in config.systems:
         rs = build(spec)

@@ -14,8 +14,8 @@ from typing import Iterable
 
 from .errors import InvariantViolation, PreconditionViolated, SubsetViolation
 from .linalg import (
+    IntVector,
     Subspace,
-    Vector,
     dot,
     full_space,
     is_direct_sum,
@@ -35,14 +35,14 @@ from .roots import (
 )
 
 
-def coroot_vector(rs: RootSystem, alpha: int) -> Vector:
+def coroot_vector(rs: RootSystem, alpha: int) -> IntVector:
     """Image of the coroot of alpha in evaluation coordinates.
 
-    Coordinate j is the Cartan pairing of alpha_j against alpha's coroot.
+    Coordinate j is the Cartan pairing of alpha_j against alpha's coroot,
+    so the vector is column alpha of `rs.cartan`.
     """
     rs.check_root(alpha)
-    g = rs.gramm
-    return tuple(2 * g.at(j, alpha) / g.at(alpha, alpha) for j in range(rs.rank))
+    return tuple(row[alpha] for row in rs.cartan)
 
 
 def kernel_subspace(rs: RootSystem, subset: Iterable[int]) -> Subspace:

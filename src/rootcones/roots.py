@@ -109,10 +109,15 @@ def format_spec(components: Iterable[tuple[str, int]]) -> str:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """One (possibly reducible) root system with its Weyl-invariant product."""
+    """One (possibly reducible) root system with its Weyl-invariant product.
+
+    `cartan[i][j]` is the integer 2 (alpha_i, alpha_j) / (alpha_j, alpha_j),
+    the pairing of alpha_i with the coroot of alpha_j.
+    """
 
     components: tuple[tuple[str, int], ...]
     gramm: QMatrix
+    cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[tuple[int, ...], ...]
     dynkin_components: tuple[tuple[int, ...], ...]
     # Values derived from this system, keyed by kind and normalised
@@ -206,41 +211,28 @@ def is_connected_subset(gramm: QMatrix, subset: Sequence[int]) -> bool:
     return len(_graph_components(gramm, subset)) == 1
 
 
-def _enumerate_positive_roots(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
+def _enumerate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
     """Closure of the simple roots under root-string extension.
 
     Standard height-by-height induction: beta + alpha_i is a root iff the
     alpha_i-string through beta extends, decided by p - <beta, alpha_i~> > 0
     with p the largest backward step already seen.
     """
-    n = gramm.rows
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
+    n = len(cartan)
+    frontier = [unit_vec(n, i) for i in range(n)]
+    roots = set(frontier)
     while frontier:
         new = []
         for beta in frontier:
             for i in range(n):
-                pairing = 2 * sum(
-                    beta[j] * gramm.at(j, i) for j in range(n)
-                ) / gramm.at(i, i)
-                if pairing.denominator != 1:
-                    raise InvariantViolation("Cartan pairing must be integral")
+                pairing = sum(beta[j] * cartan[j][i] for j in range(n))
                 p = 0
-                while True:
-                    back = tuple(
-                        c - (p + 1) * (1 if j == i else 0)
-                        for j, c in enumerate(beta)
-                    )
-                    if back in roots:
-                        p += 1
-                    else:
-                        break
-                if p - int(pairing) > 0:
-                    up = tuple(c + (1 if j == i else 0) for j, c in enumerate(beta))
-                    if up not in roots:
-                        roots.add(up)
-                        new.append(up)
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1 :] in roots:
+                    p += 1
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                if p > pairing and up not in roots:
+                    roots.add(up)
+                    new.append(up)
         frontier = new
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
 
@@ -253,36 +245,44 @@ def is_positive_definite(gramm: QMatrix) -> bool:
     )
 
 
-def _validate_gramm(gramm: QMatrix) -> None:
+def _integer_cartan(gramm: QMatrix):
+    """The Cartan rows 2 (alpha_i, alpha_j) / (alpha_j, alpha_j) in ints,
+    or None when an entry is not an integer."""
+    n = gramm.rows
+    rows = [[2 * gramm.at(i, j) / gramm.at(j, j) for j in range(n)] for i in range(n)]
+    if any(c.denominator != 1 for row in rows for c in row):
+        return None
+    return tuple(tuple(int(c) for c in row) for row in rows)
+
+
+def _validate_gramm(gramm: QMatrix) -> tuple[tuple[int, ...], ...]:
+    """Check a Gramm matrix and return its integer Cartan matrix."""
     if not gramm.is_symmetric():
         raise ValueError("Gramm matrix must be symmetric")
     if not is_positive_definite(gramm):
         raise ValueError("Gramm matrix must be positive definite")
-    n = gramm.rows
-    for i in range(n):
-        for j in range(n):
-            if i != j and gramm.at(i, j) > 0:
-                raise ValueError("distinct simple roots need (alpha, beta) <= 0")
+    if any(gramm.at(i, j) > 0 for i in range(gramm.rows) for j in range(i)):
+        raise ValueError("distinct simple roots need (alpha, beta) <= 0")
+    cartan = _integer_cartan(gramm)
+    if cartan is None:
+        raise ValueError("Cartan matrix must be integral")
+    return cartan
 
 
 def from_gramm(gramm: QMatrix, components=None) -> RootSystem:
     """Build a RootSystem from an explicit Gramm matrix.
 
-    Component types are classified from the Cartan matrix when not given;
-    that must succeed, since every valid Gramm matrix of a root system
-    restricts to catalogue types on its connected blocks.
+    Every RootSystem is built here, so every one is validated. Component
+    types are classified from the Cartan matrix when not given; that must
+    succeed, since every valid Gramm matrix of a root system restricts to
+    catalogue types on its connected blocks.
     """
-    _validate_gramm(gramm)
+    cartan = _validate_gramm(gramm)
     comps = _graph_components(gramm)
     if components is None:
-        typed = []
-        for comp in comps:
-            sub = gramm.submatrix(comp, comp)
-            identified = classify_irreducible(sub)
-            if identified is None:
-                raise ValueError("Gramm block matches no catalogue type")
-            typed.append(identified)
-        components = tuple(typed)
+        components = tuple(classify_irreducible(gramm.submatrix(c, c)) for c in comps)
+        if None in components:
+            raise ValueError("Gramm block matches no catalogue type")
     else:
         components = tuple(components)
         if len(components) != len(comps) or any(
@@ -290,9 +290,10 @@ def from_gramm(gramm: QMatrix, components=None) -> RootSystem:
         ):
             raise ValueError("declared components do not match the Gramm blocks")
     return RootSystem(
-        components=tuple(components),
+        components=components,
         gramm=gramm,
-        positive_roots=_enumerate_positive_roots(gramm),
+        cartan=cartan,
+        positive_roots=_enumerate_positive_roots(cartan),
         dynkin_components=comps,
     )
 
@@ -314,28 +315,16 @@ def build(spec) -> RootSystem:
 
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def _build(spec: tuple[tuple[str, int], ...]) -> RootSystem:
-    blocks = [gramm_seed(letter, rank) for letter, rank in spec]
-    n = sum(len(b) for b in blocks)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    offset = 0
-    for b in blocks:
-        k = len(b)
-        for i in range(k):
-            for j in range(k):
-                rows[offset + i][offset + j] = b[i][j]
-        offset += k
+    n = sum(rank for _, rank in spec)
+    rows, offset = [], 0
+    for letter, rank in spec:
+        for row in gramm_seed(letter, rank):
+            rows.append([0] * offset + row + [0] * (n - offset - rank))
+        offset += rank
     return from_gramm(QMatrix.from_rows(rows), components=spec)
 
 
-def _cartan_rows(gramm: QMatrix) -> list[list[Fraction]]:
-    """Cartan matrix entries 2 (alpha_i, alpha_j) / (alpha_j, alpha_j)."""
-    n = gramm.rows
-    return [[2 * gramm.at(i, j) / gramm.at(j, j) for j in range(n)] for i in range(n)]
-
-
-def _same_up_to_reindexing(
-    target: list[list[Fraction]], seed: list[list[Fraction]]
-) -> bool:
+def _same_up_to_reindexing(target, seed) -> bool:
     """Whether target[p[i]][p[j]] == seed[i][j] for some permutation p.
 
     Backtracking: seed node k goes to an unused target node whose entries
@@ -368,14 +357,13 @@ def classify_irreducible(gramm: QMatrix):
     makes it insensitive to rescaling the inner product.
     """
     rank = gramm.rows
-    if rank == 0 or not is_connected_subset(gramm, range(rank)):
+    target = _integer_cartan(gramm)
+    if rank == 0 or target is None or not is_connected_subset(gramm, range(rank)):
         return None
-    target = _cartan_rows(gramm)
     # Letters in catalogue order, so A3 wins over D3 and B2 over C2.
     for letter, (lo, hi) in _RANK_BOUNDS.items():
         if lo <= rank and (hi is None or rank <= hi):
-            seed = _cartan_rows(QMatrix.from_rows(gramm_seed(letter, rank)))
-            if _same_up_to_reindexing(target, seed):
+            if _same_up_to_reindexing(target, build(((letter, rank),)).cartan):
                 return (letter, rank)
     return None
 
@@ -534,20 +522,9 @@ def rescale_components(rs: RootSystem, factors: Sequence) -> RootSystem:
         raise ValueError("one factor per component required")
     if any(f <= 0 for f in factors):
         raise ValueError("scaling factors must be positive")
-    factor_of = {}
-    for comp, f in zip(rs.dynkin_components, factors):
-        for i in comp:
-            factor_of[i] = f
-    n = rs.rank
-    rows = [
-        [factor_of[i] * rs.gramm.at(i, j) for j in range(n)] for i in range(n)
-    ]
-    return RootSystem(
-        components=rs.components,
-        gramm=QMatrix.from_rows(rows),
-        positive_roots=rs.positive_roots,
-        dynkin_components=rs.dynkin_components,
-    )
+    factor_of = {i: f for comp, f in zip(rs.dynkin_components, factors) for i in comp}
+    rows = [[factor_of[i] * x for x in rs.gramm.row(i)] for i in range(rs.rank)]
+    return from_gramm(QMatrix.from_rows(rows), rs.components)
 
 
 def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[int, ...]]:

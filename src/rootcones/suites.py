@@ -257,12 +257,14 @@ def run_controls(rs: RootSystem, max_subset_size: int | None = None) -> list[dic
     for alpha in range(rs.rank):
         others = [i for i in range(rs.rank) if i != alpha]
         for subset in _subsets(others, max_subset_size):
-            # One ordering inequality per root outside I, as in `theorem_cone`.
+            # One ordering inequality per root outside I, as in
+            # `theorem_cone`, except alpha's own: its row is the zero
+            # vector, so dropping it leaves the cone as it is.
             drops = ["ordering-family", "positivity"]
             drops += [
                 f"ordering:{gamma + 1}"
                 for gamma in range(rs.rank)
-                if gamma not in subset
+                if gamma not in subset and gamma != alpha
             ]
             for drop in drops:
                 cone = certify.theorem_cone(rs, wt, alpha, subset, drop=drop)

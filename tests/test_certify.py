@@ -258,6 +258,22 @@ class TestSuiteWork:
         assert counts == {"theorem_cone": 12, "validate_certificate": 12}
 
 
+    def test_controls_skip_the_drop_of_alphas_own_ordering(self, monkeypatch):
+        # ordering:<alpha+1> is the zero row, so dropping it keeps the full
+        # cone. Per alpha of A3 the two other roots give subsets of sizes
+        # 0, 1, 1, 2 with 2 + (2 - |I|) drops each: 12 cones, 36 in all.
+        calls = []
+        real = certify.verify_theorem61_rays
+
+        def counted(cone):
+            calls.append(cone)
+            return real(cone)
+
+        monkeypatch.setattr(certify, "verify_theorem61_rays", counted)
+        rows = suites.run_controls(build("A3"))
+        assert len(calls) == 36
+        assert rows and all(row["status"] == "expected-violation" for row in rows)
+
     def test_one_block_expansion_per_subset(self, monkeypatch):
         # lemma64 sweeps every alpha over every subset of A3: 24 rows, but
         # the block formula depends on the subset only, so 8 computations.

@@ -201,6 +201,29 @@ class TestVerify:
             assert (code, out) == (2, "")
             assert message in err
 
+    @pytest.mark.parametrize(
+        "key,names,message",
+        [
+            ("suites", ["lemma66", "chi-proportionality", "lemma66"],
+             "suite 'lemma66' is given more than once"),
+            ("systems", ["A2", "B2", "A2"], "system 'A2' is given more than once"),
+            ("systems", ["B2xA1", "b2xa1"], "system 'b2xa1' is given more than once"),
+        ],
+    )
+    def test_repeated_suite_or_system_exits_2(
+        self, key, names, message, capsys, tmp_path
+    ):
+        # Each repeat used to run, and be reported, once per mention.
+        flag = {"suites": "--suite", "systems": "--system"}[key]
+        flags = [arg for name in names for arg in (flag, name)]
+        fixed = ["--suite", "lemma66"] if key == "systems" else ["--system", "A2"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: names}))
+        for args in (flags, ["--config", str(config)]):
+            code, out, err = run(["verify", *fixed, *args], capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: {message}\n"
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         fake_rows = [
             {
@@ -589,6 +612,20 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert err == "error: selection must not repeat roots\n"
+
+    def test_repeated_system_exits_2(self, capsys, tmp_path):
+        # Every trace of the repeat used to be printed twice.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"systems": ["A2", "A1", "A2"]}))
+        for args in (
+            ["--system", "A2", "--system", "A1", "--system", "A2"],
+            ["--config", str(config)],
+        ):
+            code, out, err = run(
+                ["simulate", *args, "--selection", "1", "--horizon", "2"], capsys
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: system 'A2' is given more than once\n"
 
     def test_csv_time_series(self, capsys):
         code, out, _ = run(

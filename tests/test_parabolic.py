@@ -198,6 +198,17 @@ class TestRelativeTorus:
         with pytest.raises(SubsetViolation):
             relative_torus(rs, [0], [1])
 
+    @pytest.mark.parametrize("spec", ["B3", "E8"])
+    def test_coroot_vectors_are_ints(self, spec):
+        rs = build(spec)
+        for alpha in range(rs.rank):
+            v = coroot_vector(rs, alpha)
+            assert all(type(x) is int for x in v)
+            g = rs.gramm
+            assert v == tuple(
+                2 * g.at(j, alpha) / g.at(alpha, alpha) for j in range(rs.rank)
+            )
+
 
 class TestInclusionLemma:
     def test_reflexive(self):

@@ -97,6 +97,76 @@ class TestBuild:
         assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1), (1, 2)}
 
 
+# Connection index det C, the order of the weight lattice modulo the root
+# lattice (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates I-IX).
+CONNECTION_INDEX = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2,
+    "C": lambda n: 2,
+    "D": lambda n: 4,
+    "E": lambda n: {6: 3, 7: 2, 8: 1}[n],
+    "F": lambda n: 1,
+    "G": lambda n: 1,
+}
+
+
+def fraction_determinant(rows):
+    """Independent oracle: plain Gaussian elimination over Fractions."""
+    a = [[Q(x) for x in row] for row in rows]
+    n = len(a)
+    det = Q(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if p is None:
+            return Q(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+class TestCartan:
+    @pytest.mark.parametrize("letter,rank", CATALOGUE)
+    def test_catalogue_cartan_shape_and_determinant(self, letter, rank):
+        rs = build([(letter, rank)])
+        c = rs.cartan
+        assert len(c) == rank and all(len(row) == rank for row in c)
+        assert all(type(x) is int for row in c for x in row)
+        for i in range(rank):
+            assert c[i][i] == 2
+            for j in range(rank):
+                if i != j:
+                    assert c[i][j] <= 0
+                    assert (c[i][j] == 0) == (c[j][i] == 0)
+        assert fraction_determinant(c) == CONNECTION_INDEX[letter](rank)
+
+    def test_cartan_is_the_gramm_pairing(self):
+        rs = build("B2xG2")
+        g = rs.gramm
+        assert rs.cartan == tuple(
+            tuple(2 * g.at(i, j) / g.at(j, j) for j in range(4)) for i in range(4)
+        )
+
+    @pytest.mark.parametrize("components", [None, (("A", 2),)])
+    def test_non_integral_cartan_is_bad_input(self, components):
+        # 2 (alpha_1, alpha_2) / (alpha_2, alpha_2) = -2/3. With components
+        # declared this used to raise InvariantViolation from the closure.
+        gramm = QMatrix.from_rows([[2, -1], [-1, 3]])
+        with pytest.raises(ValueError, match="Cartan matrix must be integral"):
+            from_gramm(gramm, components)
+
+    def test_rescaling_keeps_the_cartan_matrix(self):
+        rs = build("A2xB2")
+        scaled = rescale_components(rs, [Q(1, 3), 5])
+        assert scaled.cartan == rs.cartan
+        assert scaled.positive_roots == rs.positive_roots
+        assert scaled.components == rs.components
+
+
 class TestWeightTable:
     def test_rank_two_chain_by_hand(self):
         rs = build("A2")
