@@ -25,10 +25,8 @@ from .linalg import (
     determinant,
     intersect,
     invert,
-    is_direct_sum,
     kernel,
     span,
-    subspace_sum,
 )
 from .roots import (
     RootSystem,

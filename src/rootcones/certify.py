@@ -29,16 +29,11 @@ from .linalg import (
     clear_denominators,
     dot,
     invert,
+    is_positive_definite,
     solve,
     unit_vec,
 )
-from .roots import (
-    RootSystem,
-    WeightTable,
-    classify_irreducible,
-    is_connected_subset,
-    is_positive_definite,
-)
+from .roots import RootSystem, WeightTable, classify_irreducible, is_connected_subset
 
 
 @dataclass(frozen=True)
@@ -307,7 +302,7 @@ def connected_induced_subsets(rs: RootSystem):
     n = rs.rank
     for mask in range(1, 2**n):
         subset = tuple(i for i in range(n) if mask >> i & 1)
-        if is_connected_subset(rs.gramm, subset):
+        if is_connected_subset(rs.cartan, subset):
             yield subset
 
 

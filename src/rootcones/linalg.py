@@ -1,8 +1,8 @@
 """Exact rational vectors, matrices, and canonical subspaces.
 
 Vectors and matrices hold fractions.Fraction or int entries; plain ints
-are accepted wherever values enter (`vec`, `QMatrix.from_rows`, `rref`,
-`span`, `kernel`, `solve`), and values that are already Fractions are not
+are accepted wherever values enter (`QMatrix.from_rows`, `rref`, `span`,
+`kernel`, `solve`), and values that are already Fractions are not
 coerced again. Elimination runs on integer rows (Bareiss), and a
 `Subspace` stores each reduced-echelon row as its primitive integer
 multiple, so subspace code builds no Fraction per entry. Every value is
@@ -21,11 +21,6 @@ from .errors import DimensionMismatch, SingularMatrix
 
 Vector = tuple[Fraction, ...]
 IntVector = tuple[int, ...]
-
-
-def vec(values: Iterable) -> Vector:
-    """Coerce an iterable of numbers into a tuple of Fractions."""
-    return tuple(Fraction(x) for x in values)
 
 
 def unit_vec(n: int, i: int) -> IntVector:
@@ -84,20 +79,12 @@ class QMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "QMatrix":
-        rows = [vec(r) for r in rows]
+        rows = [tuple(map(Fraction, r)) for r in rows]
         n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise DimensionMismatch("ragged rows")
         return QMatrix(n, m, tuple(x for r in rows for x in r))
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix.from_rows([unit_vec(n, i) for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, (Fraction(0),) * (rows * cols))
 
     def at(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -105,17 +92,12 @@ class QMatrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def mul(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        if self.cols == 0:
-            return QMatrix.zero(self.rows, other.cols)
-        cols = [other.column(j) for j in range(other.cols)]
+        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
         entries = tuple(dot(self.row(i), c) for i in range(self.rows) for c in cols)
         return QMatrix(self.rows, other.cols, entries)
 
@@ -225,6 +207,30 @@ def determinant(m: QMatrix) -> Fraction:
     return Fraction(sign * d, prod(scales))
 
 
+def is_positive_definite(m: QMatrix) -> bool:
+    """Sylvester's criterion for a symmetric m, in one pass without swaps.
+
+    Forward fraction-free steps on the integer rows D m, with D the
+    diagonal of positive row scales, leave the k-th leading principal
+    minor of D m as the k-th pivot (Bareiss, 1968). That minor is m's
+    times the first k scales, so it has m's sign; the pass stops at the
+    first pivot <= 0.
+    """
+    if m.rows != m.cols:
+        raise DimensionMismatch(f"{m.rows}x{m.cols} matrix is not square")
+    a, _ = _integer_rows(m.row(i) for i in range(m.rows))
+    prev = 1
+    for k, row_k in enumerate(a):
+        piv = row_k[k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, len(a)):
+            f = a[i][k]
+            a[i] = [(piv * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = piv
+    return True
+
+
 def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     """Return a times [[b^-1, -b^-1 c], [0, Id]] exactly.
 
@@ -324,15 +330,6 @@ def span(ambient_dim: int, vectors: Sequence[Sequence[Fraction]]) -> Subspace:
     return Subspace(ambient_dim, tuple(basis))
 
 
-def full_space(ambient_dim: int) -> Subspace:
-    return Subspace(
-        ambient_dim,
-        tuple(
-            tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)
-        ),
-    )
-
-
 def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subspace:
     """Common kernel of the functionals, as a canonical subspace.
 
@@ -341,13 +338,15 @@ def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subsp
     f and at the pivot columns after f. No other kernel vector is nonzero
     at f, so these vectors, divided by their gcd with f's entry positive,
     are already the canonical basis. With no functionals there is no
-    elimination at all.
+    elimination at all: the unit basis is returned as it is.
     """
     for f in functionals:
         if len(f) != ambient_dim:
             raise DimensionMismatch("functional of wrong length")
     if not functionals:
-        return full_space(ambient_dim)
+        return Subspace(
+            ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim))
+        )
     a, _ = _integer_rows(f[::-1] for f in functionals)
     pivots, _, d = _fraction_free_reduce(a, ambient_dim)
     # Reduced row k is d times the reduced echelon row with pivot column
@@ -386,10 +385,6 @@ def contains(s: Subspace, v: Sequence[Fraction]) -> bool:
     return not any(residue)
 
 
-def is_subspace(inner: Subspace, outer: Subspace) -> bool:
-    return all(contains(outer, b) for b in inner.basis)
-
-
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space.
 
@@ -410,23 +405,6 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(
         n, tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
     )
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    return span(s1.ambient_dim, list(s1.basis) + list(s2.basis))
-
-
-def is_direct_sum(s1: Subspace, s2: Subspace, target: Subspace) -> bool:
-    """Whether target = s1 (+) s2 with trivial intersection.
-
-    Once the dimensions add up, s1 + s2 = target forces the intersection
-    to be trivial, since dim(s1 + s2) = dim s1 + dim s2 - dim(s1 & s2).
-    """
-    if not (s1.ambient_dim == s2.ambient_dim == target.ambient_dim):
-        raise DimensionMismatch("ambient dimensions differ")
-    return s1.dim + s2.dim == target.dim and subspace_sum(s1, s2) == target
 
 
 def solve(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):

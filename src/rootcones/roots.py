@@ -18,13 +18,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidRank, InvariantViolation, NotProportional, UnknownRoot
-from .linalg import (
-    QMatrix,
-    Vector,
-    determinant,
-    invert,
-    unit_vec,
-)
+from .linalg import QMatrix, Vector, invert, is_positive_definite, unit_vec
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -185,9 +179,13 @@ class RootSystem:
         return f"alpha_{alpha + 1}"
 
 
-def _graph_components(gramm: QMatrix, nodes=None) -> tuple[tuple[int, ...], ...]:
-    """Components of the Dynkin graph on nodes (default: all), least first."""
-    nodes = range(gramm.rows) if nodes is None else sorted(set(nodes))
+def _graph_components(cartan, nodes=None) -> tuple[tuple[int, ...], ...]:
+    """Components of the Dynkin graph on nodes (default: all), least first.
+
+    The graph is read from the integer Cartan rows: a nonzero off-diagonal
+    entry is an edge.
+    """
+    nodes = range(len(cartan)) if nodes is None else sorted(set(nodes))
     seen = set()
     comps = []
     for start in nodes:
@@ -199,16 +197,16 @@ def _graph_components(gramm: QMatrix, nodes=None) -> tuple[tuple[int, ...], ...]
             i = stack.pop()
             comp.append(i)
             for j in nodes:
-                if j not in seen and gramm.at(i, j) != 0:
+                if j not in seen and cartan[i][j] != 0:
                     seen.add(j)
                     stack.append(j)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
 
-def is_connected_subset(gramm: QMatrix, subset: Sequence[int]) -> bool:
+def is_connected_subset(cartan, subset: Sequence[int]) -> bool:
     """Whether the induced Dynkin subgraph on subset is connected."""
-    return len(_graph_components(gramm, subset)) == 1
+    return len(_graph_components(cartan, subset)) == 1
 
 
 def _enumerate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
@@ -235,14 +233,6 @@ def _enumerate_positive_roots(cartan) -> tuple[tuple[int, ...], ...]:
                     new.append(up)
         frontier = new
     return tuple(sorted(roots, key=lambda r: (sum(r), r)))
-
-
-def is_positive_definite(gramm: QMatrix) -> bool:
-    """Sylvester's criterion: every leading principal minor is positive."""
-    return all(
-        determinant(gramm.submatrix(range(k), range(k))) > 0
-        for k in range(1, gramm.rows + 1)
-    )
 
 
 def _integer_cartan(gramm: QMatrix):
@@ -275,10 +265,11 @@ def from_gramm(gramm: QMatrix, components=None) -> RootSystem:
     Every RootSystem is built here, so every one is validated. Component
     types are classified from the Cartan matrix when not given; that must
     succeed, since every valid Gramm matrix of a root system restricts to
-    catalogue types on its connected blocks.
+    catalogue types on its connected blocks. Declared types are checked
+    against the Cartan block of their component, up to reindexing.
     """
     cartan = _validate_gramm(gramm)
-    comps = _graph_components(gramm)
+    comps = _graph_components(cartan)
     if components is None:
         components = tuple(classify_irreducible(gramm.submatrix(c, c)) for c in comps)
         if None in components:
@@ -289,6 +280,12 @@ def from_gramm(gramm: QMatrix, components=None) -> RootSystem:
             rank != len(comp) for (_, rank), comp in zip(components, comps)
         ):
             raise ValueError("declared components do not match the Gramm blocks")
+        for (letter, rank), comp in zip(components, comps):
+            block = [[cartan[i][j] for j in comp] for i in comp]
+            if not _same_up_to_reindexing(block, _catalogue_cartan(letter, rank)):
+                raise ValueError(
+                    f"declared type {letter}{rank} does not match its Cartan block"
+                )
     return RootSystem(
         components=components,
         gramm=gramm,
@@ -322,6 +319,12 @@ def _build(spec: tuple[tuple[str, int], ...]) -> RootSystem:
             rows.append([0] * offset + row + [0] * (n - offset - rank))
         offset += rank
     return from_gramm(QMatrix.from_rows(rows), components=spec)
+
+
+@lru_cache(maxsize=None)
+def _catalogue_cartan(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The integer Cartan matrix of one catalogue type."""
+    return _integer_cartan(QMatrix.from_rows(gramm_seed(letter, rank)))
 
 
 def _same_up_to_reindexing(target, seed) -> bool:
@@ -358,12 +361,12 @@ def classify_irreducible(gramm: QMatrix):
     """
     rank = gramm.rows
     target = _integer_cartan(gramm)
-    if rank == 0 or target is None or not is_connected_subset(gramm, range(rank)):
+    if rank == 0 or target is None or not is_connected_subset(target, range(rank)):
         return None
     # Letters in catalogue order, so A3 wins over D3 and B2 over C2.
     for letter, (lo, hi) in _RANK_BOUNDS.items():
         if lo <= rank and (hi is None or rank <= hi):
-            if _same_up_to_reindexing(target, build(((letter, rank),)).cartan):
+            if _same_up_to_reindexing(target, _catalogue_cartan(letter, rank)):
                 return (letter, rank)
     return None
 

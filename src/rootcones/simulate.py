@@ -448,7 +448,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
     ambient = data.subsets[j - 1]
     later = list(trace.selection[j:])
     final_subset = data.subsets[-1]
-    component = next(c for c in _graph_components(rs.gramm, ambient) if alpha in c)
+    component = next(c for c in _graph_components(rs.cartan, ambient) if alpha in c)
     connected = any(t in component for t in later)
     checks: dict = {}
     # Levels below j never move alpha: their lines kill it exactly.

@@ -10,6 +10,8 @@ import json
 import time
 from fractions import Fraction as Q
 
+from test_linalg import identity
+
 from rootcones import cli
 from rootcones.certify import (
     expand_coefficients,
@@ -20,7 +22,7 @@ from rootcones.certify import (
     verify_theorem61_constructive,
     verify_theorem61_rays,
 )
-from rootcones.linalg import QMatrix, invert
+from rootcones.linalg import invert
 from rootcones.parabolic import (
     verify_discon,
     verify_inc,
@@ -67,7 +69,7 @@ def test_01_inverse_gramm_positivity():
     for spec in irreducible_catalogue(8):
         rs = build(spec)
         ginv = invert(rs.gramm)
-        assert rs.gramm.mul(ginv) == QMatrix.identity(rs.rank), spec
+        assert rs.gramm.mul(ginv) == identity(rs.rank), spec
         assert all(entry > 0 for entry in ginv.entries), spec
         assert verify_lemma66(rs), spec
     report(1, "inverse-gramm-positivity", started)

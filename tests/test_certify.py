@@ -6,6 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_linalg import vec
 
 from rootcones import certify, suites
 from rootcones.certify import (
@@ -26,7 +27,7 @@ from rootcones.errors import (
     PreconditionViolated,
     UnknownRoot,
 )
-from rootcones.linalg import QMatrix, dot, invert, vec
+from rootcones.linalg import QMatrix, dot, invert
 from rootcones.roots import build, connected_to, from_gramm, weight_table
 
 

@@ -87,6 +87,16 @@ class TestBuild:
         assert lines[0] == "system,root,d,dual_weight,weighted_dual_weight"
         assert len(lines) == 3
 
+    def test_report_digest_is_pinned(self, capsys):
+        # `build` is the only report that runs `make_datum`; any change to
+        # a printed basis, weight or root list changes this digest.
+        args = ["build", "A3", "B3", "C3", "D4", "F4", "G2xA1", "--subset", "1,2"]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ef5c5cd03bb9a4b79321e36835fbbfeabe247a1c71794f666d1f21b68c33ff70"
+        )
+
     @pytest.mark.parametrize(
         "spec,rank", [("A3", 3), ("B3", 3), ("C3", 3), ("G2", 2), ("A2xA1", 3)]
     )

@@ -7,11 +7,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from test_linalg import vec
 
 from rootcones import certify, cones, linalg
 from rootcones.cones import ConeSpec, extreme_rays
 from rootcones.errors import InvariantViolation
-from rootcones.linalg import dot, vec
+from rootcones.linalg import dot
 from rootcones.roots import build, weight_table
 
 
@@ -355,7 +356,8 @@ class TestOneEliminationPerStep:
         linalg.kernel(4, [[1, 2, 0, -1], [0, 1, 3, 1]])
         assert len(eliminations) == 1
         eliminations.clear()
-        assert linalg.kernel(4, []) == linalg.full_space(4)
+        unit_basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+        assert linalg.kernel(4, []) == linalg.Subspace(4, unit_basis)
         assert eliminations == []
 
     @pytest.mark.parametrize("subset, expected", [((2, 3), 2), ((), 1)])

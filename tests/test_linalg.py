@@ -17,15 +17,22 @@ from rootcones.linalg import (
     dot,
     intersect,
     invert,
-    is_direct_sum,
+    is_positive_definite,
     kernel,
     primitive,
     rref,
     solve,
     span,
-    subspace_sum,
-    vec,
 )
+
+
+def vec(values):
+    """A tuple of Fractions, for writing vectors in tests."""
+    return tuple(Q(x) for x in values)
+
+
+def identity(n):
+    return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def gauss_jordan_inverse(rows):
@@ -92,6 +99,32 @@ def gauss_jordan_null_space(rows, n):
     return tuple(basis)
 
 
+def elimination_determinant(rows):
+    """Independent oracle: plain rational elimination with row swaps."""
+    a = [[Q(x) for x in r] for r in rows]
+    det = Q(1)
+    for col in range(len(a)):
+        p = next((r for r in range(col, len(a)) if a[r][col] != 0), None)
+        if p is None:
+            return Q(0)
+        if p != col:
+            a[col], a[p] = a[p], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, len(a)):
+            f = a[r][col] / a[col][col]
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return det
+
+
+def sylvester(rows):
+    """Independent oracle: every leading principal minor is positive."""
+    return all(
+        elimination_determinant([r[:k] for r in rows[:k]]) > 0
+        for k in range(1, len(rows) + 1)
+    )
+
+
 def leibniz_determinant(rows):
     """Independent oracle: sum over permutations with their signs."""
     n = len(rows)
@@ -148,14 +181,14 @@ class TestInvert:
         assert invert(m) == QMatrix.from_rows([[Q(2, 3), Q(1, 3)], [Q(1, 3), Q(2, 3)]])
 
     def test_identity_fixed_point(self):
-        m = QMatrix.identity(3)
+        m = identity(3)
         assert invert(m) == m
 
     def test_adjugate_by_hand(self):
         m = QMatrix.from_rows([[2, -3], [-3, 6]])
         inv = invert(m)
         assert inv == QMatrix.from_rows([[2, 1], [1, Q(2, 3)]])
-        assert m.mul(inv) == QMatrix.identity(2)
+        assert m.mul(inv) == QMatrix.from_rows([[1, 0], [0, 1]])
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
@@ -185,8 +218,8 @@ class TestInvert:
             return
         inv = invert(m)
         assert [list(inv.row(i)) for i in range(n)] == oracle
-        assert m.mul(inv) == QMatrix.identity(n)
-        assert inv.mul(m) == QMatrix.identity(n)
+        assert m.mul(inv) == identity(n)
+        assert inv.mul(m) == identity(n)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -211,6 +244,54 @@ class TestInvert:
         assert determinant(QMatrix.from_rows([[Q(1, 2)]])) == Q(1, 2)
 
 
+# Symmetric and not positive definite: a leading minor is zero early on,
+# or negative later.
+NOT_POSITIVE_DEFINITE = [
+    [[0, 1], [1, 0]],
+    [[1, 1], [1, 1]],
+    [[0, 0], [0, 1]],
+    [[2, -3], [-3, 2]],
+]
+
+
+class TestPositiveDefinite:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_leading_minors(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=5))
+        rows = [[Q(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                rows[i][j] = rows[j][i] = data.draw(FRACTION_ENTRY)
+        # A diagonal shift makes positive definite matrices common.
+        shift = data.draw(st.integers(min_value=0, max_value=12))
+        for i in range(n):
+            rows[i][i] += shift
+        assert is_positive_definite(QMatrix.from_rows(rows)) == sylvester(rows)
+
+    @pytest.mark.parametrize("rows", NOT_POSITIVE_DEFINITE)
+    def test_zero_or_negative_leading_minor(self, rows):
+        assert not sylvester(rows)
+        assert not is_positive_definite(QMatrix.from_rows(rows))
+
+    def test_one_pass_without_determinant(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_positive_definite must make its own pass")
+
+        monkeypatch.setattr(linalg, "determinant", refuse)
+        monkeypatch.setattr(linalg, "_fraction_free_reduce", refuse)
+        a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        assert is_positive_definite(QMatrix.from_rows(a3))
+        assert is_positive_definite(QMatrix.from_rows([[Q(1, 2), Q(-1, 3)],
+                                                       [Q(-1, 3), Q(1, 2)]]))
+        assert not is_positive_definite(QMatrix.from_rows([[2, -3], [-3, 2]]))
+        assert is_positive_definite(QMatrix(0, 0, ()))
+
+    def test_non_square_raises(self):
+        with pytest.raises(DimensionMismatch):
+            is_positive_definite(QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
 class TestBlockCoefficientMatrix:
     def test_rank_two_chain_by_hand(self):
         # 2x2 arithmetic done by hand for the [[2,-1],[-1,2]] form.
@@ -224,20 +305,20 @@ class TestBlockCoefficientMatrix:
 
     def test_trivial_coupling_returns_a(self):
         a = QMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-        b = QMatrix.identity(2)
-        c = QMatrix.zero(2, 1)
+        b = QMatrix.from_rows([[1, 0], [0, 1]])
+        c = QMatrix.from_rows([[0], [0]])
         assert block_coefficient_matrix(a, b, c) == a
 
     def test_empty_pivot_block(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
-        b = QMatrix.zero(0, 0)
-        c = QMatrix.zero(0, 2)
+        b = QMatrix(0, 0, ())
+        c = QMatrix(0, 2, ())
         assert block_coefficient_matrix(a, b, c) == a
 
     def test_full_pivot_block_is_inverse_product(self):
         a = QMatrix.from_rows([[2, -1], [-1, 1]])
-        d = block_coefficient_matrix(a, a, QMatrix.zero(2, 0))
-        assert d == QMatrix.identity(2)
+        d = block_coefficient_matrix(a, a, QMatrix(2, 0, ()))
+        assert d == QMatrix.from_rows([[1, 0], [0, 1]])
 
     def test_change_of_basis_oracle(self):
         # Row of the second root over (first root, second dual weight):
@@ -328,12 +409,13 @@ class TestBlockCoefficientMatrix:
     def test_shape_errors(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
         with pytest.raises(DimensionMismatch):
-            block_coefficient_matrix(a, QMatrix.identity(1), QMatrix.zero(2, 1))
+            block_coefficient_matrix(
+                a, QMatrix.from_rows([[1]]), QMatrix.from_rows([[0], [0]])
+            )
         with pytest.raises(SingularMatrix):
-            block_coefficient_matrix(a, QMatrix.zero(1, 1), QMatrix.zero(1, 1))
-
-
-A2_GRAMM = [[Q(2), Q(-1)], [Q(-1), Q(2)]]
+            block_coefficient_matrix(
+                a, QMatrix.from_rows([[0]]), QMatrix.from_rows([[0]])
+            )
 
 
 class TestSubspaces:
@@ -346,11 +428,6 @@ class TestSubspaces:
     def test_intersect_idempotent(self):
         s = span(3, [[1, 0, 1], [0, 1, 0]])
         assert intersect(s, s) == s
-
-    def test_two_lines_span_plane(self):
-        ka = kernel(2, [A2_GRAMM[0]])
-        kb = kernel(2, [A2_GRAMM[1]])
-        assert subspace_sum(ka, kb) == linalg.full_space(2)
 
     def test_canonical_equality(self):
         s1 = span(3, [[2, 2, 0], [0, 0, 3]])
@@ -366,11 +443,11 @@ class TestSubspaces:
     def test_direct_sum_and_unique_decomposition(self):
         s1 = span(3, [[1, 0, 0]])
         s2 = span(3, [[0, 1, 1], [0, 0, 1]])
-        t = linalg.full_space(3)
-        assert is_direct_sum(s1, s2, t)
-        # Any vector decomposes uniquely: solve over the joint basis.
-        v = vec([3, -2, 7])
+        # The joint basis is independent and spans the whole space, so any
+        # vector decomposes uniquely: solve over the joint basis.
         cols = [list(b) for b in s1.basis] + [list(b) for b in s2.basis]
+        assert len(gauss_jordan_rref(cols)[1]) == len(cols) == 3
+        v = vec([3, -2, 7])
         coeffs = solve(cols, v)
         assert coeffs is not None
         rebuilt = [Q(0)] * 3
@@ -378,30 +455,9 @@ class TestSubspaces:
             rebuilt = [r + x * c for r, c in zip(rebuilt, col)]
         assert tuple(rebuilt) == v
 
-    def test_not_direct_sum_when_overlapping(self):
-        s1 = span(2, [[1, 0]])
-        s2 = span(2, [[1, 0]])
-        assert not is_direct_sum(s1, s2, linalg.full_space(2))
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             intersect(span(2, [[1, 0]]), span(3, [[1, 0, 0]]))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.data())
-    def test_sum_contains_both_summands(self, data):
-        n = data.draw(st.integers(min_value=1, max_value=5))
-        vs = st.lists(
-            st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
-            min_size=0,
-            max_size=4,
-        )
-        s1 = span(n, data.draw(vs))
-        s2 = span(n, data.draw(vs))
-        total = subspace_sum(s1, s2)
-        assert all(contains(total, b) for b in s1.basis)
-        assert all(contains(total, b) for b in s2.basis)
-        assert intersect(s1, total) == s1
 
     @settings(max_examples=100, deadline=None)
     @given(low_rank_rows())
@@ -492,25 +548,6 @@ class TestSubspaces:
         s1, s2 = span(n, rows1), span(n, rows2)
         ann = list(kernel(n, s1.basis).basis) + list(kernel(n, s2.basis).basis)
         assert intersect(s1, s2) == kernel(n, ann)
-
-    @settings(max_examples=80, deadline=None)
-    @given(low_rank_rows(max_rows=5, max_cols=5), st.data())
-    def test_direct_sum_matches_definition(self, drawn, data):
-        n, rows = drawn
-        cut = data.draw(st.integers(min_value=0, max_value=len(rows)))
-        rows1, rows2 = rows[:cut], rows[cut:]
-        # Overlapping pairs half the time: s2 also spans a vector of s1.
-        if rows1 and data.draw(st.booleans()):
-            rows2 = rows2 + [rows1[-1]]
-        target_rows = rows[: data.draw(st.integers(min_value=0, max_value=len(rows)))]
-        s1, s2, target = span(n, rows1), span(n, rows2), span(n, target_rows)
-        # Definition: the joint basis is independent and spans the target.
-        joint = list(s1.basis) + list(s2.basis)
-        reduced = gauss_jordan_rref(joint)
-        expected = len(reduced[0]) == len(joint) and reduced == gauss_jordan_rref(
-            target.basis
-        )
-        assert is_direct_sum(s1, s2, target) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

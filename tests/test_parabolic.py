@@ -7,6 +7,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from test_linalg import gauss_jordan_rref, vec
 
 from rootcones import linalg, parabolic, suites
 from rootcones.errors import (
@@ -17,14 +18,10 @@ from rootcones.errors import (
 )
 from rootcones.linalg import (
     Subspace,
-    full_space,
     intersect,
-    is_direct_sum,
-    is_subspace,
     kernel,
     span,
     unit_vec,
-    vec,
 )
 from rootcones.parabolic import (
     coroot_span,
@@ -67,7 +64,7 @@ class TestMakeDatum:
     def test_empty_subset(self):
         rs = build("A2")
         datum = make_datum(rs, [])
-        assert datum.a_I == full_space(2)
+        assert datum.a_I == Subspace(2, ((1, 0), (0, 1)))
         assert datum.a_upper.dim == 0
         assert datum.relative.dual == {}
 
@@ -75,7 +72,7 @@ class TestMakeDatum:
         rs = build("A2")
         datum = make_datum(rs, [0, 1])
         assert datum.a_I.dim == 0
-        assert datum.a_upper == full_space(2)
+        assert datum.a_upper == Subspace(2, ((1, 0), (0, 1)))
         ambient = weight_table(rs)
         assert datum.relative.dual[0] == ambient.dual[0]
         assert datum.relative.d == {0: ambient.d[0], 1: ambient.d[1]}
@@ -176,7 +173,7 @@ class TestWeightTableOracle:
 class TestRelativeTorus:
     def test_extreme_subsets(self):
         rs = build("A3")
-        assert relative_torus(rs, range(3), []) == full_space(3)
+        assert relative_torus(rs, range(3), []) == Subspace(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     def test_dimension_formula(self):
         rs = build("A3")
@@ -437,6 +434,19 @@ class TestParaShadow:
                     assert is_subspace(small, large)
                     connecting = relative_torus(rs, iprime, i)
                     assert is_direct_sum(small, connecting, large)
+
+
+def is_subspace(inner, outer):
+    """Independent oracle: adjoining inner's basis keeps outer's rank."""
+    return len(gauss_jordan_rref(outer.basis + inner.basis)[1]) == outer.dim
+
+
+def is_direct_sum(s1, s2, target):
+    """Independent oracle: the joint basis of s1 and s2 is independent and
+    has target's reduced echelon form (plain Gauss-Jordan, no Bareiss)."""
+    joint = s1.basis + s2.basis
+    reduced = gauss_jordan_rref(joint)
+    return len(reduced[1]) == len(joint) and reduced == gauss_jordan_rref(target.basis)
 
 
 def fresh(spec):

@@ -8,9 +8,12 @@ from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_linalg import NOT_POSITIVE_DEFINITE, vec
+
+from rootcones import roots, suites
 
 from rootcones.errors import InvalidRank, NotProportional, UnknownRoot
-from rootcones.linalg import QMatrix, invert, unit_vec, vec
+from rootcones.linalg import QMatrix, invert, is_positive_definite, unit_vec
 from rootcones.parabolic import relative_torus
 from rootcones.roots import (
     build,
@@ -129,6 +132,33 @@ def fraction_determinant(rows):
     return det
 
 
+class TestDeclaredTypes:
+    def test_mismatched_type_raises(self):
+        with pytest.raises(ValueError, match="G2 does not match"):
+            from_gramm(build("A2").gramm, (("G", 2),))
+        with pytest.raises(ValueError, match="G2 does not match"):
+            from_gramm(build("A2xB2").gramm, (("A", 2), ("G", 2)))
+
+    def test_type_with_the_same_cartan_matrix_up_to_reindexing_passes(self):
+        # C2 and B2 have the same Cartan matrix with the roots swapped.
+        rs = from_gramm(build("B2").gramm, (("C", 2),))
+        assert rs.spec == "C2"
+        assert rs.cartan == build("B2").cartan
+
+    def test_check_calls_neither_build_nor_classification(self, monkeypatch):
+        specs = [f"{letter}{rank}" for letter, rank in CATALOGUE]
+        specs += suites.PARABOLIC_EXTRAS
+        systems = {spec: build(spec) for spec in specs}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("declared types are checked on the Cartan matrix")
+
+        monkeypatch.setattr(roots, "build", refuse)
+        monkeypatch.setattr(roots, "classify_irreducible", refuse)
+        for spec, rs in systems.items():
+            assert from_gramm(rs.gramm, rs.components).cartan == rs.cartan, spec
+
+
 class TestCartan:
     @pytest.mark.parametrize("letter,rank", CATALOGUE)
     def test_catalogue_cartan_shape_and_determinant(self, letter, rank):
@@ -158,6 +188,15 @@ class TestCartan:
         gramm = QMatrix.from_rows([[2, -1], [-1, 3]])
         with pytest.raises(ValueError, match="Cartan matrix must be integral"):
             from_gramm(gramm, components)
+
+    @pytest.mark.parametrize("rows", NOT_POSITIVE_DEFINITE)
+    def test_not_positive_definite_is_bad_input(self, rows):
+        with pytest.raises(ValueError, match="positive definite"):
+            from_gramm(QMatrix.from_rows(rows))
+
+    def test_every_catalogue_gramm_is_positive_definite(self):
+        for letter, rank in CATALOGUE:
+            assert is_positive_definite(build([(letter, rank)]).gramm), letter + str(rank)
 
     def test_rescaling_keeps_the_cartan_matrix(self):
         rs = build("A2xB2")
@@ -278,7 +317,7 @@ class TestConnectedTo:
         assert connected_to(rs, 0, [2])
 
     def test_components_of_a_subset_keep_ambient_indices(self):
-        g = build("D4").gramm  # alpha_2 is the branch node
+        g = build("D4").cartan  # alpha_2 is the branch node
         assert _graph_components(g) == ((0, 1, 2, 3),)
         assert _graph_components(g, [3, 0, 2]) == ((0,), (2,), (3,))
         assert _graph_components(g, (1, 3, 0)) == ((0, 1, 3),)
@@ -393,10 +432,11 @@ def brute_force_type(gramm):
 
 
 def connected_blocks(letter, rank):
-    gramm = build([(letter, rank)]).gramm
+    rs = build([(letter, rank)])
+    gramm = rs.gramm
     for k in range(1, rank + 1):
         for subset in combinations(range(rank), k):
-            if is_connected_subset(gramm, subset):
+            if is_connected_subset(rs.cartan, subset):
                 yield gramm.submatrix(subset, subset)
 
 

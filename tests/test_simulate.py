@@ -7,6 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_linalg import vec
 
 from rootcones import linalg
 from rootcones import simulate as sim
@@ -15,7 +16,7 @@ from rootcones.errors import (
     DivergenceFailure,
     PreconditionViolated,
 )
-from rootcones.linalg import contains, solve, vec
+from rootcones.linalg import contains, solve
 from rootcones.parabolic import relative_torus, relative_weight_table, verify_discon
 from rootcones.roots import build, connected_to, from_gramm, subsystem
 from rootcones.simulate import (
