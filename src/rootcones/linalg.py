@@ -196,7 +196,11 @@ def invert(m: QMatrix) -> QMatrix:
 
 
 def determinant(m: QMatrix) -> Fraction:
-    """Exact determinant: the last fraction-free pivot over the row scales."""
+    """Exact determinant: the last fraction-free pivot over the row scales.
+
+    No package code calls it; it is kept because the perfbench tracer
+    wraps it.
+    """
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = m.rows

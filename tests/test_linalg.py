@@ -190,6 +190,13 @@ class TestInvert:
         assert inv == QMatrix.from_rows([[2, 1], [1, Q(2, 3)]])
         assert m.mul(inv) == QMatrix.from_rows([[1, 0], [0, 1]])
 
+    def test_product_by_hand_and_over_an_empty_inner_dimension(self):
+        m = QMatrix.from_rows([[1, 2, 0], [0, Q(1, 2), -1]])
+        n = QMatrix.from_rows([[3], [1], [2]])
+        assert m.mul(n) == QMatrix.from_rows([[5], [Q(-3, 2)]])
+        zero = QMatrix(2, 0, ()).mul(QMatrix(0, 3, ()))
+        assert zero == QMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+
     def test_singular_raises(self):
         with pytest.raises(SingularMatrix):
             invert(QMatrix.from_rows([[1, 2], [2, 4]]))
