@@ -63,7 +63,6 @@ from .certify import (
     verify_theorem61_rays,
 )
 from .simulate import (
-    CoupleStep,
     SimTrace,
     assert_divergence,
     check_admissibility,

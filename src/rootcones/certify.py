@@ -107,8 +107,9 @@ class Certificate:
 
     conic_combination: the objective equals the stated nonnegative
     combination of the cone's inequalities plus an arbitrary combination
-    of its equalities (multipliers omitted on the ray-oracle route, which
-    instead records the minimum objective over all extreme rays).
+    of its equalities. The ray-oracle route omits the multipliers and
+    records the minimum objective over all extreme rays instead; its
+    evidence is that enumeration, so such a certificate does not validate.
     violating_ray: a point of the cone with negative objective.
     """
 
@@ -122,7 +123,11 @@ class Certificate:
 
 
 def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
-    """Re-check a certificate against its cone, from scratch."""
+    """Re-check a certificate against its cone, from scratch.
+
+    Only what the certificate carries counts: a conic combination without
+    multipliers cannot be re-checked, so it is rejected.
+    """
     if cert.kind == "violating_ray":
         if cert.ray is None:
             return False
@@ -131,11 +136,8 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
         inside = all(dot(f, ray) >= 0 for f in cone.inequalities)
         value = dot(cone.objective, ray)
         return tight and inside and value < 0 and value == cert.objective_value
-    if cert.kind != "conic_combination":
+    if cert.kind != "conic_combination" or cert.inequality_multipliers is None:
         return False
-    if cert.inequality_multipliers is None:
-        # Ray-oracle confirmation: the evidence is the ray minimum.
-        return cert.min_ray_objective is None or cert.min_ray_objective >= 0
     if len(cert.inequality_multipliers) != len(cone.inequalities):
         return False
     if any(m < 0 for m in cert.inequality_multipliers):

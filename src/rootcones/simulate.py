@@ -57,20 +57,6 @@ from .roots import RootSystem, _graph_components, build
 
 
 @dataclass(frozen=True)
-class CoupleStep:
-    """One level of a trace: a selected root, its line and its slope.
-
-    The level's component at index n is n times slope times line.
-    """
-
-    level: int
-    root: int
-    subset_after: tuple[int, ...]
-    line: tuple[int, ...]
-    slope: Fraction
-
-
-@dataclass(frozen=True)
 class SimTrace:
     """A full multi-level trace over a finite horizon.
 
@@ -90,17 +76,6 @@ class SimTrace:
     @property
     def levels(self) -> int:
         return len(self.selection)
-
-    @property
-    def steps(self) -> tuple[CoupleStep, ...]:
-        """Each level's root, subset, line and slope, from the level data."""
-        data = _level_data(self.rs, self.selection)
-        return tuple(
-            CoupleStep(l, root, data.subsets[l], line, slope)
-            for l, (root, line, slope) in enumerate(
-                zip(self.selection, data.lines, self.slopes), start=1
-            )
-        )
 
     def theta(self, level: int, n: int) -> tuple[Fraction, ...]:
         """Accumulated tail sum of components from `level` up, at index n.
@@ -501,6 +476,7 @@ def replay_induction(trace: SimTrace, depth: int) -> dict:
 
 
 def trace_to_dict(trace: SimTrace) -> dict:
+    data = _level_data(trace.rs, trace.selection)
     return {
         "schema": 1,
         "system": trace.rs.spec,
@@ -509,13 +485,15 @@ def trace_to_dict(trace: SimTrace) -> dict:
         "n0": trace.n0,
         "levels": [
             {
-                "level": step.level,
-                "root": step.root + 1,
-                "subset_after": [i + 1 for i in step.subset_after],
-                "line": list(step.line),
-                "slope": str(step.slope),
+                "level": l,
+                "root": root + 1,
+                "subset_after": [i + 1 for i in data.subsets[l]],
+                "line": list(data.lines[l - 1]),
+                "slope": str(slope),
             }
-            for step in trace.steps
+            for l, (root, slope) in enumerate(
+                zip(trace.selection, trace.slopes), start=1
+            )
         ],
     }
 
@@ -526,8 +504,9 @@ def trace_from_dict(data: dict) -> SimTrace:
     selection = tuple(i - 1 for i in data["selection"])
     slopes = [Fraction(level["slope"]) for level in data["levels"]]
     trace = make_trace(rs, selection, slopes, int(data["horizon"]))
-    for stored, step in zip(data["levels"], trace.steps):
-        if tuple(stored["line"]) != step.line:
+    lines = _level_data(rs, trace.selection).lines
+    for stored, line in zip(data["levels"], lines):
+        if tuple(stored["line"]) != line:
             raise ValueError("stored line disagrees with the reconstruction")
     if data.get("n0") != trace.n0:
         raise ValueError("stored n0 disagrees with the reconstruction")

@@ -241,8 +241,7 @@ def test_09_divergence_simulation_thousand_traces():
                 outcome = replay_induction(trace, depth)
                 assert all(outcome["checks"].values()), (spec, selection, depth)
             if spec == "A2" and selection == (0, 1):
-                slopes = tuple(step.slope for step in trace.steps)
-                assert slopes != naive_slopes
+                assert trace.slopes != naive_slopes
     # The known-inadmissible trace is outside the sampling cone, hence
     # never generated: its slope vector violates a constraint row.
     rs = build("A2")

@@ -226,6 +226,21 @@ class TestRayRoute:
         assert cert.kind == "violating_ray"
         assert validate_certificate(cone, cert)
 
+    def test_a_pass_without_multipliers_does_not_validate(self):
+        # Dropping the ordering family leaves a violating ray, so a bare
+        # conic combination claims what is false; nothing in it can be
+        # re-checked. A genuine ray-route pass carries no more.
+        rs = build("A2")
+        wt = weight_table(rs)
+        cone = theorem_cone(rs, wt, 0, [], drop="ordering-family")
+        assert verify_theorem61_rays(cone).kind == "violating_ray"
+        bare = certify.Certificate(kind="conic_combination")
+        assert not validate_certificate(cone, bare)
+        full = theorem_cone(rs, wt, 0, [])
+        passing = verify_theorem61_rays(full)
+        assert passing.kind == "conic_combination"
+        assert not validate_certificate(full, passing)
+
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
     def test_two_routes_agree(self, spec):
         rs = build(spec)
@@ -244,7 +259,8 @@ class TestSuiteWork:
     @pytest.mark.parametrize("route", ["constructive", "rays"])
     def test_one_cone_and_one_validation_per_row(self, route, monkeypatch):
         # The constructive route validates against the cone it is given,
-        # so the suite builds each row's cone once and checks it once.
+        # so the suite builds each row's cone once and checks it once. A
+        # ray-route pass carries no multipliers, so it is not validated.
         counts = {"theorem_cone": 0, "validate_certificate": 0}
         for name in counts:
 
@@ -256,7 +272,8 @@ class TestSuiteWork:
         rows = suites.run_theorem61(build("A3"), route)
         assert len(rows) == 12
         assert all(row["status"] == "pass" for row in rows)
-        assert counts == {"theorem_cone": 12, "validate_certificate": 12}
+        validations = 12 if route == "constructive" else 0
+        assert counts == {"theorem_cone": 12, "validate_certificate": validations}
 
 
     def test_controls_skip_the_drop_of_alphas_own_ordering(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, config handling."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from test_linalg import gauss_jordan_rref
 
 from rootcones import cli, simulate, suites
 from rootcones.errors import InfeasibleSelection
+from rootcones.roots import parse_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -122,11 +124,13 @@ class TestBuild:
 
 class TestVerify:
     def test_readme_lists_every_default_rank_cap(self):
+        # A suite's cap is the largest total rank among its default systems.
         rows = re.findall(
             r"^\| `([a-z0-9-]+)` \| (\d+) \|", README.read_text(), re.MULTILINE
         )
         assert [(name, int(cap)) for name, cap in rows] == [
-            (name, suite.rank_cap) for name, suite in suites.SUITES.items()
+            (name, max(sum(n for _, n in parse_spec(s)) for s in suite.systems))
+            for name, suite in suites.SUITES.items()
         ]
 
     def test_catalogue_is_pinned(self):
@@ -142,19 +146,30 @@ class TestVerify:
             expected = [spec for spec in full if int(spec[1:]) <= k]
             assert suites.irreducible_catalogue(k) == expected
 
-    def test_controls_and_parabolic_systems_are_pinned(self):
-        # Each spec with its total rank, in report order.
+    def test_every_suite_default_systems_are_pinned(self):
+        # Each suite's rank cap, written out: the catalogue up to the cap
+        # or --max-rank, whichever is lower; parabolic-lemmas adds the
+        # products that fit and controls is A2 and A3. Each product and
+        # control spec is listed with its total rank, in report order.
+        caps = {
+            "gramm-inverse": 8, "identity-2d": 8, "lemma64": 6,
+            "theorem61-constructive": 5, "theorem61-rays": 5, "lemma65": 8,
+            "lemma66": 8, "parabolic-lemmas": 8, "chi-proportionality": 8,
+            "controls": 3,
+        }
         controls = [("A2", 2), ("A3", 3)]
         extras = [("A1xA1", 2), ("A2xA1", 3), ("A2xA2", 4), ("B2xA1", 3)]
-        for k in range(1, 9):
-            assert suites.systems_for("controls", k, None) == [
-                spec for spec, rank in controls if rank <= k
-            ]
-            assert suites.systems_for(
-                "parabolic-lemmas", k, None
-            ) == suites.irreducible_catalogue(k) + [
-                spec for spec, rank in extras if rank <= k
-            ]
+        assert list(caps) == list(suites.SUITES)
+        for suite, cap in caps.items():
+            for k in (None, *range(1, 10)):
+                top = cap if k is None else min(cap, k)
+                if suite == "controls":
+                    expected = [spec for spec, rank in controls if rank <= top]
+                else:
+                    expected = suites.irreducible_catalogue(top)
+                if suite == "parabolic-lemmas":
+                    expected += [spec for spec, rank in extras if rank <= top]
+                assert suites.systems_for(suite, k, None) == expected, (suite, k)
 
     def test_small_sweep_passes(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -738,7 +753,7 @@ class TestWorkerBound:
     @pytest.fixture
     def sizes(self, monkeypatch):
         monkeypatch.setattr(RecordingPool, "sizes", [])
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
         return RecordingPool.sizes
 
@@ -761,6 +776,23 @@ class TestWorkerBound:
         )
         assert code == 0
         assert sizes == [2]  # one selection, two traces
+
+    def test_cli_import_leaves_the_pool_unloaded(self):
+        # The process pool is imported only when more than one worker runs,
+        # so a one-worker run never pays for loading it.
+        script = (
+            "import sys\n"
+            "import rootcones.cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
     def test_single_worker_runs_inline(self, capsys, sizes):
         suites.run_verification(["lemma66"], systems=["A1", "A2"], jobs=1)

@@ -32,9 +32,10 @@ from rootcones.simulate import (
 )
 
 
-def component(step):
-    """A level's component at n = 1: slope times line."""
-    return tuple(Q(step.slope) * x for x in step.line)
+def component(trace, l):
+    """Level l's component (0-based) at n = 1: slope times line."""
+    line = _level_data(trace.rs, trace.selection).lines[l]
+    return tuple(trace.slopes[l] * x for x in line)
 
 
 def all_selections(rank, max_len=None):
@@ -57,8 +58,8 @@ class TestRankTwoChainByHand:
         assert ok, problems
         assert trace.n0 == 1
         # Component values: (2n, 0) and (-n/2, n); tails (3n/2, n).
-        assert component(trace.steps[0]) == vec([2, 0])
-        assert component(trace.steps[1]) == vec([Q(-1, 2), 1])
+        assert component(trace, 0) == vec([2, 0])
+        assert component(trace, 1) == vec([Q(-1, 2), 1])
         assert trace.theta(1, 1) == vec([Q(3, 2), 1])
         assert trace.theta(1, 4) == vec([6, 4])
 
@@ -98,8 +99,7 @@ class TestRankTwoChainByHand:
         )
         for seed in range(300):
             trace = generate_trace(self.rs, (0, 1), horizon=3, seed=seed)
-            slopes = tuple(step.slope for step in trace.steps)
-            assert slopes != naive
+            assert trace.slopes != naive
             ok, problems = check_admissibility(trace)
             assert ok, problems
 
@@ -254,14 +254,15 @@ class TestIntegerSlopeSpace:
         rs = build(spec)
         trace = make_trace(rs, selection, slopes[: len(selection)], horizon)
         functionals = rational_functionals(rs, selection)
+        lines = _level_data(rs, trace.selection).lines
 
         def violations(n):
             out = []
             for label, level, functional in functionals:
                 theta = [Q(0)] * rs.rank
-                for step in trace.steps[level - 1 :]:
-                    for i, x in enumerate(step.line):
-                        theta[i] += n * step.slope * x
+                for line, slope in zip(lines[level - 1 :], trace.slopes[level - 1 :]):
+                    for i, x in enumerate(line):
+                        theta[i] += n * slope * x
                 value = sum((a * b for a, b in zip(functional, theta)), Q(0))
                 if value < 0:
                     out.append(f"{label} fails at n={n}")
@@ -339,11 +340,16 @@ class TestInductionReplay:
 
 
 def fraction_tail(trace, level):
-    """Sum of slope times line over the levels from `level` up, in Fractions."""
+    """Sum of slope times line over the levels from `level` up, in Fractions.
+
+    The lines are read through `sim._level_data`, so a patched level data
+    reaches this oracle as it reaches the code under test.
+    """
+    lines = sim._level_data(trace.rs, trace.selection).lines
     tail = [Q(0)] * trace.rs.rank
-    for step in trace.steps[level - 1 :]:
-        for i, x in enumerate(step.line):
-            tail[i] += step.slope * x
+    for line, slope in zip(lines[level - 1 :], trace.slopes[level - 1 :]):
+        for i, x in enumerate(line):
+            tail[i] += slope * x
     return tuple(tail)
 
 
@@ -362,7 +368,7 @@ def fraction_replay(trace, depth):
     subsets = [tuple(range(rs.rank))]
     for root in trace.selection:
         subsets.append(tuple(i for i in subsets[-1] if i != root))
-    lines = [step.line for step in trace.steps]
+    lines = sim._level_data(rs, trace.selection).lines
     j = r - depth
     alpha = trace.selection[j - 1]
     ambient = subsets[j - 1]
@@ -374,7 +380,7 @@ def fraction_replay(trace, depth):
     checks = {}
     checks["kernel_bookkeeping"] = all(lines[m][alpha] == 0 for m in range(j - 1))
     tau = fraction_tail(trace, j)
-    own = trace.steps[j - 1]
+    own_slope, own_line = trace.slopes[j - 1], lines[j - 1]
     report = {
         "depth": depth,
         "level": j,
@@ -384,14 +390,14 @@ def fraction_replay(trace, depth):
         "checks": checks,
     }
     if not connected:
-        checks["evaluation_equality"] = tau[alpha] == own.slope * own.line[alpha]
+        checks["evaluation_equality"] = tau[alpha] == own_slope * own_line[alpha]
         checks["kernel_subspace"] = verify_discon(
             sub_rs,
             to_local[alpha],
             [to_local[t] for t in final_subset],
             [to_local[t] for t in subsets[j]],
         )
-        tail = tuple(t - own.slope * x for t, x in zip(tau, own.line))
+        tail = tuple(t - own_slope * x for t, x in zip(tau, own_line))
         checks["tail_membership"] = contains(
             relative_torus(rs, subsets[j], final_subset), tail
         )
@@ -453,8 +459,8 @@ def fraction_divergence(trace):
             raise DivergenceFailure(f"{label} fails to diverge: series={series[label]}")
         report["roots"][label] = {"slope": slopes[root], "final": series[label][-1]}
     last = trace.selection[-1]
-    step = trace.steps[-1]
-    report["base_case_exact"] = slopes[last] == step.slope * step.line[last]
+    last_line = sim._level_data(trace.rs, trace.selection).lines[-1]
+    report["base_case_exact"] = slopes[last] == trace.slopes[-1] * last_line[last]
     if not report["base_case_exact"]:
         raise DivergenceFailure("last-selected root sees foreign contributions")
     return report
@@ -537,7 +543,7 @@ class TestReplayOracle:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "_level_data", level_data)
-            assert trace.steps[level].line == tuple(line)
+            assert sim._level_data(rs, trace.selection).lines[level] == tuple(line)
             assert_same_as_oracle(trace)
 
 
@@ -594,11 +600,8 @@ def test_a_trace_is_its_selection_and_slopes(monkeypatch):
     assert calls == []
     replay_induction(traces[-1], 0)
     assert "contains" in calls  # the counters are wired
-    assert "steps" not in {f.name for f in dataclasses.fields(sim.SimTrace)}
-    for trace in traces:
-        lines = _level_data(rs, trace.selection).lines
-        for l, step in enumerate(trace.steps):
-            assert step.line == lines[l]
+    fields = [f.name for f in dataclasses.fields(sim.SimTrace)]
+    assert fields == ["rs", "selection", "horizon", "n0", "slopes"]
 
 
 def test_replay_consults_the_splitting_check(monkeypatch):
