@@ -33,7 +33,7 @@ from .linalg import (
     solve,
     unit_vec,
 )
-from .roots import RootSystem, WeightTable, classify_irreducible, is_connected_subset
+from .roots import RootSystem, classify_irreducible, is_connected_subset, weight_table
 
 
 @dataclass(frozen=True)
@@ -47,14 +47,15 @@ class CoefficientExpansion:
 
 
 def expand_coefficients(
-    rs: RootSystem, wt: WeightTable, alpha: int, subset: Iterable[int]
+    rs: RootSystem, alpha: int, subset: Iterable[int]
 ) -> CoefficientExpansion:
     """Expand alpha over I and the dual weights outside I, exactly.
 
     Row alpha of the block re-basing formula, which depends on I and not
     on alpha, so one matrix per system and subset is memoised for every
     alpha. Each call cross-checks its row by an independent linear solve
-    over `wt`'s dual weights, which is never memoised. The off-diagonal
+    over the dual weights of `weight_table(rs)`, which is never memoised,
+    so a wrong table is caught even when the block is. The off-diagonal
     coefficients must come out non-positive; a violation would disprove
     the sign property this toolkit exists to check, so it stops the run.
     """
@@ -68,7 +69,8 @@ def expand_coefficients(
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
     # Independent route: solve for alpha over the explicit basis vectors.
-    columns = [unit_vec(rs.rank, b) for b in subset] + [wt.dual[g] for g in rest]
+    dual = weight_table(rs).dual
+    columns = [unit_vec(rs.rank, b) for b in subset] + [dual[g] for g in rest]
     direct = solve(columns, unit_vec(rs.rank, alpha))
     if direct is None or list(direct) != list(row):
         raise InvariantViolation("block formula disagrees with the direct solve")
@@ -94,10 +96,11 @@ def _block_expansion(
     )
 
 
-def expansion_mass_identity(exp: CoefficientExpansion, wt: WeightTable) -> bool:
-    """Whether the coefficient masses sum to one."""
+def expansion_mass_identity(rs: RootSystem, exp: CoefficientExpansion) -> bool:
+    """Whether the coefficient masses of an expansion in rs sum to one."""
+    d = weight_table(rs).d
     total = sum((coeff for _, coeff in exp.on_roots), Fraction(0))
-    total += sum((coeff * wt.d[gamma] for gamma, coeff in exp.on_weights), Fraction(0))
+    total += sum((coeff * d[gamma] for gamma, coeff in exp.on_weights), Fraction(0))
     return total == 1
 
 
@@ -164,11 +167,7 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
 
 
 def theorem_cone(
-    rs: RootSystem,
-    wt: WeightTable,
-    alpha: int,
-    subset: Iterable[int],
-    drop: str | None = None,
+    rs: RootSystem, alpha: int, subset: Iterable[int], drop: str | None = None
 ) -> ConeSpec:
     """Hypothesis cone of the inequality for (alpha, I).
 
@@ -176,7 +175,12 @@ def theorem_cone(
     the weighted dual weight of alpha dominates every one outside I and
     is nonnegative. `drop` removes constraints for control runs:
     "ordering-family", "positivity", or "ordering:<k>" with k 1-based.
+    The older call (rs, weight_table(rs), alpha, subset), which perfbench's
+    tracer test makes, is read too, with no table but the system's own.
     """
+    wt = weight_table(rs)
+    if alpha is wt:
+        alpha, subset, drop = subset, drop, None
     rs.check_root(alpha)
     subset = rs.subset(subset)
     if alpha in subset:
@@ -203,11 +207,7 @@ def theorem_cone(
 
 
 def verify_theorem61_constructive(
-    rs: RootSystem,
-    wt: WeightTable,
-    alpha: int,
-    subset: Iterable[int],
-    cone: ConeSpec | None = None,
+    rs: RootSystem, alpha: int, subset: Iterable[int], cone: ConeSpec | None = None
 ) -> Certificate:
     """Assemble and re-check the conic-combination certificate.
 
@@ -221,13 +221,12 @@ def verify_theorem61_constructive(
     subset = rs.subset(subset)
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
-    exp = expand_coefficients(rs, wt, alpha, subset)
+    exp = expand_coefficients(rs, alpha, subset)
     if cone is None:
-        cone = theorem_cone(rs, wt, alpha, subset)
+        cone = theorem_cone(rs, alpha, subset)
+    d = weight_table(rs).d
     weight_coeff = dict(exp.on_weights)
-    mass = sum(
-        (coeff * wt.d[gamma] for gamma, coeff in exp.on_weights), Fraction(0)
-    )
+    mass = sum((coeff * d[gamma] for gamma, coeff in exp.on_weights), Fraction(0))
     ineq_multipliers = []
     for label in cone.inequality_labels:
         if label == "positivity":
@@ -237,7 +236,7 @@ def verify_theorem61_constructive(
             if gamma == alpha:
                 ineq_multipliers.append(Fraction(0))
             else:
-                ineq_multipliers.append(-weight_coeff[gamma] * wt.d[gamma])
+                ineq_multipliers.append(-weight_coeff[gamma] * d[gamma])
     eq_multipliers = tuple(coeff for _, coeff in exp.on_roots)
     if any(m < 0 for m in ineq_multipliers):
         raise CertificateFailure(
@@ -308,20 +307,24 @@ def connected_induced_subsets(rs: RootSystem):
             yield subset
 
 
-def verify_lemma65(rs: RootSystem) -> bool:
+def verify_lemma65(rs: RootSystem) -> int | bool:
     """Every connected induced subdiagram is again a catalogue diagram.
 
     For each connected subset the restricted Gramm matrix must be
     positive definite and must match a catalogue type up to reindexing
-    and rescaling (checked on the Cartan matrix).
+    and rescaling (checked on the Cartan matrix). Returns how many
+    subdiagrams were classified, at least one, or False at the first
+    that is not.
     """
     if not rs.is_irreducible():
         raise NotIrreducible(f"{rs.spec} is reducible")
+    count = 0
     for subset in connected_induced_subsets(rs):
         sub = rs.gramm.submatrix(subset, subset)
         if not is_positive_definite(sub) or classify_irreducible(sub) is None:
             return False
-    return True
+        count += 1
+    return count
 
 
 def certificate_to_dict(cone: ConeSpec, cert: Certificate) -> dict:

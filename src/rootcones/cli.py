@@ -225,6 +225,12 @@ def cmd_verify(config: RunConfig) -> int:
         suites = list(SUITE_NAMES)
     _refuse_repeats("suite", suites)
     _refuse_repeats("system", config.systems, parse_spec)
+    for spec in config.systems or ():
+        rank = sum(n for _, n in parse_spec(spec))
+        if config.max_rank is not None and rank > config.max_rank:
+            raise ValueError(
+                f"system {spec!r} has rank {rank}, above --max-rank {config.max_rank}"
+            )
     rows, ok, tasks = run_verification(
         suites,
         systems=config.systems,

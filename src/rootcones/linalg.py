@@ -341,16 +341,11 @@ def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subsp
     at its pivot, so the kernel vector of free column f is nonzero only at
     f and at the pivot columns after f. No other kernel vector is nonzero
     at f, so these vectors, divided by their gcd with f's entry positive,
-    are already the canonical basis. With no functionals there is no
-    elimination at all: the unit basis is returned as it is.
+    are already the canonical basis.
     """
     for f in functionals:
         if len(f) != ambient_dim:
             raise DimensionMismatch("functional of wrong length")
-    if not functionals:
-        return Subspace(
-            ambient_dim, tuple(unit_vec(ambient_dim, i) for i in range(ambient_dim))
-        )
     a, _ = _integer_rows(f[::-1] for f in functionals)
     pivots, _, d = _fraction_free_reduce(a, ambient_dim)
     # Reduced row k is d times the reduced echelon row with pivot column

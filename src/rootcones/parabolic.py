@@ -254,14 +254,12 @@ def _compute_block_is_nonsingular(rs, upper, lower):
     return len(block) == len(outside) and len(rref(block)[0]) == len(block)
 
 
-def verify_trivial(rs: RootSystem, alpha: int, wt: WeightTable | None = None) -> bool:
+def verify_trivial(rs: RootSystem, alpha: int) -> bool:
     """Whether the dual weight of alpha vanishes on the complementary span."""
     rs.check_root(alpha)
-    if wt is None:
-        wt = weight_table(rs)
     others = [i for i in range(rs.rank) if i != alpha]
     upper = coroot_span(rs, others)
-    w = wt.dual[alpha]
+    w = weight_table(rs).dual[alpha]
     return all(dot(w, b) == 0 for b in upper.basis)
 
 

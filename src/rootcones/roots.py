@@ -458,24 +458,25 @@ def _invert_block(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
     )
 
 
-def check_2d_identity(rs: RootSystem, wt: WeightTable, alpha: int) -> bool:
+def check_2d_identity(rs: RootSystem, alpha: int) -> bool:
     """Whether (a,a) d_a + sum over other roots of (a,b) d_b equals 1."""
     rs.check_root(alpha)
+    d = weight_table(rs).d
     total = sum(
-        (rs.gramm.at(alpha, beta) * wt.d[beta] for beta in range(rs.rank)),
-        Fraction(0),
+        (rs.gramm.at(alpha, beta) * d[beta] for beta in range(rs.rank)), Fraction(0)
     )
     return total == 1
 
 
-def roundtrip_simple_root(rs: RootSystem, wt: WeightTable, alpha: int) -> bool:
+def roundtrip_simple_root(rs: RootSystem, alpha: int) -> bool:
     """Expand alpha over the dual weights, then back over the roots."""
     rs.check_root(alpha)
+    dual = weight_table(rs).dual
     acc = [Fraction(0)] * rs.rank
     for beta in range(rs.rank):
         coeff = rs.gramm.at(alpha, beta)
         for j in range(rs.rank):
-            acc[j] += coeff * wt.dual[beta][j]
+            acc[j] += coeff * dual[beta][j]
     return tuple(acc) == unit_vec(rs.rank, alpha)
 
 
@@ -490,7 +491,7 @@ def connected_to(rs: RootSystem, alpha: int, targets: Iterable[int]) -> bool:
     return any(t in comp for t in targets if t != alpha)
 
 
-def parabolic_character(rs: RootSystem, alpha: int, wt: WeightTable | None = None):
+def parabolic_character(rs: RootSystem, alpha: int):
     """Sum of positive roots with positive alpha-coefficient, and its ratio.
 
     Returns (character, lam) with character = lam * w_alpha, lam > 0 exact.
@@ -498,15 +499,13 @@ def parabolic_character(rs: RootSystem, alpha: int, wt: WeightTable | None = Non
     a construction bug rather than a legitimate input.
     """
     rs.check_root(alpha)
-    if wt is None:
-        wt = weight_table(rs)
     acc = [Fraction(0)] * rs.rank
     for root in rs.positive_roots:
         if root[alpha] > 0:
             for j in range(rs.rank):
                 acc[j] += root[j]
     character = tuple(acc)
-    w = wt.dual[alpha]
+    w = weight_table(rs).dual[alpha]
     # character[alpha] >= 1, since alpha is a positive root, so a positive
     # ratio exists only when w[alpha] > 0, and then it is this one.
     lam = character[alpha] / w[alpha] if w[alpha] > 0 else None

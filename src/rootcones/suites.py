@@ -79,21 +79,20 @@ def run_identity_2d(rs: RootSystem, max_subset_size: int | None = None) -> list[
     detail = "coefficient-sum identity and expansion round trip"
     rows = []
     for alpha in range(rs.rank):
-        ok = roots.check_2d_identity(rs, wt, alpha)
-        ok = ok and roots.roundtrip_simple_root(rs, wt, alpha)
+        ok = roots.check_2d_identity(rs, alpha)
+        ok = ok and roots.roundtrip_simple_root(rs, alpha)
         ok = ok and sum(wt.weighted[alpha]) == 1
         rows.append(_result("pass" if ok else "fail", alpha=alpha + 1, detail=detail))
     return rows
 
 
 def run_lemma64(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
-    wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
         for subset in _subsets(range(rs.rank), max_subset_size):
             try:
-                exp = certify.expand_coefficients(rs, wt, alpha, subset)
-                ok = certify.expansion_mass_identity(exp, wt)
+                exp = certify.expand_coefficients(rs, alpha, subset)
+                ok = certify.expansion_mass_identity(rs, exp)
                 detail = "signs and mass identity hold"
             except InvariantViolation as err:
                 ok = False
@@ -112,17 +111,16 @@ def run_lemma64(rs: RootSystem, max_subset_size: int | None = None) -> list[dict
 def run_theorem61(
     rs: RootSystem, route: str, max_subset_size: int | None = None
 ) -> list[dict]:
-    wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
         others = [i for i in range(rs.rank) if i != alpha]
         for subset in _subsets(others, max_subset_size):
-            cone = certify.theorem_cone(rs, wt, alpha, subset)
+            cone = certify.theorem_cone(rs, alpha, subset)
             try:
                 if route == "constructive":
                     # Validated against the cone inside the route.
                     cert = certify.verify_theorem61_constructive(
-                        rs, wt, alpha, subset, cone
+                        rs, alpha, subset, cone
                     )
                 else:
                     # The enumeration is the evidence: no multipliers.
@@ -145,10 +143,11 @@ def run_theorem61(
 
 
 def run_lemma65(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
-    ok = certify.verify_lemma65(rs)
-    count = sum(1 for _ in certify.connected_induced_subsets(rs))
-    detail = f"{count} connected subdiagrams classified"
-    return [_result("pass" if ok else "fail", detail=detail)]
+    count = certify.verify_lemma65(rs)
+    if count is False:
+        detail = "a connected subdiagram is not a catalogue diagram"
+        return [_result("fail", detail=detail)]
+    return [_result("pass", detail=f"{count} connected subdiagrams classified")]
 
 
 def run_lemma66(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
@@ -172,7 +171,6 @@ def run_parabolic(rs: RootSystem, max_subset_size: int | None = None) -> list[di
     A broken torus construction (`InvariantViolation`) fails the row of
     the route that met it, with the error as the detail.
     """
-    wt = weight_table(rs)
     n = rs.rank
     rows = []
 
@@ -198,7 +196,7 @@ def run_parabolic(rs: RootSystem, max_subset_size: int | None = None) -> list[di
         detail = str(err)
     rows.append(_result("pass" if ok else "fail", route="tori", detail=detail))
 
-    ok = all(parabolic.verify_trivial(rs, alpha, wt) for alpha in range(n))
+    ok = all(parabolic.verify_trivial(rs, alpha) for alpha in range(n))
     detail = f"{n} roots"
     rows.append(_result("pass" if ok else "fail", route="trivial", detail=detail))
 
@@ -224,11 +222,10 @@ def run_parabolic(rs: RootSystem, max_subset_size: int | None = None) -> list[di
 
 
 def run_chi(rs: RootSystem, max_subset_size: int | None = None) -> list[dict]:
-    wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
         try:
-            _, lam = roots.parabolic_character(rs, alpha, wt)
+            _, lam = roots.parabolic_character(rs, alpha)
             ok = lam > 0
             detail = f"lambda={lam}"
         except roots.NotProportional as err:
@@ -245,7 +242,6 @@ def run_controls(rs: RootSystem, max_subset_size: int | None = None) -> list[dic
     constraint kind is witnessed somewhere is a joint property of the
     whole sweep, so the driver adds that summary across systems.
     """
-    wt = weight_table(rs)
     rows = []
     for alpha in range(rs.rank):
         others = [i for i in range(rs.rank) if i != alpha]
@@ -260,7 +256,7 @@ def run_controls(rs: RootSystem, max_subset_size: int | None = None) -> list[dic
                 if gamma not in subset and gamma != alpha
             ]
             for drop in drops:
-                cone = certify.theorem_cone(rs, wt, alpha, subset, drop=drop)
+                cone = certify.theorem_cone(rs, alpha, subset, drop=drop)
                 cert = certify.verify_theorem61_rays(cone)
                 if cert.kind == "violating_ray":
                     valid = certify.validate_certificate(cone, cert)
@@ -397,7 +393,8 @@ def run_verification(
             tasks.append((suite, spec, max_subset_size))
     results = map_tasks(_run_task, tasks, jobs)
     rows = [row for chunk, _ in results for row in chunk]
-    if any(task[0] == "controls" for task in tasks):
+    if "controls" in suites:
+        # Added even when no task ran: a sweep that witnessed nothing fails.
         rows.append(_controls_joint_summary(rows))
     ok = all(row["status"] != "fail" for row in rows)
     return rows, ok, [timing for _, timing in results]

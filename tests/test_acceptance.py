@@ -79,10 +79,9 @@ def test_02_coefficient_identities():
     started = time.time()
     for spec in irreducible_catalogue(8):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
-            assert check_2d_identity(rs, wt, alpha), (spec, alpha)
-            assert roundtrip_simple_root(rs, wt, alpha), (spec, alpha)
+            assert check_2d_identity(rs, alpha), (spec, alpha)
+            assert roundtrip_simple_root(rs, alpha), (spec, alpha)
     report(2, "coefficient-identities", started)
 
 
@@ -90,13 +89,12 @@ def test_03_expansion_signs_rank_six():
     started = time.time()
     for spec in irreducible_catalogue(6):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             for subset in subsets_of(range(rs.rank)):
-                exp = expand_coefficients(rs, wt, alpha, subset)
+                exp = expand_coefficients(rs, alpha, subset)
                 for delta, coeff in exp.on_roots + exp.on_weights:
                     assert delta == alpha or coeff <= 0, (spec, alpha, subset)
-                assert expansion_mass_identity(exp, wt), (spec, alpha, subset)
+                assert expansion_mass_identity(rs, exp), (spec, alpha, subset)
     report(3, "expansion-signs-rank-six", started)
 
 
@@ -104,12 +102,11 @@ def test_04_two_route_agreement_rank_five():
     started = time.time()
     for spec in irreducible_catalogue(5):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
             for subset in subsets_of(others):
-                cone = theorem_cone(rs, wt, alpha, subset)
-                constructive = verify_theorem61_constructive(rs, wt, alpha, subset)
+                cone = theorem_cone(rs, alpha, subset)
+                constructive = verify_theorem61_constructive(rs, alpha, subset)
                 assert constructive.kind == "conic_combination"
                 assert all(m >= 0 for m in constructive.inequality_multipliers)
                 assert validate_certificate(cone, constructive)
@@ -125,17 +122,16 @@ def test_05_controls_expose_dropped_hypotheses():
     violations = {"ordering-family": 0, "positivity": 0, "ordering-single": 0}
     for spec in ("A2", "A3"):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
             for subset in subsets_of(others):
-                full = theorem_cone(rs, wt, alpha, subset)
+                full = theorem_cone(rs, alpha, subset)
                 drops = ["ordering-family", "positivity"] + [
                     lab for lab in full.inequality_labels
                     if lab.startswith("ordering:")
                 ]
                 for drop in drops:
-                    cone = theorem_cone(rs, wt, alpha, subset, drop=drop)
+                    cone = theorem_cone(rs, alpha, subset, drop=drop)
                     cert = verify_theorem61_rays(cone)
                     if cert.kind != "violating_ray":
                         continue
@@ -150,8 +146,7 @@ def test_05_controls_expose_dropped_hypotheses():
     # The documented witness: the rank-two family drop admits (0, 1)
     # with objective exactly -1/3.
     rs = build("A2")
-    wt = weight_table(rs)
-    cone = theorem_cone(rs, wt, 0, [], drop="ordering-family")
+    cone = theorem_cone(rs, 0, [], drop="ordering-family")
     cert = verify_theorem61_rays(cone)
     assert cert.kind == "violating_ray"
     assert cert.ray == (0, 1) and cert.objective_value == Q(-1, 3)
@@ -163,7 +158,6 @@ def test_06_parabolic_lemma_suite_rank_eight():
     specs = irreducible_catalogue(8) + ["A1xA1", "A2xA1", "A2xA2", "B2xA1"]
     for spec in specs:
         rs = build(spec)
-        wt = weight_table(rs)
         n = rs.rank
         for upper in subsets_of(range(n)):
             for lower in subsets_of(upper):
@@ -173,7 +167,7 @@ def test_06_parabolic_lemma_suite_rank_eight():
                 for i3 in subsets_of(i2):
                     assert verify_tori(rs, i3, i2, i1), (spec, i3, i2, i1)
         for alpha in range(n):
-            assert verify_trivial(rs, alpha, wt), (spec, alpha)
+            assert verify_trivial(rs, alpha), (spec, alpha)
             comp = set(rs.component_of(alpha))
             for subset_i in subsets_of([i for i in range(n) if i != alpha]):
                 if (set(range(n)) - set(subset_i) - {alpha}) & comp:
@@ -189,7 +183,7 @@ def test_07_character_proportionality_rank_eight():
         rs = build(spec)
         wt = weight_table(rs)
         for alpha in range(rs.rank):
-            character, lam = parabolic_character(rs, alpha, wt)
+            character, lam = parabolic_character(rs, alpha)
             assert lam > 0
             assert tuple(character) == tuple(lam * x for x in wt.dual[alpha])
     report(7, "character-proportionality-rank-eight", started)

@@ -66,32 +66,28 @@ ORACLE_SYSTEMS = [
 class TestExpandCoefficients:
     def test_alpha_inside_subset_is_delta(self):
         rs = build("A3")
-        wt = weight_table(rs)
-        exp = expand_coefficients(rs, wt, 1, [0, 1])
+        exp = expand_coefficients(rs, 1, [0, 1])
         assert dict(exp.on_roots) == {0: 0, 1: 1}
         assert dict(exp.on_weights) == {2: 0}
 
     def test_empty_subset_gives_gramm_row(self):
         rs = build("A2")
-        wt = weight_table(rs)
-        exp = expand_coefficients(rs, wt, 0, [])
+        exp = expand_coefficients(rs, 0, [])
         assert exp.on_roots == ()
         assert dict(exp.on_weights) == {0: 2, 1: -1}
 
     def test_chain_tail_by_direct_solve(self):
         rs = build("A3")
-        wt = weight_table(rs)
-        exp = expand_coefficients(rs, wt, 2, [0, 1])
+        exp = expand_coefficients(rs, 2, [0, 1])
         assert dict(exp.on_roots) == {0: Q(-1, 3), 1: Q(-2, 3)}
         assert dict(exp.on_weights) == {2: Q(4, 3)}
-        assert expansion_mass_identity(exp, wt)
+        assert expansion_mass_identity(rs, exp)
 
     @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
     def test_matches_gauss_jordan_solve(self, spec):
         # The dual weights are the rows of the inverse Gramm matrix, each
         # solved for here; alpha is then solved for over the mixed basis.
         rs = build(spec)
-        wt = weight_table(rs)
         n = rs.rank
         units = [[int(i == j) for j in range(n)] for i in range(n)]
         gramm = [list(rs.gramm.row(i)) for i in range(n)]
@@ -101,7 +97,7 @@ class TestExpandCoefficients:
             columns = [units[beta] for beta in subset] + [dual[g] for g in rest]
             for alpha in range(n):
                 x = gauss_jordan_solve(columns, units[alpha])
-                exp = expand_coefficients(rs, wt, alpha, subset)
+                exp = expand_coefficients(rs, alpha, subset)
                 assert [c for _, c in exp.on_roots + exp.on_weights] == x
                 assert [i for i, _ in exp.on_roots + exp.on_weights] == [
                     *subset, *rest
@@ -109,46 +105,44 @@ class TestExpandCoefficients:
 
     def test_memo_does_not_hide_a_bad_table(self):
         # The memoised block matrix depends on the Gramm matrix only; the
-        # direct solve reads the caller's table on every call.
+        # direct solve reads the system's table on every call, so a table
+        # forged into the memo after the block was built is still caught.
         rs = from_gramm(build("A3").gramm)
         wt = weight_table(rs)
         for alpha in range(3):
-            expand_coefficients(rs, wt, alpha, [0])
+            expand_coefficients(rs, alpha, [0])
         assert ("expansion", (0,)) in rs._memo
         dual = dict(wt.dual)
         dual[2] = tuple(x + 1 if k == 2 else x for k, x in enumerate(dual[2]))
-        bad = dataclasses.replace(wt, dual=dual)
+        rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, dual=dual)
         with pytest.raises(
             InvariantViolation, match="block formula disagrees with the direct solve"
         ):
-            expand_coefficients(rs, bad, 1, [0])
+            expand_coefficients(rs, 1, [0])
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_signs_and_mass_exhaustively(self, spec):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             for subset in subsets_of(range(rs.rank)):
-                exp = expand_coefficients(rs, wt, alpha, subset)
+                exp = expand_coefficients(rs, alpha, subset)
                 for delta, coeff in exp.on_roots + exp.on_weights:
                     if delta != alpha:
                         assert coeff <= 0
-                assert expansion_mass_identity(exp, wt)
+                assert expansion_mass_identity(rs, exp)
 
 
 class TestConstructiveRoute:
     def test_rank_one_trivial_certificate(self):
         rs = build("A1")
-        wt = weight_table(rs)
-        cert = verify_theorem61_constructive(rs, wt, 0, [])
+        cert = verify_theorem61_constructive(rs, 0, [])
         assert cert.kind == "conic_combination"
         assert all(m == 0 for m in cert.inequality_multipliers)
 
     def test_rank_two_multiplier_by_hand(self):
         rs = build("A2")
-        wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [])
-        cert = verify_theorem61_constructive(rs, wt, 0, [])
+        cone = theorem_cone(rs, 0, [])
+        cert = verify_theorem61_constructive(rs, 0, [])
         by_label = dict(zip(cone.inequality_labels, cert.inequality_multipliers))
         assert by_label["ordering:2"] == 1
         assert by_label["positivity"] == 0
@@ -156,10 +150,9 @@ class TestConstructiveRoute:
 
     def test_complement_of_alpha_shape(self):
         rs = build("B3")
-        wt = weight_table(rs)
         subset = [1, 2]
-        cone = theorem_cone(rs, wt, 0, subset)
-        cert = verify_theorem61_constructive(rs, wt, 0, subset)
+        cone = theorem_cone(rs, 0, subset)
+        cert = verify_theorem61_constructive(rs, 0, subset)
         assert validate_certificate(cone, cert)
         # Only gamma = alpha remains outside I, so the single ordering row
         # is the zero functional with zero multiplier.
@@ -168,27 +161,24 @@ class TestConstructiveRoute:
 
     def test_alpha_in_subset_rejected(self):
         rs = build("A2")
-        wt = weight_table(rs)
         with pytest.raises(PreconditionViolated):
-            verify_theorem61_constructive(rs, wt, 0, [0])
+            verify_theorem61_constructive(rs, 0, [0])
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "A2xA1"])
     def test_sweep_validates(self, spec):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
             for subset in subsets_of(others):
-                cone = theorem_cone(rs, wt, alpha, subset)
-                cert = verify_theorem61_constructive(rs, wt, alpha, subset)
+                cone = theorem_cone(rs, alpha, subset)
+                cert = verify_theorem61_constructive(rs, alpha, subset)
                 assert validate_certificate(cone, cert)
 
 
 class TestRayRoute:
     def test_rank_two_rays_by_hand(self):
         rs = build("A2")
-        wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [])
+        cone = theorem_cone(rs, 0, [])
         enum = extreme_rays(cone)
         assert set(enum.rays) == {(1, 1), (1, -2)}
         values = sorted(dot(cone.objective, vec(r)) for r in enum.rays)
@@ -198,17 +188,22 @@ class TestRayRoute:
         assert cert.min_ray_objective == 0
         assert cert.ray_count == 2
 
+    def test_older_call_reads_only_the_systems_own_table(self):
+        # perfbench's tracer test still calls theorem_cone(rs, table, alpha, I).
+        rs = build("B3")
+        assert theorem_cone(rs, weight_table(rs), 0, [2]) == theorem_cone(rs, 0, [2])
+        with pytest.raises(TypeError):
+            theorem_cone(rs, weight_table(from_gramm(rs.gramm)), 0, [2])
+
     def test_apex_only_cone_confirms(self):
         rs = build("A2")
-        wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [1])
+        cone = theorem_cone(rs, 0, [1])
         cert = verify_theorem61_rays(cone)
         assert cert.kind == "conic_combination"
 
     def test_control_drop_ordering_family_violates(self):
         rs = build("A2")
-        wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [], drop="ordering-family")
+        cone = theorem_cone(rs, 0, [], drop="ordering-family")
         cert = verify_theorem61_rays(cone)
         assert cert.kind == "violating_ray"
         assert validate_certificate(cone, cert)
@@ -220,8 +215,7 @@ class TestRayRoute:
         # Dropping nonnegativity alone is visible on the rank-three chain
         # with the middle root pinned.
         rs = build("A3")
-        wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [1], drop="positivity")
+        cone = theorem_cone(rs, 0, [1], drop="positivity")
         cert = verify_theorem61_rays(cone)
         assert cert.kind == "violating_ray"
         assert validate_certificate(cone, cert)
@@ -231,12 +225,11 @@ class TestRayRoute:
         # conic combination claims what is false; nothing in it can be
         # re-checked. A genuine ray-route pass carries no more.
         rs = build("A2")
-        wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [], drop="ordering-family")
+        cone = theorem_cone(rs, 0, [], drop="ordering-family")
         assert verify_theorem61_rays(cone).kind == "violating_ray"
         bare = certify.Certificate(kind="conic_combination")
         assert not validate_certificate(cone, bare)
-        full = theorem_cone(rs, wt, 0, [])
+        full = theorem_cone(rs, 0, [])
         passing = verify_theorem61_rays(full)
         assert passing.kind == "conic_combination"
         assert not validate_certificate(full, passing)
@@ -244,12 +237,11 @@ class TestRayRoute:
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
     def test_two_routes_agree(self, spec):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
             for subset in subsets_of(others):
-                cone = theorem_cone(rs, wt, alpha, subset)
-                constructive = verify_theorem61_constructive(rs, wt, alpha, subset)
+                cone = theorem_cone(rs, alpha, subset)
+                constructive = verify_theorem61_constructive(rs, alpha, subset)
                 oracle = verify_theorem61_rays(cone)
                 assert constructive.kind == "conic_combination"
                 assert oracle.kind == "conic_combination"
@@ -413,7 +405,7 @@ class TestCorollaryBound:
         for alpha in range(rs.rank):
             rest = [t for t in range(rs.rank) if t != alpha]
             for subset in subsets_of(rest):
-                cone = theorem_cone(rs, wt, alpha, subset)
+                cone = theorem_cone(rs, alpha, subset)
                 for coords in itertools.product(range(-1, 3), repeat=rs.rank):
                     a = vec([0 if i in subset else c for i, c in enumerate(coords)])
                     assert dot(cone.objective, a) == corollary_gap(wt, alpha, a)
@@ -421,7 +413,7 @@ class TestCorollaryBound:
     def test_rank_two_equality_case(self):
         rs = build("A2")
         wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [])
+        cone = theorem_cone(rs, 0, [])
         for n in range(1, 8):
             a = vec([n, n])
             assert in_cone(cone, a)
@@ -431,13 +423,13 @@ class TestCorollaryBound:
         rs = build("A2")
         wt = weight_table(rs)
         zero = vec([0, 0])
-        assert in_cone(theorem_cone(rs, wt, 0, []), zero)
+        assert in_cone(theorem_cone(rs, 0, []), zero)
         assert corollary_gap(wt, 0, zero) == 0
 
     def test_asymmetric_pair_growth(self):
         rs = build("G2")
         wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [])
+        cone = theorem_cone(rs, 0, [])
         # Both coordinates grow linearly, the first dominating enough to
         # satisfy the ordering hypothesis.
         for n in range(1, 6):
@@ -453,12 +445,12 @@ class TestCorollaryBound:
         rs = build("A2xA1")
         wt = weight_table(rs)
         assert wt.dual[2][2] == wt.d[2]
-        assert all(x == 0 for x in theorem_cone(rs, wt, 2, []).objective)
+        assert all(x == 0 for x in theorem_cone(rs, 2, []).objective)
 
     def test_bound_fails_where_the_ordering_hypothesis_fails(self):
         rs = build("A2")
         wt = weight_table(rs)
-        cone = theorem_cone(rs, wt, 0, [])
+        cone = theorem_cone(rs, 0, [])
         # Second coordinate dominates: the point leaves the cone through
         # its ordering inequality, and the bound is then false.
         a = vec([0, 5])
@@ -474,32 +466,32 @@ class TestSubsetRangeChecks:
     def test_theorem_cone_alpha(self, alpha):
         rs = build("A3")
         with pytest.raises(UnknownRoot, match="no simple root with index"):
-            theorem_cone(rs, weight_table(rs), alpha, [])
+            theorem_cone(rs, alpha, [])
 
     @pytest.mark.parametrize("subset", [[7], [-1], [1, 3]])
     def test_theorem_cone(self, subset):
         rs = build("A3")
         with pytest.raises(UnknownRoot, match="no simple root with index"):
-            theorem_cone(rs, weight_table(rs), 0, subset)
+            theorem_cone(rs, 0, subset)
 
     @pytest.mark.parametrize("subset", [[7], [-1]])
     def test_expand_coefficients(self, subset):
         rs = build("A3")
         with pytest.raises(UnknownRoot, match="no simple root with index"):
-            expand_coefficients(rs, weight_table(rs), 0, subset)
+            expand_coefficients(rs, 0, subset)
 
     @pytest.mark.parametrize("subset", [[7], [-1]])
     def test_constructive_route(self, subset):
         rs = build("A3")
         with pytest.raises(UnknownRoot, match="no simple root with index"):
-            verify_theorem61_constructive(rs, weight_table(rs), 0, subset)
+            verify_theorem61_constructive(rs, 0, subset)
 
     def test_first_bad_index_in_sorted_order_is_named(self):
         rs = build("A3")
         with pytest.raises(UnknownRoot, match="index 4$"):
-            theorem_cone(rs, weight_table(rs), 0, [5, 1, 4])
+            theorem_cone(rs, 0, [5, 1, 4])
         with pytest.raises(UnknownRoot, match="index -2$"):
-            theorem_cone(rs, weight_table(rs), 0, [5, -2, -1])
+            theorem_cone(rs, 0, [5, -2, -1])
 
 
 class TestMatrixFacts:
@@ -533,7 +525,8 @@ class TestMatrixFacts:
         assert not wt.dual[0][0] < wt.d[0]
 
     def test_subdiagram_classification_chain(self):
-        assert verify_lemma65(build("A3"))
+        # A chain of n nodes has n(n + 1) / 2 connected subdiagrams.
+        assert verify_lemma65(build("A3")) == 6
 
     def test_subdiagram_classification_mixed_lengths(self):
         assert verify_lemma65(build("F4"))
@@ -546,7 +539,29 @@ class TestMatrixFacts:
         # The affine A2 cycle: every proper block is A1 or A2, and the
         # whole block is singular, so only positive definiteness fails.
         cycle = QMatrix.from_rows([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-        assert verify_lemma65(dataclasses.replace(build("A3"), gramm=cycle)) is False
+        rs = dataclasses.replace(build("A3"), gramm=cycle)
+        assert verify_lemma65(rs) is False
+        assert suites.run_lemma65(rs) == [
+            suites._result(
+                "fail", detail="a connected subdiagram is not a catalogue diagram"
+            )
+        ]
+
+    @pytest.mark.parametrize("spec", ["A3", "G2", "F4", "D5"])
+    def test_a_task_tries_each_subset_once(self, spec, monkeypatch):
+        # The row's count comes from the one enumeration of the check:
+        # one connectivity test per nonempty subset of the simple roots.
+        calls = []
+        real = certify.is_connected_subset
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(certify, "is_connected_subset", counting)
+        rows, _ = suites._run_task(("lemma65", spec, None))
+        assert [row["status"] for row in rows] == ["pass"]
+        assert len(calls) == 2 ** build(spec).rank - 1
 
     def test_connected_subsets_of_chain(self):
         rs = build("A3")

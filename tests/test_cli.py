@@ -50,6 +50,17 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+def test_readme_python_example_runs(capsys):
+    # The README's one Python block, run as written, so it cannot drift
+    # from the API; its commented value is checked too.
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
+    exec(compile(block, str(README), "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "{0: Fraction(3, 1), 1: Fraction(5, 3)}"
+    assert Q(lines[2]) >= 0
+
+
 class TestBuild:
     def test_masses_in_json_report(self, capsys):
         code, out, _ = run(["build", "A2"], capsys)
@@ -205,6 +216,44 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["rows"] == []
+
+    def test_a_controls_sweep_that_witnesses_nothing_fails(self, capsys):
+        # No control system has rank 1, so no dropped constraint is
+        # witnessed; the joint summary row still runs, and fails.
+        code, out, _ = run(["verify", "--suite", "controls", "--max-rank", "1"], capsys)
+        payload = json.loads(out)
+        assert (code, payload["ok"]) == (1, False)
+        assert [
+            (row["system"], row["route"], row["status"], row["detail"])
+            for row in payload["rows"]
+        ] == [
+            (
+                "ALL", "joint-summary", "fail",
+                "ordering-family: 0, ordering-single: 0, positivity: 0",
+            )
+        ]
+
+    def test_a_system_above_max_rank_exits_2(self, capsys, tmp_path):
+        # A named system is refused, not run, whether it and the cap come
+        # from flags or a config file; the rank is the total rank.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"systems": ["A2", "E8"], "max_rank": 2}))
+        product = tmp_path / "product.json"
+        product.write_text(json.dumps({"systems": ["B2xA1"]}))
+        for args, message in [
+            (["--system", "A2", "--system", "E8", "--max-rank", "2"],
+             "system 'E8' has rank 8, above --max-rank 2"),
+            (["--config", str(config)], "system 'E8' has rank 8, above --max-rank 2"),
+            (["--config", str(product), "--max-rank", "2"],
+             "system 'B2xA1' has rank 3, above --max-rank 2"),
+        ]:
+            code, out, err = run(["verify", "--suite", "lemma66", *args], capsys)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, _, _ = run(
+            ["verify", "--suite", "lemma66", "--system", "A2", "--max-rank", "2"],
+            capsys,
+        )
+        assert code == 0
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run(["verify", "--suite", "nope"], capsys)

@@ -13,7 +13,7 @@ from rootcones import certify, cones, linalg
 from rootcones.cones import ConeSpec, extreme_rays
 from rootcones.errors import InvariantViolation
 from rootcones.linalg import dot
-from rootcones.roots import build, weight_table
+from rootcones.roots import build
 
 
 # The oracle below is plain Fraction Gauss-Jordan, independent of the
@@ -310,18 +310,17 @@ def control_cones_digest(specs):
     h = hashlib.sha256()
     for spec in specs:
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
             for k in range(len(others) + 1):
                 for subset in itertools.combinations(others, k):
-                    full = certify.theorem_cone(rs, wt, alpha, subset)
+                    full = certify.theorem_cone(rs, alpha, subset)
                     drops = [None, "ordering-family", "positivity"] + [
                         label for label in full.inequality_labels
                         if label.startswith("ordering:")
                     ]
                     for drop in drops:
-                        cone = certify.theorem_cone(rs, wt, alpha, subset, drop=drop)
+                        cone = certify.theorem_cone(rs, alpha, subset, drop=drop)
                         enum = extreme_rays(cone)
                         h.update(repr(
                             (spec, alpha, subset, drop, enum.rays, enum.lineality)
@@ -350,22 +349,22 @@ class TestOneEliminationPerStep:
         monkeypatch.setattr(linalg, "_fraction_free_reduce", counting)
         return calls
 
-    def test_kernel_reduces_once_and_not_at_all_without_functionals(
-        self, eliminations
-    ):
+    def test_kernel_reduces_once_with_or_without_functionals(self, eliminations):
         linalg.kernel(4, [[1, 2, 0, -1], [0, 1, 3, 1]])
         assert len(eliminations) == 1
         eliminations.clear()
+        # Without functionals the reduction has no rows, so d stays 1 and
+        # every column is free: the kernel is the unit basis.
         unit_basis = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
         assert linalg.kernel(4, []) == linalg.Subspace(4, unit_basis)
-        assert eliminations == []
+        assert eliminations == [([], 4)]
 
     @pytest.mark.parametrize("subset, expected", [((2, 3), 2), ((), 1)])
     def test_theorem_cone(self, eliminations, subset, expected):
         # One reduction for the equality basis when I is nonempty, and one
         # seed reduction that also decides the (here trivial) lineality.
         rs = build("E6")
-        cone = certify.theorem_cone(rs, weight_table(rs), 0, subset)
+        cone = certify.theorem_cone(rs, 0, subset)
         eliminations.clear()
         enum = extreme_rays(cone)
         assert enum.lineality == () and enum.rays

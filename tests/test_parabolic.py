@@ -371,9 +371,8 @@ class TestTrivialLemma:
     @pytest.mark.parametrize("spec", ["A4", "B3", "C3", "D4", "F4", "G2", "E6"])
     def test_sweep(self, spec):
         rs = build(spec)
-        wt = weight_table(rs)
         for alpha in range(rs.rank):
-            assert verify_trivial(rs, alpha, wt)
+            assert verify_trivial(rs, alpha)
 
 
 class TestDisconLemma:

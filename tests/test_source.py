@@ -84,3 +84,34 @@ def test_every_module_level_assignment_is_used():
     # Likewise a module-level table or constant that the package never
     # reads; a table only tests read belongs in the tests.
     assert _unused_module_level((ast.Assign, ast.AnnAssign)) == []
+
+
+def _annotation_names(arg) -> set[str]:
+    """The class names an argument's annotation mentions."""
+    if arg.annotation is None:
+        return set()
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(arg.annotation)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_no_function_takes_a_system_and_a_weight_table():
+    # A system's table is `weight_table(rs)`, memoised on the system, so a
+    # table passed beside the system restates it and could disagree with it.
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+            names = [_annotation_names(p) for p in params if p is not None]
+            for k, first in enumerate(names):
+                others = names[:k] + names[k + 1:]
+                if "RootSystem" in first and any("WeightTable" in n for n in others):
+                    found.append(f"{path.name}:{node.lineno}: {node.name}")
+                    break
+    assert found == []
