@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 from .errors import InfeasibleSelection, RootconesError
@@ -35,6 +36,9 @@ from .simulate import (
 from .suites import SUITE_NAMES, map_tasks, run_verification
 
 SCHEMA_VERSION = 1
+_INFINITY = float("inf")
+# Chunks `_write_json` gathers before it joins and writes them.
+_FLUSH_CHUNKS = 4096
 
 
 def _is_int(value) -> bool:
@@ -116,7 +120,16 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge(args: argparse.Namespace) -> RunConfig:
+    """The run's configuration: flags over config-file values over defaults.
+
+    The namespace holds one attribute per option of the subcommand's
+    parser, so a config key without one is a value the subcommand would
+    never read, and is refused.
+    """
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in sorted(file_values):
+        if not hasattr(args, key):
+            raise ValueError(f"config key {key!r} does not apply to {args.command}")
     config = RunConfig()
     for key in CONFIG_TYPES:
         flag = getattr(args, key, None)
@@ -163,26 +176,125 @@ def _refuse_repeats(kind: str, names: list[str] | None, key=str) -> None:
         seen.add(key(name))
 
 
-def _emit(config: RunConfig, payload: dict, header: list[str], csv_rows: Iterable[list]):
-    """Write the report in the configured format.
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
 
-    `csv_rows` is read only for a CSV report, so callers pass a generator
-    and a JSON run never builds the CSV lines.
+
+# Leaf type -> its JSON text, as json.dumps writes it.
+_LEAF_TEXT = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float_text,
+}
+
+
+def _write_json(value, write) -> None:
+    """Write `value` with exactly the text of json.dumps(value, indent=2,
+    sort_keys=True), in chunks, never holding the whole text.
+
+    With `indent` set, json.dumps runs its pure-Python generator encoder.
+    Here the layout is written by hand and each leaf by the C string
+    quoter or the int and float reprs, so the same text costs about half
+    as much. Keys must be strings; a value json cannot encode, or a leaf
+    of a subclass of the leaf types, raises `TypeError`.
     """
-    if config.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    chunks: list[str] = []
+    put = chunks.append
+    leaf = _LEAF_TEXT.get
+
+    def flush() -> None:
+        write("".join(chunks))
+        chunks.clear()
+
+    def container(value, indent: str) -> None:
+        inner = indent + "  "
+        lead = "\n" + inner
+        sep = ",\n" + inner
+        if isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            put("{")
+            for key in sorted(value):
+                item = value[key]
+                text = leaf(type(item))
+                if text is None:
+                    put(f"{lead}{_quote(key)}: ")
+                    container(item, inner)
+                else:
+                    put(f"{lead}{_quote(key)}: {text(item)}")
+                lead = sep
+            put(f"\n{indent}}}")
+            if len(chunks) >= _FLUSH_CHUNKS:
+                flush()
+            return
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
+        if not value:
+            put("[]")
+            return
+        put("[")
+        for item in value:
+            text = leaf(type(item))
+            if text is None:
+                put(lead)
+                container(item, inner)
+            else:
+                put(lead + text(item))
+            lead = sep
+            # Checked per item, so a long list of leaves is flushed too.
+            if len(chunks) >= _FLUSH_CHUNKS:
+                flush()
+        put(f"\n{indent}]")
+
+    text = leaf(type(value))
+    if text is None:
+        container(value, "")
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        put(text(value))
+    flush()
+
+
+def _write_report(config: RunConfig, payload: dict, header: list[str],
+                  csv_rows: Iterable[list], handle) -> None:
+    if config.format == "json":
+        _write_json(payload, handle.write)
+        handle.write("\n")
+    else:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(csv_rows)
-        text = buffer.getvalue()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {config.out}")
-    else:
-        sys.stdout.write(text)
+
+
+def _emit(config: RunConfig, payload: dict, header: list[str], csv_rows: Iterable[list]):
+    """Write the report in the configured format, streamed to its target.
+
+    `csv_rows` is read only for a CSV report, so callers pass a generator
+    and a JSON run never builds the CSV lines. If writing fails part-way,
+    the partial `--out` file is removed before the error propagates, so a
+    cut-off report is never left to look like a whole one.
+    """
+    if not config.out:
+        _write_report(config, payload, header, csv_rows, sys.stdout)
+        return
+    handle = open(config.out, "w", encoding="utf-8")
+    try:
+        with handle:
+            _write_report(config, payload, header, csv_rows, handle)
+    except BaseException:
+        os.remove(config.out)
+        raise
+    print(f"wrote {config.out}")
 
 
 def cmd_build(config: RunConfig) -> int:

@@ -349,14 +349,15 @@ def assert_divergence(trace: SimTrace) -> dict:
     slope, coordinate i of the tail from level 1, so a positive slope
     decides divergence. The slopes are read from the integer tail of
     `_scaled_tail`. The report carries each root's series over the
-    horizon. Also records that the last-selected root sees only its own
+    horizon, each value built once as n times the integer tail over its
+    factor. Also records that the last-selected root sees only its own
     component's contribution.
     """
     den, ints, tail = _scaled_tail(trace, 1)
     labels = [trace.rs.root_label(root) for root in trace.selection]
     slopes = {root: Fraction(tail[root], den) for root in trace.selection}
     series = {
-        label: [n * slopes[root] for n in range(1, trace.horizon + 1)]
+        label: [Fraction(n * tail[root], den) for n in range(1, trace.horizon + 1)]
         for label, root in zip(labels, trace.selection)
     }
     report: dict = {

@@ -13,6 +13,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from test_linalg import gauss_jordan_rref
 
 from rootcones import cli, simulate, suites
@@ -323,8 +324,9 @@ class TestVerify:
         )
 
     def test_a_json_run_builds_no_csv_lines(self, capsys, monkeypatch):
-        # A CSV line holds its row's detail as JSON; a JSON run encodes
-        # only the report itself.
+        # A CSV line holds its row's detail as json.dumps text; a JSON run
+        # writes the report with its own writer, so it calls json.dumps
+        # not at all.
         encoded = []
         real_dumps = json.dumps
 
@@ -338,7 +340,7 @@ class TestVerify:
         )
         assert code == 0
         assert len(json.loads(out)["rows"]) == 12
-        assert len(encoded) == 1 and encoded[0]["command"] == "verify"
+        assert encoded == []
 
     def test_csv_report_digest_is_pinned(self, capsys):
         args = [
@@ -778,6 +780,137 @@ class TestConfigFile:
         assert code == 2
         assert f"config key {key!r}" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "args,key,value",
+        [
+            (["build", "A3"], "horizon", 3),
+            (["build", "A3"], "suites", ["lemma66"]),
+            (["verify", "--suite", "lemma66", "--system", "A2"], "seed", 3),
+            (["verify", "--suite", "lemma66", "--system", "A2"], "selection", [1]),
+            (["simulate", "--system", "A3"], "max_rank", 1),
+            (["simulate", "--system", "A3"], "max_subset_size", 0),
+        ],
+    )
+    def test_config_key_the_subcommand_does_not_read_exits_2(
+        self, args, key, value, capsys, tmp_path
+    ):
+        # Each used to be read and then ignored, with exit 0.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run([*args, "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: config key {key!r} does not apply to {args[0]}\n"
+
+
+# Text that json must escape: quotes, backslashes, control and non-ASCII
+# characters, lone surrogates and characters past the BMP.
+json_texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600')
+    | st.characters(exclude_categories=())
+)
+json_leaves = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | json_texts
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(json_texts, children)
+    ),
+    max_leaves=40,
+)
+
+
+def written_json(value) -> str:
+    pieces = []
+    cli._write_json(value, pieces.append)
+    return "".join(pieces)
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(json_values)
+    @example({
+        "": [], "e": {}, "\u00e9\n\"": ["\x00\t\\", "\U0001f600", "\ud800"],
+        "n": [-(2**100), 0, True, False, None],
+        "f": [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324],
+        "t": ({"b": 1, "a": ()},),
+    })
+    def test_matches_json_dumps(self, value):
+        assert written_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build", "A3", "B3", "C3", "D4", "F4", "G2xA1", "--subset", "1,2"],
+            ["verify", "--suite", "all", "--max-rank", "3"],
+            ["verify", "--suite", "theorem61-rays", "--suite", "parabolic-lemmas",
+             "--system", "A3", "--system", "B2xA1"],
+            ["simulate", "--system", "A2", "--system", "B2",
+             "--seed", "7", "--horizon", "40", "--traces", "3"],
+        ],
+    )
+    def test_pinned_reports_match_json_dumps(self, args, capsys, monkeypatch):
+        # The pinned configurations, each as a JSON report.
+        payloads = []
+        real = cli._write_json
+
+        def recording(value, write):
+            payloads.append(value)
+            real(value, write)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        (payload,) = payloads
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [{"a": [object()]}, {1: "a"}, [Q(1, 2)]])
+    def test_what_it_cannot_write_raises(self, value):
+        # Reports have string keys only; json.dumps would write an int key
+        # as a string, the writer refuses it.
+        with pytest.raises(TypeError):
+            written_json(value)
+
+    def test_a_long_report_is_written_in_chunks(self):
+        # A long list of leaves is flushed as it goes, not held whole.
+        value = {"rows": [str(i) for i in range(5 * cli._FLUSH_CHUNKS)]}
+        pieces = []
+        cli._write_json(value, pieces.append)
+        assert len(pieces) >= 5
+        assert max(map(len, pieces)) < len("".join(pieces)) / 4
+        assert "".join(pieces) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_failed_write_leaves_no_report(self, fmt, capsys, monkeypatch, tmp_path):
+        # The bad row comes last, after whole chunks have gone to the file;
+        # a cut-off report must not stay behind to pass for a whole one.
+        good = {
+            "suite": "lemma66", "anchor": "Lem6.6", "system": "A2",
+            "alpha": None, "subset": None, "route": None,
+            "status": "pass", "detail": "ok",
+        }
+        rows = [good] * (2 * cli._FLUSH_CHUNKS) + [dict(good, detail=object())]
+        monkeypatch.setattr(cli, "run_verification", lambda *a, **k: (rows, True, []))
+        out = tmp_path / "report.txt"
+        removed_sizes = []
+        real_remove = os.remove
+
+        def recording_remove(path):
+            removed_sizes.append(os.path.getsize(path))
+            real_remove(path)
+
+        monkeypatch.setattr(cli.os, "remove", recording_remove)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli.main(["verify", "--suite", "lemma66", "--format", fmt,
+                      "--out", str(out)])
+        assert removed_sizes and removed_sizes[0] > 0
+        assert not out.exists()
+        assert capsys.readouterr().out == ""
 
 
 class RecordingPool:
