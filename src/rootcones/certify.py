@@ -33,7 +33,13 @@ from .linalg import (
     solve,
     unit_vec,
 )
-from .roots import RootSystem, classify_irreducible, is_connected_subset, weight_table
+from .roots import (
+    RootSystem,
+    classify_irreducible,
+    is_connected_subset,
+    per_system,
+    weight_table,
+)
 
 
 @dataclass(frozen=True)
@@ -63,9 +69,7 @@ def expand_coefficients(
     subset = rs.subset(subset)
     rest = tuple(i for i in range(rs.rank) if i not in subset)
     m = len(subset)
-    row = rs.cached(
-        ("expansion", subset), lambda: _block_expansion(rs, subset, rest)
-    ).row(alpha)
+    row = _block_expansion(rs, subset).row(alpha)
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
     # Independent route: solve for alpha over the explicit basis vectors.
@@ -84,10 +88,10 @@ def expand_coefficients(
     )
 
 
-def _block_expansion(
-    rs: RootSystem, subset: tuple[int, ...], rest: tuple[int, ...]
-) -> QMatrix:
+@per_system("expansion")
+def _block_expansion(rs: RootSystem, subset: tuple[int, ...]) -> QMatrix:
     """Every simple root over the mixed basis of I: row alpha is alpha's."""
+    rest = tuple(i for i in range(rs.rank) if i not in subset)
     g = rs.gramm
     return block_coefficient_matrix(
         g.submatrix(range(rs.rank), subset + rest),

@@ -86,6 +86,8 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        if self.out == "":
+            raise ValueError("out must be a nonempty path")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.jobs < 1:
@@ -122,13 +124,13 @@ def _load_config_file(path: str) -> dict:
 def _merge(args: argparse.Namespace) -> RunConfig:
     """The run's configuration: flags over config-file values over defaults.
 
-    The namespace holds one attribute per option of the subcommand's
-    parser, so a config key without one is a value the subcommand would
-    never read, and is refused.
+    A config key applies only where the subcommand's parser has a flag
+    for it: any other is a value the subcommand would never read, or one
+    that would fill a positional argument, and is refused.
     """
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     for key in sorted(file_values):
-        if not hasattr(args, key):
+        if key not in args.flags:
             raise ValueError(f"config key {key!r} does not apply to {args.command}")
     config = RunConfig()
     for key in CONFIG_TYPES:
@@ -284,7 +286,7 @@ def _emit(config: RunConfig, payload: dict, header: list[str], csv_rows: Iterabl
     the partial `--out` file is removed before the error propagates, so a
     cut-off report is never left to look like a whole one.
     """
-    if not config.out:
+    if config.out is None:
         _write_report(config, payload, header, csv_rows, sys.stdout)
         return
     handle = open(config.out, "w", encoding="utf-8")
@@ -503,6 +505,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], help="report format")
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--jobs", type=int, help="worker processes (default 1)")
+        # Called last, so this holds every flag's dest; see `_merge`.
+        p.set_defaults(flags={a.dest for a in p._actions if a.option_strings})
 
     p_build = sub.add_parser("build", help="construct systems and weight tables")
     p_build.add_argument("systems", nargs="+", metavar="SPEC",

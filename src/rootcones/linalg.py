@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -43,8 +43,8 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[int, IntVector]:
     """
     if all(type(x) is int for x in v):
         return 1, tuple(v)
-    den = lcm(*(x.denominator for x in v))
-    return den, tuple(x.numerator * (den // x.denominator) for x in v)
+    den = lcm(*[x.denominator for x in v])
+    return den, tuple([x.numerator * (den // x.denominator) for x in v])
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -114,27 +114,8 @@ class QMatrix:
         )
 
 
-def _integer_rows(
-    rows: Iterable[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row; returns integer rows and scales.
-
-    Rows of plain ints are copied as they are, with scale 1.
-    """
-    work, scales = [], []
-    for row in rows:
-        if all(type(x) is int for x in row):
-            scales.append(1)
-            work.append(list(row))
-            continue
-        s = lcm(*(x.denominator for x in row))
-        scales.append(s)
-        work.append([x.numerator * (s // x.denominator) for x in row])
-    return work, scales
-
-
 def _fraction_free_reduce(
-    a: list[list[int]], search: int
+    a: list[Sequence[int]], search: int
 ) -> tuple[list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, in place.
 
@@ -170,16 +151,17 @@ def _fraction_free_reduce(
     return pivots, sign, prev
 
 
-def _integer_inverse(m: QMatrix) -> tuple[int, list[list[int]]]:
+def _integer_inverse(m: QMatrix) -> tuple[int, list[Sequence[int]]]:
     """d and the rows of d m^-1, all ints; raises SingularMatrix if m is.
 
     With D the diagonal of row scales that make D m integral, reducing
     [D m | D] leaves [d I | d m^-1].
     """
     n = m.rows
-    a, scales = _integer_rows(m.row(i) for i in range(n))
+    a = []
     for i in range(n):
-        a[i].extend(scales[i] if j == i else 0 for j in range(n))
+        s, row = clear_denominators(m.row(i))
+        a.append(row + (0,) * i + (s,) + (0,) * (n - 1 - i))
     pivots, _, d = _fraction_free_reduce(a, n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is not invertible")
@@ -204,11 +186,11 @@ def determinant(m: QMatrix) -> Fraction:
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = m.rows
-    a, scales = _integer_rows(m.row(i) for i in range(n))
-    pivots, sign, d = _fraction_free_reduce(a, n)
+    scaled = [clear_denominators(m.row(i)) for i in range(n)]
+    pivots, sign, d = _fraction_free_reduce([row for _, row in scaled], n)
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * d, prod(scales))
+    return Fraction(sign * d, prod(s for s, _ in scaled))
 
 
 def is_positive_definite(m: QMatrix) -> bool:
@@ -222,7 +204,7 @@ def is_positive_definite(m: QMatrix) -> bool:
     """
     if m.rows != m.cols:
         raise DimensionMismatch(f"{m.rows}x{m.cols} matrix is not square")
-    a, _ = _integer_rows(m.row(i) for i in range(m.rows))
+    a = [clear_denominators(m.row(i))[1] for i in range(m.rows)]
     prev = 1
     for k, row_k in enumerate(a):
         piv = row_k[k]
@@ -267,7 +249,8 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     c_cols = [c_ints[j :: n - m] for j in range(n - m)]  # columns of C
     dt = d * t
     entries: list[Fraction] = []
-    for row, s in zip(*_integer_rows(a.row(i) for i in range(a.rows))):
+    for i in range(a.rows):
+        s, row = clear_denominators(a.row(i))
         head = [dot(row[:m], col) for col in n_cols]  # A_I N
         den = s * dt
         entries += [Fraction(x * t, den) for x in head]
@@ -291,7 +274,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[IntVector], list[int]
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise DimensionMismatch("ragged rows")
-    a, _ = _integer_rows(rows)
+    a = [clear_denominators(r)[1] for r in rows]
     pivots, _, d = _fraction_free_reduce(a, ncols)
     # Every pivot row is d times its reduced-echelon row, so dividing by
     # its gcd with the sign of d leaves the primitive form, pivot positive.
@@ -346,7 +329,7 @@ def kernel(ambient_dim: int, functionals: Sequence[Sequence[Fraction]]) -> Subsp
     for f in functionals:
         if len(f) != ambient_dim:
             raise DimensionMismatch("functional of wrong length")
-    a, _ = _integer_rows(f[::-1] for f in functionals)
+    a = [clear_denominators(f[::-1])[1] for f in functionals]
     pivots, _, d = _fraction_free_reduce(a, ambient_dim)
     # Reduced row k is d times the reduced echelon row with pivot column
     # p = ambient_dim - 1 - pivots[k], so the kernel vector of free column

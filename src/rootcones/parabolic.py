@@ -28,6 +28,7 @@ from .roots import (
     WeightTable,
     _weight_table,
     connected_to,
+    per_system,
     weight_table,
     weight_table_to_dict,
 )
@@ -45,20 +46,22 @@ def coroot_vector(rs: RootSystem, alpha: int) -> IntVector:
 
 def kernel_subspace(rs: RootSystem, subset: Iterable[int]) -> Subspace:
     """Common kernel of the simple roots in subset (the space a_I)."""
-    subset = rs.subset(subset)
-    return rs.cached(
-        ("kernel_subspace", subset),
-        lambda: kernel(rs.rank, [unit_vec(rs.rank, i) for i in subset]),
-    )
+    return _kernel_subspace(rs, rs.subset(subset))
+
+
+@per_system("kernel_subspace")
+def _kernel_subspace(rs: RootSystem, subset: tuple[int, ...]) -> Subspace:
+    return kernel(rs.rank, [unit_vec(rs.rank, i) for i in subset])
 
 
 def coroot_span(rs: RootSystem, subset: Iterable[int]) -> Subspace:
     """Span of the coroot images of subset (the space a^I)."""
-    subset = rs.subset(subset)
-    return rs.cached(
-        ("coroot_span", subset),
-        lambda: span(rs.rank, [coroot_vector(rs, i) for i in subset]),
-    )
+    return _coroot_span(rs, rs.subset(subset))
+
+
+@per_system("coroot_span")
+def _coroot_span(rs: RootSystem, subset: tuple[int, ...]) -> Subspace:
+    return span(rs.rank, [coroot_vector(rs, i) for i in subset])
 
 
 def _orthogonal_complement(rs: RootSystem, s: Subspace) -> Subspace:
@@ -146,20 +149,11 @@ def relative_torus(rs: RootSystem, upper: Iterable[int], lower: Iterable[int]) -
     return _relative_torus(rs, upper, lower)
 
 
+@per_system("relative_torus")
 def _relative_torus(
     rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
 ) -> Subspace:
-    """`relative_torus` of sorted, checked subsets with J inside I, memoised."""
-    return rs.cached(
-        ("relative_torus", upper, lower),
-        lambda: _compute_relative_torus(rs, upper, lower),
-    )
-
-
-def _compute_relative_torus(
-    rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
-) -> Subspace:
-    """a^I_J by one hyperplane cut of its parent pair's torus.
+    """`relative_torus` of sorted, checked subsets with J inside I.
 
     With j the largest index of J and J' = J - {j}, a^I_J is a^I_{J'}
     intersect ker alpha_j, so the memoised parent basis is cut by one
@@ -237,17 +231,11 @@ def verify_tori(
     )
 
 
+@per_system("torus_block")
 def _block_is_nonsingular(
     rs: RootSystem, upper: tuple[int, ...], lower: tuple[int, ...]
 ) -> bool:
     """Whether a^I_J's basis on the coordinates of I minus J is nonsingular."""
-    return rs.cached(
-        ("torus_block", upper, lower),
-        lambda: _compute_block_is_nonsingular(rs, upper, lower),
-    )
-
-
-def _compute_block_is_nonsingular(rs, upper, lower):
     outside = [i for i in upper if i not in lower]
     basis = relative_torus(rs, upper, lower).basis
     block = [tuple(b[i] for i in outside) for b in basis]

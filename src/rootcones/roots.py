@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -115,7 +115,7 @@ class RootSystem:
     positive_roots: tuple[tuple[int, ...], ...]
     dynkin_components: tuple[tuple[int, ...], ...]
     # Values derived from this system, keyed by kind and normalised
-    # arguments; see `cached`. Not part of equality, hash, repr or pickle.
+    # arguments; see `per_system`. Not in equality, hash, repr or pickle.
     _memo: dict = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
@@ -128,18 +128,6 @@ class RootSystem:
     def __setstate__(self, state):
         self.__dict__.update(state)
         object.__setattr__(self, "_memo", {})
-
-    def cached(self, key: tuple, compute):
-        """The value of compute(), computed once per system and key.
-
-        Callers validate and normalise the arguments that make up the key
-        before asking, so bad input raises on every call, and only
-        immutable values are stored, so they can be shared.
-        """
-        memo = self._memo
-        if key not in memo:
-            memo[key] = compute()
-        return memo[key]
 
     @property
     def rank(self) -> int:
@@ -177,6 +165,30 @@ class RootSystem:
 
     def root_label(self, alpha: int) -> str:
         return f"alpha_{alpha + 1}"
+
+
+def per_system(kind: str):
+    """Decorate f(rs, *args) to compute once per system and arguments.
+
+    The value is kept in `rs._memo` under the key (kind, *args). Callers
+    validate and normalise the arguments before the call, so bad input
+    raises on every call, and f returns only immutable values, so they
+    can be shared.
+    """
+
+    def decorate(f):
+        @wraps(f)
+        def memoised(rs: RootSystem, *args):
+            key = (kind, *args)
+            memo = rs._memo
+            if key in memo:
+                return memo[key]
+            value = memo[key] = f(rs, *args)
+            return value
+
+        return memoised
+
+    return decorate
 
 
 def _graph_components(cartan, nodes=None) -> tuple[tuple[int, ...], ...]:
@@ -432,12 +444,9 @@ def weight_table(rs: RootSystem) -> WeightTable:
     return _weight_table(rs, tuple(range(rs.rank)))
 
 
+@per_system("weight_table")
 def _weight_table(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
     """The table of a sorted, checked subset, built once per system and subset."""
-    return rs.cached(("weight_table", subset), lambda: _invert_block(rs, subset))
-
-
-def _invert_block(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
     block = invert(rs.gramm.submatrix(subset, subset))
     dual, d, weighted = {}, {}, {}
     for k, alpha in enumerate(subset):
@@ -536,11 +545,12 @@ def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[
     the ambient ones. Empty subsets yield a rank-zero system. No package
     code calls it; it is kept because the perfbench tracer wraps it.
     """
-    subset = rs.subset(subset)
-    return rs.cached(
-        ("subsystem", subset),
-        lambda: (from_gramm(rs.gramm.submatrix(subset, subset)), subset),
-    )
+    return _subsystem(rs, rs.subset(subset))
+
+
+@per_system("subsystem")
+def _subsystem(rs: RootSystem, subset: tuple[int, ...]):
+    return from_gramm(rs.gramm.submatrix(subset, subset)), subset
 
 
 def fractions_to_strings(values) -> list:

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .linalg import clear_denominators, contains, dot, primitive
 from .parabolic import _relative_torus, relative_weight_table, verify_tori
-from .roots import RootSystem, _graph_components, build
+from .roots import RootSystem, _graph_components, build, per_system
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,7 @@ def _validate_selection(rs: RootSystem, selection: Sequence[int]) -> tuple[int, 
     return selection
 
 
+@per_system("splits")
 def _splits(
     rs: RootSystem, ambient: tuple[int, ...], k: int, final: tuple[int, ...]
 ) -> bool:
@@ -127,13 +128,6 @@ def _splits(
     Then weighted[k] gives tau and its high part the same value. Both
     lemmas are computed from the tori, not assumed.
     """
-    return rs.cached(
-        ("splits", ambient, k, final),
-        lambda: _compute_splits(rs, ambient, k, final),
-    )
-
-
-def _compute_splits(rs, ambient, k, final):
     reduced = tuple(t for t in ambient if t != k)
     _, weighted = relative_weight_table(rs, ambient).integer_weighted
     return verify_tori(rs, final, reduced, ambient) and not any(
@@ -141,13 +135,8 @@ def _compute_splits(rs, ambient, k, final):
     )
 
 
+@per_system("level_data")
 def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
-    return rs.cached(
-        ("level_data", selection), lambda: _compute_level_data(rs, selection)
-    )
-
-
-def _compute_level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
     levels = len(selection)
     subsets = [tuple(range(rs.rank))]
     for root in selection:

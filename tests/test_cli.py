@@ -802,6 +802,34 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err == f"error: config key {key!r} does not apply to {args[0]}\n"
 
+    def test_config_systems_for_build_exits_2(self, capsys, tmp_path):
+        # build takes its systems as positional SPECs, never from the file;
+        # the key used to be dropped, and only A1 was reported.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"systems": ["G2"]}))
+        code, out, err = run(["build", "A1", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: config key 'systems' does not apply to build\n"
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_empty_out_path_exits_2_and_writes_nothing(
+        self, from_file, capsys, tmp_path, monkeypatch
+    ):
+        # It used to print the report to stdout and exit 0.
+        monkeypatch.chdir(tmp_path)
+        args = ["build", "A3"]
+        if from_file:
+            (tmp_path / "config.json").write_text(json.dumps({"out": ""}))
+            args += ["--config", "config.json"]
+        else:
+            args += ["--out", ""]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: out must be a nonempty path\n"
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["config.json"] if from_file else []
+        )
+
 
 # Text that json must escape: quotes, backslashes, control and non-ASCII
 # characters, lone surrogates and characters past the BMP.

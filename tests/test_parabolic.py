@@ -283,7 +283,7 @@ class TestToriLemma:
     def test_a_singular_pair_block_fails_the_tori_row(self):
         # The right dimension, but zero on the coordinate of I minus J.
         rs = fresh("A3")
-        rs.cached(("relative_torus", (0, 1), (0,)), lambda: Subspace(3, ((0, 0, 1),)))
+        rs._memo[("relative_torus", (0, 1), (0,))] = Subspace(3, ((0, 0, 1),))
         rows = suites.run_parabolic(rs)
         status = {row["route"]: row["status"] for row in rows}
         assert status["tori"] == "fail"
@@ -293,10 +293,7 @@ class TestToriLemma:
         # The (I1, I3) bit's square-block test is the dimension check of
         # a^{I1}_{I3}: a plane where a^{0,1,2} is three-dimensional.
         rs = fresh("A3")
-        rs.cached(
-            ("relative_torus", (0, 1, 2), ()),
-            lambda: Subspace(3, ((1, 0, 0), (0, 1, 0))),
-        )
+        rs._memo[("relative_torus", (0, 1, 2), ())] = Subspace(3, ((1, 0, 0), (0, 1, 0)))
         rows = suites.run_parabolic(rs)
         status = {row["route"]: row["status"] for row in rows}
         assert status["tori"] == "fail"
@@ -308,8 +305,8 @@ class TestToriLemma:
         # as passing: the row can then fail only through the children,
         # which the cut builds from this parent.
         rs = fresh("A3")
-        rs.cached(("relative_torus", (0, 1, 2), (0,)), lambda: Subspace(3, ((0, 1, 0),)))
-        rs.cached(("torus_block", (0, 1, 2), (0,)), lambda: True)
+        rs._memo[("relative_torus", (0, 1, 2), (0,))] = Subspace(3, ((0, 1, 0),))
+        rs._memo[("torus_block", (0, 1, 2), (0,))] = True
         rows = suites.run_parabolic(rs)
         status = {row["route"]: row["status"] for row in rows}
         detail = {row["route"]: row["detail"] for row in rows}
@@ -356,7 +353,7 @@ class TestHyperplaneCut:
         # No parent vector has a nonzero j entry, so the cut keeps the
         # whole parent and the dimension check refuses it.
         rs = fresh("A3")
-        rs.cached(("relative_torus", (0, 1), ()), lambda: Subspace(3, ((1, 0, 0), (0, 0, 1))))
+        rs._memo[("relative_torus", (0, 1), ())] = Subspace(3, ((1, 0, 0), (0, 0, 1)))
         with pytest.raises(InvariantViolation, match=r"of \(1,\) in \(0, 1\) has dimension 2"):
             relative_torus(rs, [0, 1], [1])
 
@@ -455,35 +452,26 @@ def fresh(spec):
 
 class TestMemo:
     def test_sweep_computes_each_torus_once(self, monkeypatch):
+        # A memoised value is computed only when its key is missing, so
+        # each memo entry is one computation.
         rs = fresh("D4")
-        computations = []
         pairs = []
-        real_compute = parabolic._compute_relative_torus
         real_torus = parabolic.relative_torus
-
-        def counting_compute(rs_, upper, lower):
-            computations.append((upper, lower))
-            return real_compute(rs_, upper, lower)
 
         def recording_torus(rs_, upper, lower):
             pairs.append((tuple(sorted(upper)), tuple(sorted(lower))))
             return real_torus(rs_, upper, lower)
 
-        bits = []
-        real_bit = parabolic._compute_block_is_nonsingular
-
-        def recording_bit(rs_, upper, lower):
-            bits.append((upper, lower))
-            return real_bit(rs_, upper, lower)
-
-        monkeypatch.setattr(parabolic, "_compute_relative_torus", counting_compute)
         monkeypatch.setattr(parabolic, "relative_torus", recording_torus)
-        monkeypatch.setattr(parabolic, "_compute_block_is_nonsingular", recording_bit)
         rows = suites.run_parabolic(rs)
         assert all(row["status"] == "pass" for row in rows)
+
+        def entries(kind):
+            return [key[1:] for key in rs._memo if key[0] == kind]
+
         assert len(set(pairs)) == 3 ** 4  # every J inside I inside {0..3}
-        assert len(bits) == len(set(bits)) == 3 ** 4  # one splitting bit per pair
-        assert len(computations) == len(set(pairs))
+        assert len(entries("torus_block")) == 3 ** 4  # one splitting bit per pair
+        assert set(entries("relative_torus")) == set(pairs)
 
     @pytest.mark.parametrize("spec", ["B3", "G2", "A2xA1"])
     def test_memoised_spaces_equal_direct_ones(self, spec):

@@ -377,7 +377,7 @@ class TestParabolicCharacter:
         wt = weight_table(build("A2"))
         rs = from_gramm(build("A2").gramm)
         broken = dataclasses.replace(wt, dual={**wt.dual, 0: row})
-        rs.cached(("weight_table", (0, 1)), lambda: broken)
+        rs._memo[("weight_table", (0, 1))] = broken
         with pytest.raises(NotProportional):
             parabolic_character(rs, 0)
 

@@ -115,3 +115,21 @@ def test_no_function_takes_a_system_and_a_weight_table():
                     found.append(f"{path.name}:{node.lineno}: {node.name}")
                     break
     assert found == []
+
+
+def test_memo_is_reached_only_through_per_system():
+    # Every memoised value is a function decorated with `roots.per_system`,
+    # so one form builds every memo key and only roots.py names the memo.
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.name != "roots.py" and "_memo" in _referenced_names(tree):
+            found.append(f"{path.name}: names _memo")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cached"
+            ):
+                found.append(f"{path.name}:{node.lineno}: calls cached")
+    assert found == []
