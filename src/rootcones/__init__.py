@@ -26,6 +26,7 @@ from .linalg import (
     intersect,
     invert,
     kernel,
+    solve,
     span,
 )
 from .roots import (

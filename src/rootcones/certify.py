@@ -28,9 +28,7 @@ from .linalg import (
     block_coefficient_matrix,
     clear_denominators,
     dot,
-    invert,
     is_positive_definite,
-    solve,
     unit_vec,
 )
 from .roots import (
@@ -38,6 +36,7 @@ from .roots import (
     classify_irreducible,
     is_connected_subset,
     per_system,
+    roundtrip_simple_root,
     weight_table,
 )
 
@@ -59,11 +58,13 @@ def expand_coefficients(
 
     Row alpha of the block re-basing formula, which depends on I and not
     on alpha, so one matrix per system and subset is memoised for every
-    alpha. Each call cross-checks its row by an independent linear solve
-    over the dual weights of `weight_table(rs)`, which is never memoised,
-    so a wrong table is caught even when the block is. The off-diagonal
-    coefficients must come out non-positive; a violation would disprove
-    the sign property this toolkit exists to check, so it stops the run.
+    alpha. Each call checks that its row gives back alpha over the dual
+    weights of `weight_table(rs)`, read afresh, so a wrong table is caught
+    even when the block is memoised; no other row does, as every Gramm
+    block of a positive definite Gramm matrix is nonsingular. The
+    off-diagonal coefficients must come out non-positive; a violation
+    would disprove the sign property this toolkit exists to check, so it
+    stops the run.
     """
     rs.check_root(alpha)
     subset = rs.subset(subset)
@@ -72,12 +73,16 @@ def expand_coefficients(
     row = _block_expansion(rs, subset).row(alpha)
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
-    # Independent route: solve for alpha over the explicit basis vectors.
+    # The residual against the table: sum c_b e_b + sum c_g w_g = e_alpha.
     dual = weight_table(rs).dual
-    columns = [unit_vec(rs.rank, b) for b in subset] + [dual[g] for g in rest]
-    direct = solve(columns, unit_vec(rs.rank, alpha))
-    if direct is None or list(direct) != list(row):
-        raise InvariantViolation("block formula disagrees with the direct solve")
+    acc = [Fraction(0)] * rs.rank
+    for beta, coeff in on_roots:
+        acc[beta] += coeff
+    for gamma, coeff in on_weights:
+        for j, x in enumerate(dual[gamma]):
+            acc[j] += coeff * x
+    if tuple(acc) != unit_vec(rs.rank, alpha):
+        raise InvariantViolation("block formula disagrees with the weight table")
     for delta, coeff in on_roots + on_weights:
         if delta != alpha and coeff > 0:
             raise InvariantViolation(
@@ -296,10 +301,12 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
 
 
 def verify_lemma66(rs: RootSystem) -> bool:
-    """Whether the inverse Gramm matrix has strictly positive entries."""
+    """Whether G W = I and every entry of W is positive, W the dual weights."""
     if not rs.is_irreducible():
         raise NotIrreducible(f"{rs.spec} is reducible")
-    return all(x > 0 for x in invert(rs.gramm).entries)
+    return all(roundtrip_simple_root(rs, a) for a in range(rs.rank)) and all(
+        x > 0 for row in weight_table(rs).dual.values() for x in row
+    )
 
 
 def connected_induced_subsets(rs: RootSystem):

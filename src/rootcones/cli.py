@@ -100,6 +100,8 @@ class RunConfig:
             raise ValueError("max-rank must be at least 1")
         if self.max_subset_size is not None and self.max_subset_size < 0:
             raise ValueError("max-subset-size must be nonnegative")
+        if self.selection == []:
+            raise ValueError("selection must contain at least one root")
         if self.selection is not None and any(v < 1 for v in self.selection):
             raise ValueError("selection needs 1-based root indices")
 
@@ -145,12 +147,9 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
 def _parse_selection(text: str) -> list[int]:
     try:
-        values = [int(piece) for piece in text.split(",") if piece.strip()]
+        return [int(piece) for piece in text.split(",") if piece.strip()]
     except ValueError as err:
         raise ValueError(f"bad selection {text!r}: {err}") from None
-    if not values or any(v < 1 for v in values):
-        raise ValueError(f"bad selection {text!r}: need 1-based root indices")
-    return values
 
 
 def _selection_roots(rs: RootSystem, selection: list[int]) -> tuple[int, ...]:

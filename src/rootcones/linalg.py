@@ -392,7 +392,8 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
 def solve(columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]):
     """Coefficients x with sum x_j * columns[j] = target, or None.
 
-    Free coefficients, if any, are set to zero.
+    Free coefficients, if any, are set to zero. No package code calls it;
+    it is kept because the perfbench tracer wraps it.
     """
     if not columns:
         return None if any(target) else ()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_linalg import vec
 
-from rootcones import certify, suites
+from rootcones import certify, linalg, suites
 from rootcones.certify import (
     connected_induced_subsets,
     expand_coefficients,
@@ -105,7 +105,7 @@ class TestExpandCoefficients:
 
     def test_memo_does_not_hide_a_bad_table(self):
         # The memoised block matrix depends on the Gramm matrix only; the
-        # direct solve reads the system's table on every call, so a table
+        # residual check reads the system's table on every call, so a table
         # forged into the memo after the block was built is still caught.
         rs = from_gramm(build("A3").gramm)
         wt = weight_table(rs)
@@ -116,7 +116,7 @@ class TestExpandCoefficients:
         dual[2] = tuple(x + 1 if k == 2 else x for k, x in enumerate(dual[2]))
         rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, dual=dual)
         with pytest.raises(
-            InvariantViolation, match="block formula disagrees with the direct solve"
+            InvariantViolation, match="block formula disagrees with the weight table"
         ):
             expand_coefficients(rs, 1, [0])
 
@@ -300,6 +300,31 @@ class TestSuiteWork:
         assert len(rows) == 24
         assert all(row["status"] == "pass" for row in rows)
         assert len(calls) == 8
+
+    def test_second_sweep_runs_no_elimination(self, monkeypatch):
+        # Every elimination runs through one loop. The weight table and the
+        # block matrices are memoised, and the checks against them are
+        # products, so sweeping the same system again eliminates nothing.
+        calls = []
+        real = linalg._fraction_free_reduce
+
+        def counted(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_fraction_free_reduce", counted)
+        rs = from_gramm(build("A3").gramm)  # a fresh memo
+
+        def sweep():
+            rows = suites.run_lemma64(rs) + suites.run_gramm_inverse(rs)
+            rows += suites.run_lemma66(rs) + suites.run_theorem61(rs, "constructive")
+            assert all(row["status"] == "pass" for row in rows)
+
+        sweep()
+        before = len(calls)
+        assert before  # the counter is wired
+        sweep()
+        assert len(calls) == before
 
 
 def accumulate(cone, ineq, eq):
@@ -509,6 +534,19 @@ class TestMatrixFacts:
     def test_reducible_rejected(self):
         with pytest.raises(NotIrreducible):
             verify_lemma66(build("A1xA1"))
+
+    def test_a_forged_table_fails_both_inverse_checks(self):
+        # Both checks multiply out the system's table instead of inverting
+        # the Gramm matrix again, so one forged dual-weight entry fails
+        # them, though every entry is still positive.
+        rs = from_gramm(build("A3").gramm)
+        wt = weight_table(rs)
+        dual = dict(wt.dual)
+        dual[2] = tuple(x + 1 if k == 2 else x for k, x in enumerate(dual[2]))
+        rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, dual=dual)
+        assert all(x > 0 for row in dual.values() for x in row)
+        assert [row["status"] for row in suites.run_gramm_inverse(rs)] == ["fail"]
+        assert verify_lemma66(rs) is False
 
     def test_strict_mass_gap_under_connectivity(self):
         for spec in ["A2", "A3", "B3", "G2", "F4"]:

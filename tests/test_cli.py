@@ -120,7 +120,7 @@ class TestBuild:
         # matrix: the coroot images of I, and the null space of I's root
         # functionals.
         config = tmp_path / "config.json"
-        for subset in powerset(range(rank)):
+        for subset in powerset(range(rank))[1:]:  # an empty selection exits 2
             config.write_text(json.dumps({"selection": [i + 1 for i in subset]}))
             code, out, _ = run(["build", spec, "--config", str(config)], capsys)
             assert code == 0
@@ -448,8 +448,8 @@ class TestVerify:
         assert json.loads(done.stdout)["ok"] is True
 
     def test_corrupted_expansion_fails_under_optimisation(self):
-        # Under -O no assert runs, so the direct-solve cross-check must
-        # raise on its own. The stub moves one unit of coefficient between
+        # Under -O no assert runs, so the residual check against the
+        # weight table must raise on its own. The stub moves one unit of coefficient between
         # the first two columns of every row: the masses still sum to one,
         # so only the cross-check can see it, and only when I holds at
         # least two roots (12 of A3's 24 rows).
@@ -477,7 +477,7 @@ class TestVerify:
         rows = json.loads(done.stdout)["rows"]
         failed = [row for row in rows if row["status"] == "fail"]
         assert len(failed) == 12 and len(rows) == 24
-        assert all("direct solve" in row["detail"] for row in failed)
+        assert all("weight table" in row["detail"] for row in failed)
 
     def test_invariant_violation_fails_the_task(self):
         # A broken internal invariant is a failed check, not bad input:
@@ -826,6 +826,31 @@ class TestConfigFile:
         code, out, err = run(args, capsys)
         assert (code, out) == (2, "")
         assert err == "error: out must be a nonempty path\n"
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["config.json"] if from_file else []
+        )
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    @pytest.mark.parametrize(
+        "args,flag",
+        [(["build", "A2"], "--subset"), (["simulate", "--system", "A2"], "--selection")],
+        ids=["build", "simulate"],
+    )
+    def test_empty_selection_exits_2_and_writes_nothing(
+        self, args, flag, from_file, capsys, tmp_path, monkeypatch
+    ):
+        # The flag and the config file share one check; an empty selection
+        # from a file used to make build report the empty subset, exit 0.
+        monkeypatch.chdir(tmp_path)
+        args = [*args, "--out", "report.json"]
+        if from_file:
+            (tmp_path / "config.json").write_text(json.dumps({"selection": []}))
+            args += ["--config", "config.json"]
+        else:
+            args += [flag, ""]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: selection must contain at least one root\n"
         assert [p.name for p in tmp_path.iterdir()] == (
             ["config.json"] if from_file else []
         )
