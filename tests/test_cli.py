@@ -449,10 +449,10 @@ class TestVerify:
 
     def test_corrupted_expansion_fails_under_optimisation(self):
         # Under -O no assert runs, so the residual check against the
-        # weight table must raise on its own. The stub moves one unit of coefficient between
-        # the first two columns of every row: the masses still sum to one,
-        # so only the cross-check can see it, and only when I holds at
-        # least two roots (12 of A3's 24 rows).
+        # weight table must raise on its own. The stub moves one unit of
+        # coefficient between the first two columns of every row: the
+        # masses still sum to one, so only the cross-check can see it, and
+        # only when I holds at least two roots (12 of A3's 24 rows).
         script = (
             "import sys\n"
             "from rootcones import certify, cli\n"
