@@ -73,15 +73,17 @@ def expand_coefficients(
     row = _block_expansion(rs, subset).row(alpha)
     on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
     on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
-    # The residual against the table: sum c_b e_b + sum c_g w_g = e_alpha.
-    dual = weight_table(rs).dual
-    acc = [Fraction(0)] * rs.rank
-    for beta, coeff in on_roots:
-        acc[beta] += coeff
-    for gamma, coeff in on_weights:
-        for j, x in enumerate(dual[gamma]):
-            acc[j] += coeff * x
-    if tuple(acc) != unit_vec(rs.rank, alpha):
+    # The residual against the table, sum c_b e_b + sum c_g w_g = e_alpha,
+    # times r den on integers: r c = ints, den w_g = rows[g], zero c skipped.
+    den, rows = weight_table(rs).integer_dual
+    r, ints = clear_denominators(row)
+    acc = [0] * rs.rank
+    for k, beta in enumerate(subset):
+        acc[beta] = ints[k] * den
+    for k, gamma in enumerate(rest, m):
+        if ints[k]:
+            acc = [a + ints[k] * x for a, x in zip(acc, rows[gamma])]
+    if acc != [r * den * (j == alpha) for j in range(rs.rank)]:
         raise InvariantViolation("block formula disagrees with the weight table")
     for delta, coeff in on_roots + on_weights:
         if delta != alpha and coeff > 0:

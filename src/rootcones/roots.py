@@ -18,7 +18,14 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidRank, InvariantViolation, NotProportional, UnknownRoot
-from .linalg import QMatrix, Vector, invert, is_positive_definite, unit_vec
+from .linalg import (
+    QMatrix,
+    Vector,
+    clear_denominators,
+    invert,
+    is_positive_definite,
+    unit_vec,
+)
 
 _RANK_BOUNDS = {
     "A": (1, None),
@@ -398,8 +405,9 @@ class WeightTable:
 
     `differences` and `objectives` are the functionals of the Theorem 6.1
     cones, which depend on alpha and gamma but not on the subset of the
-    cone; `integer_weighted` holds the weighted rows over one shared
-    denominator. Each is built on first use and then kept with the table.
+    cone; `integer_weighted` and `integer_dual` hold the weighted and the
+    dual rows, each over one shared denominator. Each is built on first
+    use and then kept with the table.
     """
 
     subset: tuple[int, ...]
@@ -432,11 +440,25 @@ class WeightTable:
 
         den > 0 is the lcm of the denominators of every weighted row.
         """
-        den = lcm(*(x.denominator for row in self.weighted.values() for x in row))
-        return den, MappingProxyType({
-            alpha: tuple(x.numerator * (den // x.denominator) for x in row)
-            for alpha, row in self.weighted.items()
-        })
+        return _over_one_denominator(self.weighted)
+
+    @cached_property
+    def integer_dual(self) -> tuple[int, Mapping[int, tuple[int, ...]]]:
+        """(den, rows) with rows[alpha] = den * dual[alpha], all ints.
+
+        den > 0 is the lcm of the denominators of every dual row.
+        """
+        return _over_one_denominator(self.dual)
+
+
+def _over_one_denominator(
+    rows: Mapping[int, Vector],
+) -> tuple[int, Mapping[int, tuple[int, ...]]]:
+    den = lcm(*(x.denominator for row in rows.values() for x in row))
+    return den, MappingProxyType({
+        alpha: tuple(x.numerator * (den // x.denominator) for x in row)
+        for alpha, row in rows.items()
+    })
 
 
 def weight_table(rs: RootSystem) -> WeightTable:
@@ -480,13 +502,14 @@ def check_2d_identity(rs: RootSystem, alpha: int) -> bool:
 def roundtrip_simple_root(rs: RootSystem, alpha: int) -> bool:
     """Expand alpha over the dual weights, then back over the roots."""
     rs.check_root(alpha)
-    dual = weight_table(rs).dual
-    acc = [Fraction(0)] * rs.rank
-    for beta in range(rs.rank):
-        coeff = rs.gramm.at(alpha, beta)
-        for j in range(rs.rank):
-            acc[j] += coeff * dual[beta][j]
-    return tuple(acc) == unit_vec(rs.rank, alpha)
+    # On integers: sum_b s G_ab (den w_b) = s den e_alpha, zero G_ab skipped.
+    den, rows = weight_table(rs).integer_dual
+    s, coeffs = clear_denominators(rs.gramm.row(alpha))
+    acc = [0] * rs.rank
+    for beta, coeff in enumerate(coeffs):
+        if coeff:
+            acc = [a + coeff * x for a, x in zip(acc, rows[beta])]
+    return acc == [s * den * (j == alpha) for j in range(rs.rank)]
 
 
 def connected_to(rs: RootSystem, alpha: int, targets: Iterable[int]) -> bool:

@@ -548,6 +548,26 @@ class TestMatrixFacts:
         assert [row["status"] for row in suites.run_gramm_inverse(rs)] == ["fail"]
         assert verify_lemma66(rs) is False
 
+    def test_a_forged_entry_with_a_new_denominator_is_caught(self):
+        # Both residuals run on the table's integer form; an entry forged
+        # with a denominator the table did not have changes that form's
+        # common denominator, and all three checks must still fire.
+        rs = from_gramm(build("A3").gramm)
+        wt = weight_table(rs)
+        assert wt.integer_dual[0] == 4
+        dual = dict(wt.dual)
+        dual[2] = tuple(x + Q(1, 7) if k == 2 else x for k, x in enumerate(dual[2]))
+        forged = dataclasses.replace(wt, dual=dual)
+        rs._memo[("weight_table", (0, 1, 2))] = forged
+        assert forged.integer_dual[0] == 28
+        assert all(x > 0 for row in dual.values() for x in row)
+        with pytest.raises(
+            InvariantViolation, match="block formula disagrees with the weight table"
+        ):
+            expand_coefficients(rs, 1, [0])
+        assert [row["status"] for row in suites.run_gramm_inverse(rs)] == ["fail"]
+        assert verify_lemma66(rs) is False
+
     def test_strict_mass_gap_under_connectivity(self):
         for spec in ["A2", "A3", "B3", "G2", "F4"]:
             rs = build(spec)

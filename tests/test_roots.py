@@ -264,6 +264,30 @@ class TestWeightTable:
         wtg = weight_table(g2)
         assert g2.gramm.at(0, 0) * wtg.d[0] + g2.gramm.at(0, 1) * wtg.d[1] == 1
 
+    @pytest.mark.parametrize("spec", ["A1", "G2", "F4", "E8", "A2xB2"])
+    def test_integer_dual_is_the_dual_over_its_least_denominator(self, spec):
+        wt = weight_table(build(spec))
+        den, rows = wt.integer_dual
+        assert rows.keys() == wt.dual.keys()
+        for alpha, row in wt.dual.items():
+            assert all(type(x) is int for x in rows[alpha])
+            assert rows[alpha] == tuple(den * x for x in row)
+        # The least positive integer that clears every denominator.
+        entries = [x for row in wt.dual.values() for x in row]
+        assert [k for k in range(1, den + 1)
+                if all((k * x).denominator == 1 for x in entries)] == [den]
+
+    def test_integer_dual_hand_values(self):
+        assert weight_table(build("A1")).integer_dual == (2, {0: (1,)})
+        assert weight_table(build("G2")).integer_dual == (3, {0: (6, 3), 1: (3, 2)})
+
+    def test_a_replaced_table_builds_its_own_integer_dual(self):
+        wt = weight_table(build("A2"))
+        assert wt.integer_dual == (3, {0: (2, 1), 1: (1, 2)})
+        forged = dataclasses.replace(wt, dual={**wt.dual, 1: (Q(1, 3), Q(3, 5))})
+        assert forged.integer_dual == (15, {0: (10, 5), 1: (5, 9)})
+        assert wt.integer_dual == (3, {0: (2, 1), 1: (1, 2)})
+
     @pytest.mark.parametrize("spec", ["A2", "B3", "D4", "G2", "A2xB2"])
     def test_roundtrip_expansion(self, spec):
         rs = build(spec)
