@@ -34,7 +34,6 @@ from .linalg import (
 from .roots import (
     RootSystem,
     classify_irreducible,
-    is_connected_subset,
     per_system,
     roundtrip_simple_root,
     weight_table,
@@ -109,10 +108,15 @@ def _block_expansion(rs: RootSystem, subset: tuple[int, ...]) -> QMatrix:
 
 def expansion_mass_identity(rs: RootSystem, exp: CoefficientExpansion) -> bool:
     """Whether the coefficient masses of an expansion in rs sum to one."""
-    d = weight_table(rs).d
-    total = sum((coeff for _, coeff in exp.on_roots), Fraction(0))
-    total += sum((coeff * d[gamma] for gamma, coeff in exp.on_weights), Fraction(0))
-    return total == 1
+    # sum c_b + sum c_g d_g = 1, times r den on integers: r c = ints and
+    # den d_g = d_ints[g], with d read from the system's table.
+    den, d_ints = weight_table(rs).integer_d
+    r, ints = clear_denominators([c for _, c in exp.on_roots + exp.on_weights])
+    m = len(exp.on_roots)
+    total = sum(ints[:m]) * den
+    for (gamma, _), x in zip(exp.on_weights, ints[m:]):
+        total += x * d_ints[gamma]
+    return total == r * den
 
 
 @dataclass(frozen=True)
@@ -162,13 +166,16 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
     # Re-expanded on integers: with the multipliers M / den and each
     # functional F_k / f_k, the combination is acc / (den * scale), where
     # scale is the lcm of the f_k and acc sums M_k * F_k * (scale / f_k).
+    # A zero multiplier adds only 0 * F_k, so its functional is skipped.
     den, mults = clear_denominators((*cert.inequality_multipliers, *eq_multipliers))
-    functionals = [
-        clear_denominators(f) for f in (*cone.inequalities, *cone.equalities)
+    terms = [
+        (mult, clear_denominators(f))
+        for mult, f in zip(mults, (*cone.inequalities, *cone.equalities))
+        if mult
     ]
-    scale = lcm(*(f for f, _ in functionals))
+    scale = lcm(*(f for _, (f, _) in terms))
     acc = [0] * cone.ambient_dim
-    for mult, (f, ints) in zip(mults, functionals):
+    for mult, (f, ints) in terms:
         factor = mult * (scale // f)
         for j, x in enumerate(ints):
             acc[j] += factor * x
@@ -274,30 +281,31 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
     """
     enum = extreme_rays(cone)
     # With the objective's denominators cleared once, each value is one
-    # integer dot product over the common denominator.
+    # integer dot product over the common denominator den > 0, so signs
+    # and order are read off the ints; only a reported value is a Fraction.
     den, objective = clear_denominators(cone.objective)
-    values = [Fraction(dot(objective, r), den) for r in enum.rays]
+    values = [dot(objective, r) for r in enum.rays]
     for ray, value in zip(enum.rays, values):
         if value < 0:
             return Certificate(
                 kind="violating_ray",
                 ray=ray,
-                objective_value=value,
+                objective_value=Fraction(value, den),
                 ray_count=len(enum.rays),
             )
     for line in enum.lineality:
-        value = Fraction(dot(objective, line), den)
+        value = dot(objective, line)
         if value != 0:
             ray = line if value < 0 else tuple(-x for x in line)
             return Certificate(
                 kind="violating_ray",
                 ray=ray,
-                objective_value=value if value < 0 else -value,
+                objective_value=Fraction(-abs(value), den),
                 ray_count=len(enum.rays),
             )
     return Certificate(
         kind="conic_combination",
-        min_ray_objective=min(values) if values else None,
+        min_ray_objective=Fraction(min(values), den) if values else None,
         ray_count=len(enum.rays),
     )
 
@@ -312,12 +320,31 @@ def verify_lemma66(rs: RootSystem) -> bool:
 
 
 def connected_induced_subsets(rs: RootSystem):
-    """All nonempty subsets of the simple roots with connected diagram."""
+    """All nonempty subsets of the simple roots with connected diagram.
+
+    Each is grown once from its least vertex v: a grown subset branches on
+    its last unexplored neighbour above v, which it either takes (and
+    then its new neighbours too) or bans for the rest of the branch. The
+    adjacency is read from the Cartan matrix; subsets come out sorted.
+    """
     n = rs.rank
-    for mask in range(1, 2**n):
-        subset = tuple(i for i in range(n) if mask >> i & 1)
-        if is_connected_subset(rs.cartan, subset):
-            yield subset
+    adjacent = [[j for j in range(n) if j != i and rs.cartan[i][j]] for i in range(n)]
+
+    def grow(subset, frontier, banned):
+        yield tuple(sorted(subset))
+        banned = set(banned)
+        while frontier:
+            u = frontier.pop()
+            taken = subset | {u}
+            fresh = [
+                w for w in adjacent[u]
+                if w not in taken and w not in banned and w not in frontier
+            ]
+            yield from grow(taken, frontier + fresh, banned)
+            banned.add(u)
+
+    for v in range(n):
+        yield from grow({v}, [w for w in adjacent[v] if w > v], range(v))
 
 
 def verify_lemma65(rs: RootSystem) -> int | bool:

@@ -1,11 +1,13 @@
 """Rational polyhedral cones in H-representation and their extreme rays.
 
-The enumerator is a double description pass on integers. The cone is
-first written in a primitive integer basis of its equality subspace (one
-`kernel` elimination; without equalities the ambient coordinates are
-kept, with no restriction or map back). One reduction of
-(rows^T | Id) then both decides the lineality space and, for a pointed
-cone, seeds the pass; a cone with lineality is projected onto a pointed
+The enumerator is a double description pass on integers. An equality
+with one nonzero entry pins its coordinate to 0, and the cone is written
+on the coordinates left, each row sliced to them; only equalities with
+two or more nonzero entries are eliminated, by one `kernel` reduction
+whose primitive integer basis becomes the coordinates (without
+equalities the ambient coordinates are kept, with no slicing,
+restriction or map back). One reduction of (rows^T | Id) then both
+decides the lineality space and, for a pointed cone, seeds the pass; a cone with lineality is projected onto a pointed
 section and reduced once more. The pointed cone is built one inequality
 at a time with the combinatorial adjacency test, each ray carrying the
 set of constraints it is tight on (Fukuda and Prodon, "Double
@@ -122,23 +124,18 @@ def _pointed_double_description(
     return rays
 
 
-def extreme_rays(cone: ConeSpec) -> RayEnumeration:
-    """Enumerate the extreme rays and lineality of a ConeSpec."""
-    # A positive rescaling of a row leaves the cone unchanged, so every
-    # nonzero equality and inequality is taken as its primitive integer
-    # row; everything below then runs on ints. With equalities, the
-    # coordinates are over the primitive integer basis of the equality
-    # subspace that `kernel` gives; without, they are the ambient ones and
-    # the primitive inequalities are the rows as they are.
-    equalities = [primitive(e) for e in cone.equalities if any(e)]
-    rows = [primitive(f) for f in cone.inequalities if any(f)]
-    if equalities:
-        basis = kernel(cone.ambient_dim, equalities).basis
-        restricted = [tuple(dot(f, b) for b in basis) for f in rows]
-        rows = [primitive(r) for r in restricted if any(r)]
-        dim = len(basis)
-    else:
-        dim = cone.ambient_dim
+def _scatter(v: Sequence[int], positions: Sequence[int], dim: int) -> tuple[int, ...]:
+    """The length-dim vector with v's entries at positions and 0 elsewhere."""
+    out = [0] * dim
+    for j, x in zip(positions, v):
+        out[j] = x
+    return tuple(out)
+
+
+def _rays_and_lineality(
+    rows: Sequence[tuple[int, ...]], dim: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Rays and lineality basis of {y : rows . y >= 0}, rows primitive."""
     # In the seed reduction, the rows that pivot past the rows' columns
     # have a zero left half, and their right halves are the canonical
     # basis of the lineality space, the kernel of the rows (Zassenhaus, as
@@ -146,30 +143,65 @@ def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     seed = _seed_reduction(rows, dim)
     m = len(rows)
     lineality = [r[m:] for r, p in zip(*seed) if p >= m]
-    if lineality:
-        # Coordinates outside the lineality basis's pivots (the first
-        # nonzero entry of each reduced echelon vector) give a pointed
-        # section of the cone, enumerated from its own seed, whose rays
-        # are put back with zeros at those pivots.
-        pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lineality}
-        free = [j for j in range(dim) if j not in pivots]
-        section = [tuple(r[j] for j in free) for r in rows]
-        section = [r for r in section if any(r)]
-        rays = []
-        for y in _pointed_double_description(
-            section, len(free), _seed_reduction(section, len(free))
-        ):
-            ray = [0] * dim
-            for j, x in zip(free, y):
-                ray[j] = x
-            rays.append(tuple(ray))
-    else:
-        rays = _pointed_double_description(rows, dim, seed)
-    # Without equalities the rays and the reduced lineality rows are
-    # already primitive vectors in the ambient coordinates.
-    if equalities:
+    if not lineality:
+        return _pointed_double_description(rows, dim, seed), lineality
+    # Coordinates outside the lineality basis's pivots (the first nonzero
+    # entry of each reduced echelon vector) give a pointed section of the
+    # cone, enumerated from its own seed, whose rays are put back with
+    # zeros at those pivots.
+    pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lineality}
+    free = [j for j in range(dim) if j not in pivots]
+    section = [tuple(r[j] for j in free) for r in rows]
+    section = [r for r in section if any(r)]
+    rays = _pointed_double_description(
+        section, len(free), _seed_reduction(section, len(free))
+    )
+    return [_scatter(y, free, dim) for y in rays], lineality
+
+
+def extreme_rays(cone: ConeSpec) -> RayEnumeration:
+    """Enumerate the extreme rays and lineality of a ConeSpec."""
+    # A positive rescaling of a row leaves the cone unchanged, so every
+    # nonzero inequality is taken as its primitive integer row; everything
+    # below then runs on ints. An equality c e_j (c nonzero, of either
+    # sign, any number of times) pins coordinate j to 0; the equalities
+    # with two or more nonzero entries are the general ones.
+    dim = cone.ambient_dim
+    pinned, general = set(), []
+    for e in cone.equalities:
+        support = [j for j, x in enumerate(e) if x]
+        if len(support) == 1:
+            pinned.add(support[0])
+        elif support:
+            general.append(e)
+    if not pinned and not general:
+        # The ambient coordinates, with the primitive rows as they are: no
+        # slicing, no restriction and no map back.
+        rows = [primitive(f) for f in cone.inequalities if any(f)]
+        rays, lineality = _rays_and_lineality(rows, dim)
+        return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))
+    # The cone lives on the kept coordinates: each inequality and general
+    # equality is sliced to them and made primitive once.
+    kept = [j for j in range(dim) if j not in pinned]
+    sliced = [tuple(f[j] for j in kept) for f in cone.inequalities]
+    rows = [primitive(r) for r in sliced if any(r)]
+    sliced = [tuple(e[j] for j in kept) for e in general]
+    general = [primitive(r) for r in sliced if any(r)]
+    if general:
+        # Over the primitive integer basis of the general equalities'
+        # common kernel (one `kernel` reduction), mapped back through it.
+        basis = kernel(len(kept), general).basis
+        restricted = [tuple(dot(f, b) for b in basis) for f in rows]
+        rows = [primitive(r) for r in restricted if any(r)]
+        rays, lineality = _rays_and_lineality(rows, len(basis))
         columns = list(zip(*basis))
         rays = [primitive([dot(y, c) for c in columns]) for y in rays]
         lineality = [primitive([dot(v, c) for c in columns]) for v in lineality]
-    return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))
-
+    else:
+        rays, lineality = _rays_and_lineality(rows, len(kept))
+    # Scattered to the ambient coordinates by position, a primitive vector
+    # stays primitive.
+    return RayEnumeration(
+        rays=tuple(sorted(_scatter(y, kept, dim) for y in rays)),
+        lineality=tuple(_scatter(v, kept, dim) for v in lineality),
+    )

@@ -406,8 +406,8 @@ class WeightTable:
     `differences` and `objectives` are the functionals of the Theorem 6.1
     cones, which depend on alpha and gamma but not on the subset of the
     cone; `integer_weighted` and `integer_dual` hold the weighted and the
-    dual rows, each over one shared denominator. Each is built on first
-    use and then kept with the table.
+    dual rows, and `integer_d` the masses, each over one shared
+    denominator. Each is built on first use and then kept with the table.
     """
 
     subset: tuple[int, ...]
@@ -449,6 +449,15 @@ class WeightTable:
         den > 0 is the lcm of the denominators of every dual row.
         """
         return _over_one_denominator(self.dual)
+
+    @cached_property
+    def integer_d(self) -> tuple[int, Mapping[int, int]]:
+        """(den, ints) with ints[alpha] = den * d[alpha], all ints.
+
+        den > 0 is the lcm of the denominators of every mass.
+        """
+        den, rows = _over_one_denominator({a: (x,) for a, x in self.d.items()})
+        return den, MappingProxyType({a: x for a, (x,) in rows.items()})
 
 
 def _over_one_denominator(

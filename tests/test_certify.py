@@ -31,6 +31,25 @@ from rootcones.linalg import QMatrix, dot, invert
 from rootcones.roots import build, connected_to, from_gramm, weight_table
 
 
+def mask_scan(cartan):
+    """Oracle: every nonempty mask, kept when a walk along the nonzero
+    off-diagonal Cartan entries inside it reaches all of it; sorted."""
+    n = len(cartan)
+    found = []
+    for mask in range(1, 2**n):
+        nodes = [i for i in range(n) if mask >> i & 1]
+        seen, stack = {nodes[0]}, [nodes[0]]
+        while stack:
+            i = stack.pop()
+            for j in nodes:
+                if j not in seen and cartan[i][j]:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) == len(nodes):
+            found.append(tuple(nodes))
+    return sorted(found)
+
+
 def subsets_of(universe):
     universe = list(universe)
     for r in range(len(universe) + 1):
@@ -119,6 +138,51 @@ class TestExpandCoefficients:
             InvariantViolation, match="block formula disagrees with the weight table"
         ):
             expand_coefficients(rs, 1, [0])
+
+    @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
+    def test_mass_identity_matches_a_fraction_sum(self, spec):
+        # Oracle: the masses summed as Fractions. Each expansion is also
+        # tried with one coefficient moved by 1/7, which both must refuse.
+        rs = build(spec)
+        d = weight_table(rs).d
+
+        def fraction_mass(exp):
+            return sum((c for _, c in exp.on_roots), Q(0)) + sum(
+                (c * d[gamma] for gamma, c in exp.on_weights), Q(0)
+            )
+
+        for alpha in range(rs.rank):
+            for subset in subsets_of(range(rs.rank)):
+                exp = expand_coefficients(rs, alpha, subset)
+                terms = exp.on_roots + exp.on_weights
+                delta, c = terms[0]
+                moved = dict(terms) | {delta: c + Q(1, 7)}
+                forged = dataclasses.replace(
+                    exp,
+                    on_roots=tuple((b, moved[b]) for b, _ in exp.on_roots),
+                    on_weights=tuple((g, moved[g]) for g, _ in exp.on_weights),
+                )
+                for e in (exp, forged):
+                    assert expansion_mass_identity(rs, e) == (fraction_mass(e) == 1)
+                assert expansion_mass_identity(rs, exp)
+
+    def test_a_forged_mass_fails_the_lemma64_rows(self):
+        # d is read from the system's table on every call; one forged mass
+        # fails exactly the rows whose expansion weighs its dual weight.
+        honest = build("A3")
+        rs = from_gramm(honest.gramm)
+        wt = weight_table(rs)
+        d = dict(wt.d)
+        d[2] += Q(1, 7)
+        rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, d=d)
+        expected = [
+            "fail" if dict(expand_coefficients(honest, a, subset).on_weights).get(2)
+            else "pass"
+            for a in range(3)
+            for subset in subsets_of(range(3))
+        ]
+        assert "fail" in expected and "pass" in expected
+        assert [row["status"] for row in suites.run_lemma64(rs)] == expected
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_signs_and_mass_exhaustively(self, spec):
@@ -233,6 +297,30 @@ class TestRayRoute:
         passing = verify_theorem61_rays(full)
         assert passing.kind == "conic_combination"
         assert not validate_certificate(full, passing)
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+    def test_reported_values_are_the_objective_on_the_rays(self, spec):
+        # The ray route compares integer values; what it reports must be
+        # the objective itself, evaluated here in Fractions, on every
+        # cone and every control drop.
+        rs = build(spec)
+        for alpha in range(rs.rank):
+            others = [i for i in range(rs.rank) if i != alpha]
+            for subset in subsets_of(others):
+                for drop in (None, "ordering-family", "positivity"):
+                    cone = theorem_cone(rs, alpha, subset, drop=drop)
+                    enum = extreme_rays(cone)
+                    values = [dot(cone.objective, r) for r in enum.rays]
+                    cert = verify_theorem61_rays(cone)
+                    assert cert.ray_count == len(enum.rays)
+                    if cert.kind == "violating_ray":
+                        assert cert.objective_value == dot(cone.objective, cert.ray)
+                        assert cert.objective_value < 0
+                        assert validate_certificate(cone, cert)
+                    else:
+                        assert min(values) >= 0
+                        assert cert.min_ray_objective == min(values)
+                        assert all(dot(cone.objective, v) == 0 for v in enum.lineality)
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
     def test_two_routes_agree(self, spec):
@@ -607,19 +695,50 @@ class TestMatrixFacts:
 
     @pytest.mark.parametrize("spec", ["A3", "G2", "F4", "D5"])
     def test_a_task_tries_each_subset_once(self, spec, monkeypatch):
-        # The row's count comes from the one enumeration of the check:
-        # one connectivity test per nonempty subset of the simple roots.
-        calls = []
-        real = certify.is_connected_subset
+        # The row's count comes from the one enumeration of the check,
+        # which yields each connected subset once.
+        enumerations = []
+        real = certify.connected_induced_subsets
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def recording(rs):
+            enumerations.append(list(real(rs)))
+            return iter(enumerations[-1])
 
-        monkeypatch.setattr(certify, "is_connected_subset", counting)
+        monkeypatch.setattr(certify, "connected_induced_subsets", recording)
         rows, _ = suites._run_task(("lemma65", spec, None))
-        assert [row["status"] for row in rows] == ["pass"]
-        assert len(calls) == 2 ** build(spec).rank - 1
+        [subsets] = enumerations
+        assert len(set(subsets)) == len(subsets)
+        assert [(row["status"], row["detail"]) for row in rows] == [
+            ("pass", f"{len(subsets)} connected subdiagrams classified")
+        ]
+
+    @pytest.mark.parametrize("spec", suites.irreducible_catalogue(8))
+    def test_connected_subsets_match_a_mask_scan(self, spec):
+        rs = build(spec)
+        got = list(connected_induced_subsets(rs))
+        assert all(subset == tuple(sorted(subset)) for subset in got)
+        assert sorted(got) == mask_scan(rs.cartan)
+
+    def test_connected_subsets_of_a_cycle(self):
+        # Not a Dynkin diagram: on a cycle two frontier roots can meet
+        # again, and each subset must still come out once.
+        cycle = [
+            [2 if i == j else -int((i - j) % 5 in (1, 4)) for j in range(5)]
+            for i in range(5)
+        ]
+        rs = dataclasses.replace(build("A5"), cartan=cycle)
+        got = list(connected_induced_subsets(rs))
+        assert sorted(got) == mask_scan(cycle)
+        assert len(got) == 5 * 4 + 1
+
+    @pytest.mark.parametrize(
+        "spec, count",
+        [(f"A{n}", n * (n + 1) // 2) for n in range(1, 17)] + [("D16", 149)],
+    )
+    def test_connected_subset_counts(self, spec, count):
+        # A path on n vertices has n(n + 1)/2 connected pieces, one per
+        # interval; A16 has 136.
+        assert len(list(connected_induced_subsets(build(spec)))) == count
 
     def test_connected_subsets_of_chain(self):
         rs = build("A3")

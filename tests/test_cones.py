@@ -1,5 +1,6 @@
 """Extreme-ray enumeration against an independent combinatorial oracle."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -7,6 +8,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_linalg import vec
 
 from rootcones import certify, cones, linalg
@@ -359,18 +361,120 @@ class TestOneEliminationPerStep:
         assert linalg.kernel(4, []) == linalg.Subspace(4, unit_basis)
         assert eliminations == [([], 4)]
 
-    @pytest.mark.parametrize("subset, expected", [((2, 3), 2), ((), 1)])
-    def test_theorem_cone(self, eliminations, subset, expected):
-        # One reduction for the equality basis when I is nonempty, and one
-        # seed reduction that also decides the (here trivial) lineality.
+    @pytest.mark.parametrize("subset", [(2, 3), ()])
+    def test_theorem_cone(self, eliminations, subset):
+        # The equalities of I pin coordinates, which are dropped with no
+        # elimination, so one seed reduction, which also decides the (here
+        # trivial) lineality, is all a theorem cone takes.
         rs = build("E6")
         cone = certify.theorem_cone(rs, 0, subset)
         eliminations.clear()
         enum = extreme_rays(cone)
         assert enum.lineality == () and enum.rays
-        assert len(eliminations) == expected
+        assert len(eliminations) == 1
+
+    def test_general_equality_takes_a_kernel_reduction(self, eliminations):
+        # An equality with two nonzero entries is still eliminated: one
+        # `kernel` reduction over the kept coordinates, then the seed.
+        rs = build("E6")
+        cone = certify.theorem_cone(rs, 0, (2, 3))
+        cone = dataclasses.replace(
+            cone, equalities=cone.equalities + ((0, 1, 0, 0, -1, 0),)
+        )
+        eliminations.clear()
+        enum = extreme_rays(cone)
+        assert enum.lineality == () and enum.rays
+        assert len(eliminations) == 2
 
     def test_pointed_cone_without_equalities(self, eliminations):
         enum = enumerate_cone([[1, -1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]], 3)
         assert enum.lineality == ()
         assert len(eliminations) == 1
+
+
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def pinned_cones(draw):
+    """(dim, rows, equalities): some equalities c e_j, scaled or negated and
+    possibly repeated, sometimes one for every coordinate, and sometimes a
+    general equality with two or more nonzero entries."""
+    dim = draw(st.integers(1, 4))
+    functionals = st.lists(small_fractions, min_size=dim, max_size=dim)
+    rows = draw(st.lists(functionals, max_size=4))
+    if draw(st.booleans()):
+        rows += [[int(i == j) for j in range(dim)] for i in range(dim)]
+    nonzero = small_fractions.filter(bool)
+    if draw(st.integers(0, 5)) == 0:
+        coords = list(range(dim))
+    else:
+        coords = draw(
+            st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim + 1)
+        )
+    equalities = []
+    for j in coords:
+        c = draw(nonzero)
+        equalities.append([c * (k == j) for k in range(dim)])
+    if dim >= 2:
+        general = draw(st.lists(
+            functionals.filter(lambda e: sum(map(bool, e)) >= 2), max_size=1
+        ))
+        if dim == 3 and draw(st.booleans()):
+            general.append([1, 1, 1])
+        equalities += general
+    equalities = draw(st.permutations(equalities))
+    return dim, rows, equalities
+
+
+class TestPinnedCoordinates:
+    @settings(max_examples=150, deadline=None)
+    @given(pinned_cones())
+    def test_match_oracle(self, cone):
+        dim, rows, equalities = cone
+        enum = enumerate_cone(rows, dim, equalities)
+        lineality, faces = brute_force_faces(rows, dim, equalities)
+        assert gauss_jordan(enum.lineality, dim) == gauss_jordan(lineality, dim)
+        if not lineality:
+            assert enum.rays == brute_force_rays(rows, dim, equalities)
+        for ray in enum.rays:
+            assert all(pairing(e, ray) == 0 for e in equalities)
+            assert all(pairing(r, ray) >= 0 for r in rows)
+        tight = sorted(
+            tuple(i for i, r in enumerate(rows) if pairing(r, ray) == 0)
+            for ray in enum.rays
+        )
+        assert tight == faces
+
+    @settings(max_examples=100, deadline=None)
+    @given(pinned_cones())
+    def test_same_as_eliminating_the_pins(self, cone):
+        # e_j + e_k and e_j - e_k cut out what the pins of j and k do, but
+        # go to `kernel`; its canonical basis is then the kept unit
+        # vectors, so rays and lineality basis must agree exactly.
+        dim, rows, equalities = cone
+        pins = sorted({
+            next(j for j, x in enumerate(e) if x)
+            for e in equalities if sum(map(bool, e)) == 1
+        })
+        if len(pins) < 2:
+            return
+        j, k = pins[:2]
+        rest = [
+            e for e in equalities
+            if sum(map(bool, e)) > 1 or not (e[j] or e[k])
+        ]
+        plus = [int(i in (j, k)) for i in range(dim)]
+        minus = [(i == j) - (i == k) for i in range(dim)]
+        assert enumerate_cone(rows, dim, equalities) == enumerate_cone(
+            rows, dim, [plus, minus, *rest]
+        )
+
+    def test_pinned_and_general_by_hand(self):
+        # y = 0 pinned twice (once negated), x + y + z = 0, x >= 0: the ray
+        # (1, 0, -1); with no inequality, the line through it.
+        pins = [[0, -3, 0], [0, Fraction(1, 2), 0]]
+        enum = enumerate_cone([[1, 0, 0]], 3, equalities=[*pins, [1, 1, 1]])
+        assert enum.rays == ((1, 0, -1),) and enum.lineality == ()
+        enum = enumerate_cone([], 3, equalities=[*pins, [1, 1, 1]])
+        assert enum.rays == () and enum.lineality == ((1, 0, -1),)
