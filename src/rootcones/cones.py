@@ -7,12 +7,13 @@ two or more nonzero entries are eliminated, by one `kernel` reduction
 whose primitive integer basis becomes the coordinates (without
 equalities the ambient coordinates are kept, with no slicing,
 restriction or map back). One reduction of (rows^T | Id) then both
-decides the lineality space and, for a pointed cone, seeds the pass; a cone with lineality is projected onto a pointed
-section and reduced once more. The pointed cone is built one inequality
-at a time with the combinatorial adjacency test, each ray carrying the
-set of constraints it is tight on (Fukuda and Prodon, "Double
-description method revisited", 1996). Rays come back as primitive
-integer vectors in the original coordinates, sorted for determinism.
+decides the lineality space and, for a pointed cone, seeds the pass; a
+cone with lineality is projected onto a pointed section and reduced once
+more. The pointed cone is built one inequality at a time with the
+combinatorial adjacency test, each ray carrying the set of constraints
+it is tight on (Fukuda and Prodon, "Double description method
+revisited", 1996). Rays come back as primitive integer vectors in the
+original coordinates, sorted for determinism.
 """
 
 from __future__ import annotations
