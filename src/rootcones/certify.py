@@ -144,10 +144,11 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
     """Re-check a certificate against its cone, from scratch.
 
     Only what the certificate carries counts: a conic combination without
-    multipliers cannot be re-checked, so it is rejected.
+    multipliers cannot be re-checked, so it is rejected, and so is a ray
+    or a list of multipliers of the wrong length.
     """
     if cert.kind == "violating_ray":
-        if cert.ray is None:
+        if cert.ray is None or len(cert.ray) != cone.ambient_dim:
             return False
         ray = cert.ray
         tight = all(dot(e, ray) == 0 for e in cone.equalities)

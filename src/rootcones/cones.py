@@ -1,19 +1,19 @@
 """Rational polyhedral cones in H-representation and their extreme rays.
 
-The enumerator is a double description pass on integers. An equality
-with one nonzero entry pins its coordinate to 0, and the cone is written
-on the coordinates left, each row sliced to them; only equalities with
-two or more nonzero entries are eliminated, by one `kernel` reduction
-whose primitive integer basis becomes the coordinates (without
-equalities the ambient coordinates are kept, with no slicing,
-restriction or map back). One reduction of (rows^T | Id) then both
-decides the lineality space and, for a pointed cone, seeds the pass; a
-cone with lineality is projected onto a pointed section and reduced once
-more. The pointed cone is built one inequality at a time with the
-combinatorial adjacency test, each ray carrying the set of constraints
-it is tight on (Fukuda and Prodon, "Double description method
-revisited", 1996). Rays come back as primitive integer vectors in the
-original coordinates, sorted for determinism.
+The enumerator is a double description pass on integers, and every cone
+takes the same path to it. An equality with one nonzero entry pins its
+coordinate to 0; any other equality e becomes the two inequalities
+e >= 0 and -e >= 0. Each row is sliced to the coordinates left and made
+primitive once, and what is found there is scattered back by position.
+One reduction of (rows^T | Id) then both decides the lineality space
+and, for a pointed cone, seeds the pass; a cone with lineality is cut
+down to a pointed section, the same slice without the lineality's pivot
+coordinates, and reduced once more. The pointed cone is built one
+inequality at a time with the combinatorial adjacency test, each ray
+carrying the set of constraints it is tight on (Fukuda and Prodon,
+"Double description method revisited", 1996). Rays come back as
+primitive integer vectors in the original coordinates, sorted for
+determinism.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import (
-    Vector,
-    dot,
-    kernel,
-    primitive,
-    rref,
-    unit_vec,
-)
+from .linalg import Vector, dot, primitive, rref, unit_vec
 
 
 @dataclass(frozen=True)
@@ -125,6 +118,25 @@ def _pointed_double_description(
     return rays
 
 
+def _on_coordinates(
+    rows: Sequence[Vector], kept: Sequence[int], dim: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Rays and lineality basis of {y : rows . y >= 0, y_j = 0 off kept}.
+
+    Each row is sliced to the kept coordinates and each nonzero slice made
+    primitive once; the rays and lineality basis found there are scattered
+    back to the dim coordinates by position, which keeps them primitive.
+    """
+    sliced = [[f[j] for j in kept] for f in rows]
+    rays, lineality = _rays_and_lineality(
+        [primitive(r) for r in sliced if any(r)], len(kept)
+    )
+    return (
+        [_scatter(y, kept, dim) for y in rays],
+        [_scatter(v, kept, dim) for v in lineality],
+    )
+
+
 def _scatter(v: Sequence[int], positions: Sequence[int], dim: int) -> tuple[int, ...]:
     """The length-dim vector with v's entries at positions and 0 elsewhere."""
     out = [0] * dim
@@ -146,63 +158,30 @@ def _rays_and_lineality(
     lineality = [r[m:] for r, p in zip(*seed) if p >= m]
     if not lineality:
         return _pointed_double_description(rows, dim, seed), lineality
-    # Coordinates outside the lineality basis's pivots (the first nonzero
-    # entry of each reduced echelon vector) give a pointed section of the
-    # cone, enumerated from its own seed, whose rays are put back with
-    # zeros at those pivots.
+    # Setting the lineality basis's pivots (the first nonzero entry of each
+    # reduced echelon vector) to 0 leaves a pointed section of the cone,
+    # whose rays are those of the cone modulo its lineality.
     pivots = {next(j for j, x in enumerate(v) if x != 0) for v in lineality}
-    free = [j for j in range(dim) if j not in pivots]
-    section = [tuple(r[j] for j in free) for r in rows]
-    section = [r for r in section if any(r)]
-    rays = _pointed_double_description(
-        section, len(free), _seed_reduction(section, len(free))
-    )
-    return [_scatter(y, free, dim) for y in rays], lineality
+    rays, _ = _on_coordinates(rows, [j for j in range(dim) if j not in pivots], dim)
+    return rays, lineality
 
 
 def extreme_rays(cone: ConeSpec) -> RayEnumeration:
     """Enumerate the extreme rays and lineality of a ConeSpec."""
-    # A positive rescaling of a row leaves the cone unchanged, so every
-    # nonzero inequality is taken as its primitive integer row; everything
-    # below then runs on ints. An equality c e_j (c nonzero, of either
-    # sign, any number of times) pins coordinate j to 0; the equalities
-    # with two or more nonzero entries are the general ones.
+    # An equality c e_j (c nonzero, of either sign, any number of times)
+    # pins coordinate j to 0. Any other nonzero equality e is the pair
+    # e >= 0, -e >= 0: once the pass has cut by e, no ray is negative on
+    # it, so the cut by -e only drops the rays with e > 0, which leaves the
+    # face e = 0. The pairs go first, so that the seed takes them in and
+    # the pass runs on their face from the start.
     dim = cone.ambient_dim
-    pinned, general = set(), []
+    pinned, pairs = set(), []
     for e in cone.equalities:
         support = [j for j, x in enumerate(e) if x]
         if len(support) == 1:
             pinned.add(support[0])
         elif support:
-            general.append(e)
-    if not pinned and not general:
-        # The ambient coordinates, with the primitive rows as they are: no
-        # slicing, no restriction and no map back.
-        rows = [primitive(f) for f in cone.inequalities if any(f)]
-        rays, lineality = _rays_and_lineality(rows, dim)
-        return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))
-    # The cone lives on the kept coordinates: each inequality and general
-    # equality is sliced to them and made primitive once.
+            pairs += [e, tuple(-x for x in e)]
     kept = [j for j in range(dim) if j not in pinned]
-    sliced = [tuple(f[j] for j in kept) for f in cone.inequalities]
-    rows = [primitive(r) for r in sliced if any(r)]
-    sliced = [tuple(e[j] for j in kept) for e in general]
-    general = [primitive(r) for r in sliced if any(r)]
-    if general:
-        # Over the primitive integer basis of the general equalities'
-        # common kernel (one `kernel` reduction), mapped back through it.
-        basis = kernel(len(kept), general).basis
-        restricted = [tuple(dot(f, b) for b in basis) for f in rows]
-        rows = [primitive(r) for r in restricted if any(r)]
-        rays, lineality = _rays_and_lineality(rows, len(basis))
-        columns = list(zip(*basis))
-        rays = [primitive([dot(y, c) for c in columns]) for y in rays]
-        lineality = [primitive([dot(v, c) for c in columns]) for v in lineality]
-    else:
-        rays, lineality = _rays_and_lineality(rows, len(kept))
-    # Scattered to the ambient coordinates by position, a primitive vector
-    # stays primitive.
-    return RayEnumeration(
-        rays=tuple(sorted(_scatter(y, kept, dim) for y in rays)),
-        lineality=tuple(_scatter(v, kept, dim) for v in lineality),
-    )
+    rays, lineality = _on_coordinates([*pairs, *cone.inequalities], kept, dim)
+    return RayEnumeration(rays=tuple(sorted(rays)), lineality=tuple(lineality))

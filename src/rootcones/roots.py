@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from math import lcm
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -440,7 +440,11 @@ class WeightTable:
 
         den > 0 is the lcm of the denominators of every weighted row.
         """
-        return _over_one_denominator(self.weighted)
+        den, ints = clear_denominators([x for r in self.weighted.values() for x in r])
+        it = iter(ints)
+        return den, MappingProxyType({
+            alpha: tuple(islice(it, len(r))) for alpha, r in self.weighted.items()
+        })
 
     @cached_property
     def integer_dual(self) -> tuple[int, Mapping[int, tuple[int, ...]]]:
@@ -448,7 +452,11 @@ class WeightTable:
 
         den > 0 is the lcm of the denominators of every dual row.
         """
-        return _over_one_denominator(self.dual)
+        den, ints = clear_denominators([x for r in self.dual.values() for x in r])
+        it = iter(ints)
+        return den, MappingProxyType({
+            alpha: tuple(islice(it, len(r))) for alpha, r in self.dual.items()
+        })
 
     @cached_property
     def integer_d(self) -> tuple[int, Mapping[int, int]]:
@@ -456,18 +464,8 @@ class WeightTable:
 
         den > 0 is the lcm of the denominators of every mass.
         """
-        den, rows = _over_one_denominator({a: (x,) for a, x in self.d.items()})
-        return den, MappingProxyType({a: x for a, (x,) in rows.items()})
-
-
-def _over_one_denominator(
-    rows: Mapping[int, Vector],
-) -> tuple[int, Mapping[int, tuple[int, ...]]]:
-    den = lcm(*(x.denominator for row in rows.values() for x in row))
-    return den, MappingProxyType({
-        alpha: tuple(x.numerator * (den // x.denominator) for x in row)
-        for alpha, row in rows.items()
-    })
+        den, ints = clear_denominators(list(self.d.values()))
+        return den, MappingProxyType(dict(zip(self.d, ints)))
 
 
 def weight_table(rs: RootSystem) -> WeightTable:

@@ -489,6 +489,22 @@ class TestValidateCertificate:
                 assert not check(ineq, moved)
 
 
+    def test_a_ray_of_the_wrong_length_does_not_validate(self):
+        # Like a wrong number of multipliers, a ray outside the cone's
+        # space is a malformed certificate: it fails, it does not raise.
+        cone = theorem_cone(build("A3"), 0, [])
+        cert = certify.Certificate(
+            kind="violating_ray", ray=(1, -1), objective_value=Q(-1)
+        )
+        assert not validate_certificate(cone, cert)
+        cone = theorem_cone(build("A3"), 0, [1], drop="positivity")
+        cert = verify_theorem61_rays(cone)
+        assert cert.kind == "violating_ray"
+        assert validate_certificate(cone, cert)
+        for ray in ((), cert.ray[:-1], (*cert.ray, 0)):
+            assert not validate_certificate(cone, dataclasses.replace(cert, ray=ray))
+
+
 def corollary_gap(wt, alpha, a):
     """Corollary 6.2 with a_I = 0, as lhs - rhs in plain Fraction arithmetic:
     (1 - (w,w)/d) alpha(a) - (1/d) sum_{beta != alpha} (w, w_beta) beta(a).

@@ -373,9 +373,10 @@ class TestOneEliminationPerStep:
         assert enum.lineality == () and enum.rays
         assert len(eliminations) == 1
 
-    def test_general_equality_takes_a_kernel_reduction(self, eliminations):
-        # An equality with two nonzero entries is still eliminated: one
-        # `kernel` reduction over the kept coordinates, then the seed.
+    def test_general_equality_adds_no_reduction(self, eliminations):
+        # An equality with two nonzero entries is the pair e >= 0, -e >= 0
+        # among the inequalities, so the seed reduction is still the only
+        # one.
         rs = build("E6")
         cone = certify.theorem_cone(rs, 0, (2, 3))
         cone = dataclasses.replace(
@@ -384,7 +385,7 @@ class TestOneEliminationPerStep:
         eliminations.clear()
         enum = extreme_rays(cone)
         assert enum.lineality == () and enum.rays
-        assert len(eliminations) == 2
+        assert len(eliminations) == 1
 
     def test_pointed_cone_without_equalities(self, eliminations):
         enum = enumerate_cone([[1, -1, 0], [2, 1, 0], [0, 0, 1], [1, 1, 1]], 3)
@@ -398,8 +399,10 @@ small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 @st.composite
 def pinned_cones(draw):
     """(dim, rows, equalities): some equalities c e_j, scaled or negated and
-    possibly repeated, sometimes one for every coordinate, and sometimes a
-    general equality with two or more nonzero entries."""
+    possibly repeated, sometimes one for every coordinate, and sometimes
+    general equalities with two or more nonzero entries, degenerate ones
+    too: e together with -2e, an equality equal to an inequality row, and
+    one that the pins reduce to one entry or none."""
     dim = draw(st.integers(1, 4))
     functionals = st.lists(small_fractions, min_size=dim, max_size=dim)
     rows = draw(st.lists(functionals, max_size=4))
@@ -420,8 +423,19 @@ def pinned_cones(draw):
         general = draw(st.lists(
             functionals.filter(lambda e: sum(map(bool, e)) >= 2), max_size=1
         ))
+        if general and draw(st.booleans()):
+            general.append([-2 * x for x in general[0]])
         if dim == 3 and draw(st.booleans()):
             general.append([1, 1, 1])
+        if rows and draw(st.booleans()):
+            general.append(draw(st.sampled_from(rows)))
+        if draw(st.booleans()):
+            # A pinned coordinate j and any other k: the slice leaves c e_k
+            # if k is not pinned, and nothing if it is.
+            j = draw(st.sampled_from(coords))
+            k = draw(st.sampled_from([i for i in range(dim) if i != j]))
+            a, b = draw(nonzero), draw(nonzero)
+            general.append([a * (i == j) + b * (i == k) for i in range(dim)])
         equalities += general
     equalities = draw(st.permutations(equalities))
     return dim, rows, equalities
@@ -434,7 +448,11 @@ class TestPinnedCoordinates:
         dim, rows, equalities = cone
         enum = enumerate_cone(rows, dim, equalities)
         lineality, faces = brute_force_faces(rows, dim, equalities)
-        assert gauss_jordan(enum.lineality, dim) == gauss_jordan(lineality, dim)
+        # The basis itself is canonical: the reduced echelon rows, each
+        # made primitive, so its pivot entries are positive.
+        assert enum.lineality == tuple(
+            smallest_integer_multiple(v) for v in gauss_jordan(lineality, dim)[0]
+        )
         if not lineality:
             assert enum.rays == brute_force_rays(rows, dim, equalities)
         for ray in enum.rays:
@@ -450,8 +468,9 @@ class TestPinnedCoordinates:
     @given(pinned_cones())
     def test_same_as_eliminating_the_pins(self, cone):
         # e_j + e_k and e_j - e_k cut out what the pins of j and k do, but
-        # go to `kernel`; its canonical basis is then the kept unit
-        # vectors, so rays and lineality basis must agree exactly.
+        # as two pairs of inequalities on every coordinate instead of a
+        # slice without j and k; the extreme rays and the canonical
+        # lineality basis must agree exactly.
         dim, rows, equalities = cone
         pins = sorted({
             next(j for j, x in enumerate(e) if x)
