@@ -23,6 +23,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .linalg import (
+    IntVector,
     QMatrix,
     Vector,
     block_coefficient_matrix,
@@ -34,6 +35,7 @@ from .linalg import (
 from .roots import (
     RootSystem,
     classify_irreducible,
+    integer_gramm,
     per_system,
     roundtrip_simple_root,
     weight_table,
@@ -56,53 +58,88 @@ def expand_coefficients(
     """Expand alpha over I and the dual weights outside I, exactly.
 
     Row alpha of the block re-basing formula, which depends on I and not
-    on alpha, so one matrix per system and subset is memoised for every
-    alpha. Each call checks that its row gives back alpha over the dual
-    weights of `weight_table(rs)`, read afresh, so a wrong table is caught
-    even when the block is memoised; no other row does, as every Gramm
-    block of a positive definite Gramm matrix is nonsingular. The
-    off-diagonal coefficients must come out non-positive; a violation
-    would disprove the sign property this toolkit exists to check, so it
-    stops the run.
+    on alpha, so one integer matrix per system and subset is memoised for
+    every alpha. Each call checks that row (`_expansion_row`) and builds a
+    Fraction only for each coefficient of the expansion it returns.
     """
     rs.check_root(alpha)
     subset = rs.subset(subset)
-    rest = tuple(i for i in range(rs.rank) if i not in subset)
-    m = len(subset)
-    row = _block_expansion(rs, subset).row(alpha)
-    on_roots = tuple((beta, row[k]) for k, beta in enumerate(subset))
-    on_weights = tuple((gamma, row[m + k]) for k, gamma in enumerate(rest))
-    # The residual against the table, sum c_b e_b + sum c_g w_g = e_alpha,
-    # times r den on integers: r c = ints, den w_g = rows[g], zero c skipped.
-    den, rows = weight_table(rs).integer_dual
-    r, ints = clear_denominators(row)
-    acc = [0] * rs.rank
-    for k, beta in enumerate(subset):
-        acc[beta] = ints[k] * den
-    for k, gamma in enumerate(rest, m):
-        if ints[k]:
-            acc = [a + ints[k] * x for a, x in zip(acc, rows[gamma])]
-    if acc != [r * den * (j == alpha) for j in range(rs.rank)]:
-        raise InvariantViolation("block formula disagrees with the weight table")
-    for delta, coeff in on_roots + on_weights:
-        if delta != alpha and coeff > 0:
-            raise InvariantViolation(
-                f"sign property fails at {rs.root_label(delta)}: {coeff}"
-            )
+    den, ints = _expansion_row(rs, alpha, subset)
     return CoefficientExpansion(
-        alpha=alpha, subset=subset, on_roots=on_roots, on_weights=on_weights
+        alpha=alpha,
+        subset=subset,
+        on_roots=tuple((beta, Fraction(ints[beta], den)) for beta in subset),
+        on_weights=tuple(
+            (gamma, Fraction(ints[gamma], den))
+            for gamma in range(rs.rank)
+            if gamma not in subset
+        ),
     )
 
 
-@per_system("expansion")
-def _block_expansion(rs: RootSystem, subset: tuple[int, ...]) -> QMatrix:
-    """Every simple root over the mixed basis of I: row alpha is alpha's."""
+def _expansion_row(
+    rs: RootSystem, alpha: int, subset: tuple[int, ...]
+) -> tuple[int, IntVector]:
+    """Row alpha of the block formula for I as (den, ints), checked.
+
+    ints[j] / den, with den > 0, is alpha's coefficient on root j for j
+    in I and on the dual weight w_j otherwise. The row must give back
+    alpha over the dual weights of `weight_table(rs)`, read afresh, so a
+    wrong table is caught even when the block is memoised; no other row
+    does, as every Gramm block of a positive definite Gramm matrix is
+    nonsingular. The off-diagonal coefficients must come out
+    non-positive; a violation would disprove the sign property this
+    toolkit exists to check, so it stops the run.
+    """
     rest = tuple(i for i in range(rs.rank) if i not in subset)
-    g = rs.gramm
-    return block_coefficient_matrix(
-        g.submatrix(range(rs.rank), subset + rest),
-        g.submatrix(subset, subset),
-        g.submatrix(subset, rest),
+    den, rows = _block_expansion(rs, subset)
+    ints = rows[alpha]
+    # The residual against the table, sum c_b e_b + sum c_g w_g = e_alpha,
+    # times den dden on integers: den c = ints, dden w_g = duals[g], zero c
+    # skipped.
+    dden, duals = weight_table(rs).integer_dual
+    acc = [0] * rs.rank
+    for beta in subset:
+        acc[beta] = ints[beta] * dden
+    for gamma in rest:
+        if ints[gamma]:
+            acc = [a + ints[gamma] * x for a, x in zip(acc, duals[gamma])]
+    if acc != [den * dden * (j == alpha) for j in range(rs.rank)]:
+        raise InvariantViolation("block formula disagrees with the weight table")
+    for delta in subset + rest:
+        if delta != alpha and ints[delta] > 0:
+            raise InvariantViolation(
+                f"sign property fails at {rs.root_label(delta)}: "
+                f"{Fraction(ints[delta], den)}"
+            )
+    return den, ints
+
+
+@per_system("expansion")
+def _block_expansion(
+    rs: RootSystem, subset: tuple[int, ...]
+) -> tuple[int, tuple[IntVector, ...]]:
+    """Every simple root over the mixed basis of I, as `_expansion_row` reads it.
+
+    The formula runs on the blocks of the integer Gramm matrix g G, which
+    leaves the columns on I as they are and multiplies the others by g;
+    so the columns on I are multiplied by g here and den by g too, and the
+    columns are put back in root order.
+    """
+    n = rs.rank
+    g, rows = integer_gramm(rs)
+    gramm = QMatrix(n, n, tuple(x for r in rows for x in r))
+    rest = tuple(i for i in range(n) if i not in subset)
+    order = subset + rest
+    den, rows = block_coefficient_matrix(
+        gramm.submatrix(range(n), order),
+        gramm.submatrix(subset, subset),
+        gramm.submatrix(subset, rest),
+    )
+    m = len(subset)
+    position = sorted(range(n), key=order.__getitem__)
+    return den * g, tuple(
+        tuple(r[k] * g if k < m else r[k] for k in position) for r in rows
     )
 
 
@@ -240,31 +277,34 @@ def verify_theorem61_constructive(
     subset = rs.subset(subset)
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
-    exp = expand_coefficients(rs, alpha, subset)
+    rs.check_root(alpha)
+    den, ints = _expansion_row(rs, alpha, subset)
     if cone is None:
         cone = theorem_cone(rs, alpha, subset)
-    d = weight_table(rs).d
-    weight_coeff = dict(exp.on_weights)
-    mass = sum((coeff * d[gamma] for gamma, coeff in exp.on_weights), Fraction(0))
-    ineq_multipliers = []
+    # With c_g = ints[g] / den and d_g = d_ints[g] / dd, every inequality
+    # multiplier is an integer over scale = den dd; the mass is sum c_g d_g.
+    dd, d_ints = weight_table(rs).integer_d
+    scale = den * dd
+    numerators = []
     for label in cone.inequality_labels:
         if label == "positivity":
-            ineq_multipliers.append(mass - 1)
+            mass = sum(
+                ints[gamma] * d_ints[gamma]
+                for gamma in range(rs.rank)
+                if gamma not in subset
+            )
+            numerators.append(mass - scale)
         else:
             gamma = int(label.split(":")[1]) - 1
-            if gamma == alpha:
-                ineq_multipliers.append(Fraction(0))
-            else:
-                ineq_multipliers.append(-weight_coeff[gamma] * d[gamma])
-    eq_multipliers = tuple(coeff for _, coeff in exp.on_roots)
-    if any(m < 0 for m in ineq_multipliers):
+            numerators.append(0 if gamma == alpha else -ints[gamma] * d_ints[gamma])
+    if any(x < 0 for x in numerators):
         raise CertificateFailure(
             f"negative multiplier for {rs.spec}, {rs.root_label(alpha)}, I={subset}"
         )
     cert = Certificate(
         kind="conic_combination",
-        inequality_multipliers=tuple(ineq_multipliers),
-        equality_multipliers=eq_multipliers,
+        inequality_multipliers=tuple(Fraction(x, scale) for x in numerators),
+        equality_multipliers=tuple(Fraction(ints[beta], den) for beta in subset),
     )
     if not validate_certificate(cone, cert):
         raise CertificateFailure(

@@ -217,8 +217,10 @@ def is_positive_definite(m: QMatrix) -> bool:
     return True
 
 
-def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
-    """Return a times [[b^-1, -b^-1 c], [0, Id]] exactly.
+def block_coefficient_matrix(
+    a: QMatrix, b: QMatrix, c: QMatrix
+) -> tuple[int, tuple[IntVector, ...]]:
+    """Return a times [[b^-1, -b^-1 c], [0, Id]] exactly, as (den, rows).
 
     a has n columns and any number of rows, b is m x m and nonsingular,
     c is m x (n - m). The product re-expresses the rows of a over a mixed
@@ -227,11 +229,12 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
     (a_I b^-1) c], with a_I the first m columns of a, so the n x n block
     matrix is never formed.
 
-    It is computed on integers. The fraction-free reduction behind
-    `invert` gives N = d b^-1 with N and d integral. With c = C / t and a
-    row of a equal to (A_I, A_rest) / s, all integral, that row of the
-    product is [A_I N t | A_rest d t - A_I N C] / (s d t), so a Fraction
-    is built only for each returned entry.
+    It is computed and returned on integers: row i of the product is
+    rows[i] / den, with den > 0 one denominator for the whole matrix, so
+    no Fraction is built. The fraction-free reduction behind `invert`
+    gives N = d b^-1 with N and d integral, taken with d > 0. With
+    a = A / s and c = C / t, all integral, the product is
+    [A_I N t | A_rest d t - A_I N C] / (s d t).
     """
     n = a.cols
     m = b.rows
@@ -245,20 +248,21 @@ def block_coefficient_matrix(a: QMatrix, b: QMatrix, c: QMatrix) -> QMatrix:
         )
     d, inverse = _integer_inverse(b)
     n_cols = list(zip(*inverse))  # columns of N
+    if d < 0:
+        d, n_cols = -d, [tuple(-x for x in col) for col in n_cols]
     t, c_ints = clear_denominators(c.entries)
     c_cols = [c_ints[j :: n - m] for j in range(n - m)]  # columns of C
+    s, a_ints = clear_denominators(a.entries)
     dt = d * t
-    entries: list[Fraction] = []
+    rows = []
     for i in range(a.rows):
-        s, row = clear_denominators(a.row(i))
+        row = a_ints[i * n : (i + 1) * n]
         head = [dot(row[:m], col) for col in n_cols]  # A_I N
-        den = s * dt
-        entries += [Fraction(x * t, den) for x in head]
-        entries += [
-            Fraction(x * dt - dot(head, col), den)
-            for x, col in zip(row[m:], c_cols)
-        ]
-    return QMatrix(a.rows, n, tuple(entries))
+        rows.append((
+            *[x * t for x in head],
+            *[x * dt - dot(head, col) for x, col in zip(row[m:], c_cols)],
+        ))
+    return s * dt, tuple(rows)
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[IntVector], list[int]]:

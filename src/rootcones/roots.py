@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidRank, InvariantViolation, NotProportional, UnknownRoot
 from .linalg import (
+    IntVector,
     QMatrix,
     Vector,
     clear_denominators,
@@ -496,27 +497,37 @@ def _weight_table(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
     )
 
 
+@per_system("integer_gramm")
+def integer_gramm(rs: RootSystem) -> tuple[int, tuple[IntVector, ...]]:
+    """(g, rows) with rows[i] = g * Gramm row i, all ints.
+
+    g > 0 is the lcm of the denominators of every Gramm entry.
+    """
+    g, ints = clear_denominators(rs.gramm.entries)
+    n = rs.rank
+    return g, tuple(ints[i * n : (i + 1) * n] for i in range(n))
+
+
 def check_2d_identity(rs: RootSystem, alpha: int) -> bool:
     """Whether (a,a) d_a + sum over other roots of (a,b) d_b equals 1."""
     rs.check_root(alpha)
-    d = weight_table(rs).d
-    total = sum(
-        (rs.gramm.at(alpha, beta) * d[beta] for beta in range(rs.rank)), Fraction(0)
-    )
-    return total == 1
+    # On integers: g (a,b) = rows[a][b] and dd d_b = d_ints[b].
+    dd, d_ints = weight_table(rs).integer_d
+    g, rows = integer_gramm(rs)
+    return sum(x * d_ints[beta] for beta, x in enumerate(rows[alpha])) == g * dd
 
 
 def roundtrip_simple_root(rs: RootSystem, alpha: int) -> bool:
     """Expand alpha over the dual weights, then back over the roots."""
     rs.check_root(alpha)
-    # On integers: sum_b s G_ab (den w_b) = s den e_alpha, zero G_ab skipped.
-    den, rows = weight_table(rs).integer_dual
-    s, coeffs = clear_denominators(rs.gramm.row(alpha))
+    # On integers: sum_b g G_ab (den w_b) = g den e_alpha, zero G_ab skipped.
+    den, duals = weight_table(rs).integer_dual
+    g, rows = integer_gramm(rs)
     acc = [0] * rs.rank
-    for beta, coeff in enumerate(coeffs):
+    for beta, coeff in enumerate(rows[alpha]):
         if coeff:
-            acc = [a + coeff * x for a, x in zip(acc, rows[beta])]
-    return acc == [s * den * (j == alpha) for j in range(rs.rank)]
+            acc = [a + coeff * x for a, x in zip(acc, duals[beta])]
+    return acc == [g * den * (j == alpha) for j in range(rs.rank)]
 
 
 def connected_to(rs: RootSystem, alpha: int, targets: Iterable[int]) -> bool:

@@ -139,6 +139,23 @@ class TestExpandCoefficients:
         ):
             expand_coefficients(rs, 1, [0])
 
+    def test_a_positive_off_diagonal_coefficient_stops_the_run(self):
+        # A2, I empty: the memoised row of alpha_1 is forged to
+        # (4, 1) / 2, i.e. 2 w_1 + (1/2) w_2, and w_2 to 2 (e_1 - 2 w_1),
+        # so the residual holds and only the sign test can see the row.
+        rs = from_gramm(build("A2").gramm)
+        wt = weight_table(rs)
+        w1 = wt.dual[0]
+        w2 = tuple(2 * (int(j == 0) - 2 * x) for j, x in enumerate(w1))
+        rs._memo[("weight_table", (0, 1))] = dataclasses.replace(
+            wt, dual={0: w1, 1: w2}
+        )
+        rs._memo[("expansion", ())] = (2, ((4, 1), (-2, 4)))
+        for check in (expand_coefficients, verify_theorem61_constructive):
+            with pytest.raises(InvariantViolation) as err:
+                check(rs, 0, [])
+            assert str(err.value) == "sign property fails at alpha_2: 1/2"
+
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_mass_identity_matches_a_fraction_sum(self, spec):
         # Oracle: the masses summed as Fractions. Each expansion is also
@@ -227,6 +244,43 @@ class TestConstructiveRoute:
         rs = build("A2")
         with pytest.raises(PreconditionViolated):
             verify_theorem61_constructive(rs, 0, [0])
+
+    @pytest.mark.parametrize(
+        "spec", ["A2", "B2", "G2", "A3", "B3", "C3", "F4", "A2xA1"]
+    )
+    def test_multipliers_match_the_fraction_formula(self, spec):
+        # Oracle: the certificate's Fraction formula over an expansion
+        # solved by plain Gauss-Jordan. With c the coefficients and d_g the
+        # mass of the solved dual weight w_g, ordering:gamma gets
+        # -c_gamma d_gamma (0 for alpha's own), positivity gets mass - 1
+        # with mass = sum c_gamma d_gamma over gamma outside I, and the
+        # equality of beta gets c_beta.
+        rs = build(spec)
+        n = rs.rank
+        units = [[int(i == j) for j in range(n)] for i in range(n)]
+        gramm = [list(rs.gramm.row(i)) for i in range(n)]
+        dual = [gauss_jordan_solve(gramm, units[i]) for i in range(n)]
+        d = [sum(row, Q(0)) for row in dual]
+        for alpha in range(n):
+            for subset in subsets_of(i for i in range(n) if i != alpha):
+                rest = [g for g in range(n) if g not in subset]
+                columns = [units[b] for b in subset] + [dual[g] for g in rest]
+                x = gauss_jordan_solve(columns, units[alpha])
+                c = dict(zip([*subset, *rest], x))
+                mass = sum((c[g] * d[g] for g in rest), Q(0))
+                cone = theorem_cone(rs, alpha, subset)
+                expected = []
+                for label in cone.inequality_labels:
+                    if label == "positivity":
+                        expected.append(mass - 1)
+                    else:
+                        gamma = int(label.split(":")[1]) - 1
+                        expected.append(0 if gamma == alpha else -c[gamma] * d[gamma])
+                cert = verify_theorem61_constructive(rs, alpha, subset, cone)
+                assert list(cert.inequality_multipliers) == expected
+                assert list(cert.equality_multipliers) == [c[b] for b in subset]
+                multipliers = cert.inequality_multipliers + cert.equality_multipliers
+                assert all(type(m) is Q for m in multipliers)
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "A2xA1"])
     def test_sweep_validates(self, spec):
@@ -374,20 +428,24 @@ class TestSuiteWork:
 
     def test_one_block_expansion_per_subset(self, monkeypatch):
         # lemma64 sweeps every alpha over every subset of A3: 24 rows, but
-        # the block formula depends on the subset only, so 8 computations.
+        # the block formula depends on the subset only, so 8 computations,
+        # each on integer Gramm blocks and giving the integer form.
         calls = []
         real = certify.block_coefficient_matrix
 
         def counted(a, b, c):
             calls.append(b.rows)
-            return real(a, b, c)
+            assert all(type(x) is int for m in (a, b, c) for x in m.entries)
+            den, rows = real(a, b, c)
+            assert den > 0 and all(type(x) is int for r in rows for x in r)
+            return den, rows
 
         rs = from_gramm(build("A3").gramm)
         monkeypatch.setattr(certify, "block_coefficient_matrix", counted)
         rows = suites.run_lemma64(rs)
         assert len(rows) == 24
         assert all(row["status"] == "pass" for row in rows)
-        assert len(calls) == 8
+        assert sorted(calls) == [0, 1, 1, 1, 2, 2, 2, 3]
 
     def test_second_sweep_runs_no_elimination(self, monkeypatch):
         # Every elimination runs through one loop. The weight table and the

@@ -450,20 +450,19 @@ class TestVerify:
     def test_corrupted_expansion_fails_under_optimisation(self):
         # Under -O no assert runs, so the residual check against the
         # weight table must raise on its own. The stub moves one unit of
-        # coefficient between the first two columns of every row: the
-        # masses still sum to one, so only the cross-check can see it, and
-        # only when I holds at least two roots (12 of A3's 24 rows).
+        # coefficient (den over den) between the first two integer columns
+        # of every row: the masses still sum to one, so only the
+        # cross-check can see it, and only when I holds at least two roots
+        # (12 of A3's 24 rows).
         script = (
             "import sys\n"
             "from rootcones import certify, cli\n"
-            "from rootcones.linalg import QMatrix\n"
             "real = certify.block_coefficient_matrix\n"
             "def corrupt(a, b, c):\n"
-            "    d = real(a, b, c)\n"
+            "    den, rows = real(a, b, c)\n"
             "    if b.rows < 2:\n"
-            "        return d\n"
-            "    rows = [[r[0] + 1, r[1] - 1, *r[2:]] for r in map(d.row, range(d.rows))]\n"
-            "    return QMatrix.from_rows(rows)\n"
+            "        return den, rows\n"
+            "    return den, tuple((r[0] + den, r[1] - den, *r[2:]) for r in rows)\n"
             "certify.block_coefficient_matrix = corrupt\n"
             "sys.exit(cli.main(['verify', '--suite', 'lemma64', '--system', 'A3']))\n"
         )

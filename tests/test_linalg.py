@@ -299,33 +299,55 @@ class TestPositiveDefinite:
             is_positive_definite(QMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
 
 
+def rational(result):
+    """The entries rows[i][j] / den of a (den, rows) result, form checked."""
+    den, rows = result
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for r in rows for x in r)
+    return [[Q(x, den) for x in r] for r in rows]
+
+
+def entries(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 class TestBlockCoefficientMatrix:
     def test_rank_two_chain_by_hand(self):
         # 2x2 arithmetic done by hand for the [[2,-1],[-1,2]] form.
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
         b = QMatrix.from_rows([[2]])
         c = QMatrix.from_rows([[-1]])
-        d = block_coefficient_matrix(a, b, c)
-        assert d == QMatrix.from_rows([[1, 0], [Q(-1, 2), Q(3, 2)]])
+        d = rational(block_coefficient_matrix(a, b, c))
+        assert d == [[1, 0], [Q(-1, 2), Q(3, 2)]]
         # Second row: off-diagonal coefficient is non-positive.
-        assert d.at(1, 0) <= 0
+        assert d[1][0] <= 0
 
     def test_trivial_coupling_returns_a(self):
         a = QMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
         b = QMatrix.from_rows([[1, 0], [0, 1]])
         c = QMatrix.from_rows([[0], [0]])
-        assert block_coefficient_matrix(a, b, c) == a
+        assert rational(block_coefficient_matrix(a, b, c)) == entries(a)
 
     def test_empty_pivot_block(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])
         b = QMatrix(0, 0, ())
         c = QMatrix(0, 2, ())
-        assert block_coefficient_matrix(a, b, c) == a
+        assert rational(block_coefficient_matrix(a, b, c)) == entries(a)
 
     def test_full_pivot_block_is_inverse_product(self):
         a = QMatrix.from_rows([[2, -1], [-1, 1]])
         d = block_coefficient_matrix(a, a, QMatrix(2, 0, ()))
-        assert d == QMatrix.from_rows([[1, 0], [0, 1]])
+        assert rational(d) == entries(identity(2))
+
+    def test_negative_pivot_block_gives_a_positive_denominator(self):
+        # det b < 0, so the last fraction-free pivot d is negative.
+        a = QMatrix.from_rows([[1, 3], [Q(1, 2), -1]])
+        b = QMatrix.from_rows([[-2]])
+        c = QMatrix.from_rows([[Q(1, 3)]])
+        assert linalg._integer_inverse(b)[0] < 0
+        # By hand: a_I b^-1 = -a_I / 2, and a_rest - (a_I b^-1) c.
+        expected = [[Q(-1, 2), Q(19, 6)], [Q(-1, 4), Q(-11, 12)]]
+        assert rational(block_coefficient_matrix(a, b, c)) == expected
 
     def test_change_of_basis_oracle(self):
         # Row of the second root over (first root, second dual weight):
@@ -333,12 +355,12 @@ class TestBlockCoefficientMatrix:
         a = QMatrix.from_rows([[2, -1], [-1, 1]])  # short-root pair
         b = QMatrix.from_rows([[2]])
         c = QMatrix.from_rows([[-1]])
-        d = block_coefficient_matrix(a, b, c)
+        d = rational(block_coefficient_matrix(a, b, c))
         ginv = invert(a)
         basis = [vec([1, 0]), ginv.row(1)]
         coeffs = solve([list(v) for v in basis], vec([0, 1]))
         assert coeffs is not None
-        assert list(d.row(1)) == list(coeffs)
+        assert d[1] == list(coeffs)
 
     def test_single_row_matches_full_product(self):
         # A3 Gramm matrix re-based over I = {1}: each row of a alone gives
@@ -346,17 +368,17 @@ class TestBlockCoefficientMatrix:
         a = QMatrix.from_rows([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
         b = QMatrix.from_rows([[2]])
         c = QMatrix.from_rows([[-1, 0]])
-        full = block_coefficient_matrix(a, b, c)
+        full = rational(block_coefficient_matrix(a, b, c))
         for i in range(3):
-            row = block_coefficient_matrix(a.submatrix([i], range(3)), b, c)
-            assert (row.rows, row.cols) == (1, 3)
-            assert row.row(0) == full.row(i)
+            row = rational(block_coefficient_matrix(a.submatrix([i], range(3)), b, c))
+            assert row == [full[i]]
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_matches_explicit_block_product(self, data):
         # Oracle: a times the n x n matrix [[b^-1, -b^-1 c], [0, Id]],
-        # with b^-1 from the plain Gauss-Jordan above.
+        # with b^-1 from the plain Gauss-Jordan above, all in Fractions;
+        # the integer form must have den > 0 and rows / den equal to it.
         n = data.draw(st.integers(min_value=1, max_value=5))
         m = data.draw(st.integers(min_value=0, max_value=n))
         k = data.draw(st.integers(min_value=1, max_value=3))
@@ -387,13 +409,16 @@ class TestBlockCoefficientMatrix:
             [sum((row[l] * block[l][j] for l in range(n)), Q(0)) for j in range(n)]
             for row in a
         ]
-        d = block_coefficient_matrix(matrix(a, n), matrix(b, m), matrix(c, n - m))
-        assert (d.rows, d.cols) == (k, n)
-        assert [list(d.row(i)) for i in range(k)] == expected
+        den, rows = block_coefficient_matrix(
+            matrix(a, n), matrix(b, m), matrix(c, n - m)
+        )
+        assert len(rows) == k and all(len(r) == n for r in rows)
+        assert rational((den, rows)) == expected
 
     def test_int_entries_match_fraction_entries(self, monkeypatch):
         # The product runs on integer rows: QMatrix values holding plain
-        # ints give the same Fractions, and no inverse or product is built.
+        # ints give the same result as Fraction entries, and no inverse or
+        # product is built.
         def raw(rows):
             return QMatrix(len(rows), len(rows[0]), tuple(x for r in rows for x in r))
 
@@ -410,8 +435,7 @@ class TestBlockCoefficientMatrix:
         monkeypatch.setattr(QMatrix, "mul", refuse)
         d = block_coefficient_matrix(raw(a), raw(b), raw(c))
         assert d == expected
-        assert all(type(x) is Q for x in d.entries)
-        assert d.row(2) == (Q(-1, 3), Q(-2, 3), Q(4, 3), -2)  # by hand
+        assert rational(d)[2] == [Q(-1, 3), Q(-2, 3), Q(4, 3), -2]  # by hand
 
     def test_shape_errors(self):
         a = QMatrix.from_rows([[2, -1], [-1, 2]])

@@ -288,6 +288,40 @@ class TestWeightTable:
         assert forged.integer_dual == (15, {0: (10, 5), 1: (5, 9)})
         assert wt.integer_dual == (3, {0: (2, 1), 1: (1, 2)})
 
+    @pytest.mark.parametrize("spec", suites.irreducible_catalogue(8))
+    def test_identity_matches_a_fraction_sum(self, spec):
+        # Oracle: the sum of (a,b) d_b in Fractions, read from the Gramm
+        # matrix and the table's masses. One mass forged by +1/7 must be
+        # rejected by both wherever its Gramm entry is nonzero.
+        honest = build(spec)
+        rs = from_gramm(honest.gramm)  # a fresh memo, forged below
+        wt = weight_table(rs)
+
+        def fraction_identity(d, a):
+            return sum((rs.gramm.at(a, b) * d[b] for b in range(rs.rank)), Q(0)) == 1
+
+        for a in range(rs.rank):
+            assert check_2d_identity(rs, a)
+            assert fraction_identity(wt.d, a)
+        d = dict(wt.d)
+        d[0] += Q(1, 7)
+        rs._memo[("weight_table", tuple(range(rs.rank)))] = dataclasses.replace(wt, d=d)
+        verdicts = [check_2d_identity(rs, a) for a in range(rs.rank)]
+        assert verdicts == [fraction_identity(d, a) for a in range(rs.rank)]
+        assert verdicts == [rs.gramm.at(a, 0) == 0 for a in range(rs.rank)]
+
+    @pytest.mark.parametrize("spec", ["A1", "B2", "C3", "F4", "G2", "A2xB2"])
+    def test_integer_gramm_is_the_gramm_over_its_least_denominator(self, spec):
+        rs = build(spec)
+        g, rows = roots.integer_gramm(rs)
+        assert roots.integer_gramm(rs) is roots.integer_gramm(rs)
+        assert all(type(x) is int for row in rows for x in row)
+        assert [[Q(x, g) for x in row] for row in rows] == [
+            list(rs.gramm.row(i)) for i in range(rs.rank)
+        ]
+        assert [k for k in range(1, g + 1)
+                if all((k * x).denominator == 1 for x in rs.gramm.entries)] == [g]
+
     @pytest.mark.parametrize("spec", ["A2", "B3", "D4", "G2", "A2xB2"])
     def test_roundtrip_expansion(self, spec):
         rs = build(spec)
