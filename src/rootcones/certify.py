@@ -143,17 +143,15 @@ def _block_expansion(
     )
 
 
-def expansion_mass_identity(rs: RootSystem, exp: CoefficientExpansion) -> bool:
-    """Whether the coefficient masses of an expansion in rs sum to one."""
-    # sum c_b + sum c_g d_g = 1, times r den on integers: r c = ints and
-    # den d_g = d_ints[g], with d read from the system's table.
-    den, d_ints = weight_table(rs).integer_d
-    r, ints = clear_denominators([c for _, c in exp.on_roots + exp.on_weights])
-    m = len(exp.on_roots)
-    total = sum(ints[:m]) * den
-    for (gamma, _), x in zip(exp.on_weights, ints[m:]):
-        total += x * d_ints[gamma]
-    return total == r * den
+def expansion_mass_identity(rs: RootSystem, subset: tuple[int, ...], row) -> bool:
+    """Whether the masses of an `_expansion_row` (den, ints) over I sum to one."""
+    # sum c_b + sum c_g d_g = 1 with c_j = ints[j] / den, times den dd on
+    # integers, where dd d_g = d_ints[g] is read from the system's table.
+    den, ints = row
+    dd, d_ints = weight_table(rs).integer_d
+    return den * dd == sum(
+        x * dd if j in subset else x * d_ints[j] for j, x in enumerate(ints)
+    )
 
 
 @dataclass(frozen=True)
@@ -356,7 +354,7 @@ def verify_lemma66(rs: RootSystem) -> bool:
     if not rs.is_irreducible():
         raise NotIrreducible(f"{rs.spec} is reducible")
     return all(roundtrip_simple_root(rs, a) for a in range(rs.rank)) and all(
-        x > 0 for row in weight_table(rs).dual.values() for x in row
+        x > 0 for row in weight_table(rs).integer_dual[1].values() for x in row
     )
 
 

@@ -477,11 +477,11 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def _simulate_csv_lines(entries: list[dict]):
     """The CSV lines of a simulate report: one per series value, or one
-    for a trace that has no series."""
+    for a trace that has no series value (not ok, or horizon 0)."""
     for e in entries:
         head = [e["anchor"], e["system"], " ".join(map(str, e["selection"])),
                 e["seed"], e["status"]]
-        if e["status"] != "ok":
+        if e["status"] != "ok" or not any(e["series"].values()):
             yield head + ["", "", ""]
             continue
         for label, series in sorted(e["series"].items()):

@@ -152,10 +152,11 @@ def _fraction_free_reduce(
 
 
 def _integer_inverse(m: QMatrix) -> tuple[int, list[Sequence[int]]]:
-    """d and the rows of d m^-1, all ints; raises SingularMatrix if m is.
+    """d > 0 and the rows of d m^-1, all ints; raises SingularMatrix if m is.
 
     With D the diagonal of row scales that make D m integral, reducing
-    [D m | D] leaves [d I | d m^-1].
+    [D m | D] leaves [d I | d m^-1]; a negative last pivot d is negated
+    with the rows.
     """
     n = m.rows
     a = []
@@ -165,11 +166,16 @@ def _integer_inverse(m: QMatrix) -> tuple[int, list[Sequence[int]]]:
     pivots, _, d = _fraction_free_reduce(a, n)
     if len(pivots) < n:
         raise SingularMatrix("matrix is not invertible")
-    return d, [row[n:] for row in a]
+    sign = 1 if d > 0 else -1
+    return sign * d, [[sign * x for x in row[n:]] for row in a]
 
 
 def invert(m: QMatrix) -> QMatrix:
-    """Exact matrix inverse; raises SingularMatrix when m is rank deficient."""
+    """Exact matrix inverse; raises SingularMatrix when m is rank deficient.
+
+    No package code calls it; it is kept because the perfbench tracer
+    wraps it.
+    """
     if m.rows != m.cols:
         raise DimensionMismatch(f"cannot invert {m.rows}x{m.cols} matrix")
     d, inverse = _integer_inverse(m)
@@ -231,10 +237,9 @@ def block_coefficient_matrix(
 
     It is computed and returned on integers: row i of the product is
     rows[i] / den, with den > 0 one denominator for the whole matrix, so
-    no Fraction is built. The fraction-free reduction behind `invert`
-    gives N = d b^-1 with N and d integral, taken with d > 0. With
-    a = A / s and c = C / t, all integral, the product is
-    [A_I N t | A_rest d t - A_I N C] / (s d t).
+    no Fraction is built. `_integer_inverse` gives N = d b^-1 with N and
+    d integral and d > 0. With a = A / s and c = C / t, all integral, the
+    product is [A_I N t | A_rest d t - A_I N C] / (s d t).
     """
     n = a.cols
     m = b.rows
@@ -248,8 +253,6 @@ def block_coefficient_matrix(
         )
     d, inverse = _integer_inverse(b)
     n_cols = list(zip(*inverse))  # columns of N
-    if d < 0:
-        d, n_cols = -d, [tuple(-x for x in col) for col in n_cols]
     t, c_ints = clear_denominators(c.entries)
     c_cols = [c_ints[j :: n - m] for j in range(n - m)]  # columns of C
     s, a_ints = clear_denominators(a.entries)

@@ -67,8 +67,9 @@ def _coroot_span(rs: RootSystem, subset: tuple[int, ...]) -> Subspace:
 def _orthogonal_complement(rs: RootSystem, s: Subspace) -> Subspace:
     # The inner product transported to evaluation coordinates is the
     # inverse Gramm matrix, whose rows are the dual weights, so
-    # orthogonality is a kernel computation.
-    dual = weight_table(rs).dual
+    # orthogonality is a kernel computation; the table's integer rows, a
+    # positive multiple of the dual weights, give the same kernel.
+    _, dual = weight_table(rs).integer_dual
     return kernel(
         rs.rank, [tuple(dot(dual[i], b) for i in range(rs.rank)) for b in s.basis]
     )
@@ -247,7 +248,7 @@ def verify_trivial(rs: RootSystem, alpha: int) -> bool:
     rs.check_root(alpha)
     others = [i for i in range(rs.rank) if i != alpha]
     upper = coroot_span(rs, others)
-    w = weight_table(rs).dual[alpha]
+    w = weight_table(rs).integer_dual[1][alpha]
     return all(dot(w, b) == 0 for b in upper.basis)
 
 

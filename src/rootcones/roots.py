@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from itertools import islice
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -22,8 +22,8 @@ from .linalg import (
     IntVector,
     QMatrix,
     Vector,
+    _integer_inverse,
     clear_denominators,
-    invert,
     is_positive_definite,
     unit_vec,
 )
@@ -391,30 +391,68 @@ def classify_irreducible(gramm: QMatrix):
     return None
 
 
+def _fraction_rows(den: int, rows: Mapping[int, IntVector]) -> Mapping[int, Vector]:
+    """The integer rows over den, as read-only Fraction rows."""
+    return MappingProxyType({
+        alpha: tuple(Fraction(x, den) for x in row) for alpha, row in rows.items()
+    })
+
+
 @dataclass(frozen=True)
 class WeightTable:
     """Dual weights, masses and weighted dual weights of the subset I.
 
     The dual weights are those of the subsystem on I, and every map is
-    keyed by root index. Row alpha of `dual` gives w_alpha as a full-length
-    row in ambient simple-root coordinates, supported on I; on I the rows
-    form the inverse of the Gramm block on I, so they depend only on that
-    block. d_alpha sums row alpha, and `weighted` divides each row by its
-    d, so its coordinates sum to one. The whole system is the case where I
-    holds every root. The maps are read-only, since tables are shared
-    through the memo.
+    keyed by root index. The one stored form is `integer_dual`, (den,
+    rows): den > 0 is the least common denominator of the dual weights,
+    and rows[alpha] is den times w_alpha as a full-length integer row in
+    ambient simple-root coordinates, supported on I. On I the rows are den
+    times the inverse of the Gramm block on I, so they depend only on that
+    block. The whole system is the case where I holds every root. The maps
+    are read-only, since tables are shared through the memo.
 
-    `differences` and `objectives` are the functionals of the Theorem 6.1
-    cones, which depend on alpha and gamma but not on the subset of the
-    cone; `integer_weighted` and `integer_dual` hold the weighted and the
-    dual rows, and `integer_d` the masses, each over one shared
-    denominator. Each is built on first use and then kept with the table.
+    Every other value is derived on first use and kept with the table: the
+    masses d (`integer_d`, the row sums), the weighted rows w_alpha / d_alpha,
+    whose coordinates sum to one (`integer_weighted`), and the Fraction
+    views `dual`, `d` and `weighted`, which serve reports and `differences`
+    and `objectives`, the functionals of the Theorem 6.1 cones; those
+    depend on alpha and gamma but not on the subset of the cone.
     """
 
     subset: tuple[int, ...]
-    dual: Mapping[int, Vector]
-    d: Mapping[int, Fraction]
-    weighted: Mapping[int, Vector]
+    integer_dual: tuple[int, Mapping[int, IntVector]]
+
+    @cached_property
+    def integer_d(self) -> tuple[int, Mapping[int, int]]:
+        """(den, ints): the den of `integer_dual`, ints[alpha] its row's sum."""
+        den, rows = self.integer_dual
+        return den, MappingProxyType({alpha: sum(row) for alpha, row in rows.items()})
+
+    @cached_property
+    def integer_weighted(self) -> tuple[int, Mapping[int, IntVector]]:
+        """(den, rows) with rows[alpha] = den * weighted[alpha], den > 0 least."""
+        # weighted[alpha] = row / mass is in least terms over
+        # mass / gcd(mass, *row), so den is the lcm of those.
+        _, rows = self.integer_dual
+        _, masses = self.integer_d
+        den = lcm(*(m // gcd(m, *rows[alpha]) for alpha, m in masses.items()))
+        return den, MappingProxyType({
+            alpha: tuple(x * den // masses[alpha] for x in row)
+            for alpha, row in rows.items()
+        })
+
+    @cached_property
+    def dual(self) -> Mapping[int, Vector]:
+        return _fraction_rows(*self.integer_dual)
+
+    @cached_property
+    def d(self) -> Mapping[int, Fraction]:
+        den, masses = self.integer_d
+        return MappingProxyType({a: Fraction(m, den) for a, m in masses.items()})
+
+    @cached_property
+    def weighted(self) -> Mapping[int, Vector]:
+        return _fraction_rows(*self.integer_weighted)
 
     @cached_property
     def differences(self) -> Mapping[int, Mapping[int, Vector]]:
@@ -435,39 +473,6 @@ class WeightTable:
             for alpha, w_alpha in self.weighted.items()
         })
 
-    @cached_property
-    def integer_weighted(self) -> tuple[int, Mapping[int, tuple[int, ...]]]:
-        """(den, rows) with rows[alpha] = den * weighted[alpha], all ints.
-
-        den > 0 is the lcm of the denominators of every weighted row.
-        """
-        den, ints = clear_denominators([x for r in self.weighted.values() for x in r])
-        it = iter(ints)
-        return den, MappingProxyType({
-            alpha: tuple(islice(it, len(r))) for alpha, r in self.weighted.items()
-        })
-
-    @cached_property
-    def integer_dual(self) -> tuple[int, Mapping[int, tuple[int, ...]]]:
-        """(den, rows) with rows[alpha] = den * dual[alpha], all ints.
-
-        den > 0 is the lcm of the denominators of every dual row.
-        """
-        den, ints = clear_denominators([x for r in self.dual.values() for x in r])
-        it = iter(ints)
-        return den, MappingProxyType({
-            alpha: tuple(islice(it, len(r))) for alpha, r in self.dual.items()
-        })
-
-    @cached_property
-    def integer_d(self) -> tuple[int, Mapping[int, int]]:
-        """(den, ints) with ints[alpha] = den * d[alpha], all ints.
-
-        den > 0 is the lcm of the denominators of every mass.
-        """
-        den, ints = clear_denominators(list(self.d.values()))
-        return den, MappingProxyType(dict(zip(self.d, ints)))
-
 
 def weight_table(rs: RootSystem) -> WeightTable:
     """The dual-weight table of the whole system."""
@@ -477,24 +482,19 @@ def weight_table(rs: RootSystem) -> WeightTable:
 @per_system("weight_table")
 def _weight_table(rs: RootSystem, subset: tuple[int, ...]) -> WeightTable:
     """The table of a sorted, checked subset, built once per system and subset."""
-    block = invert(rs.gramm.submatrix(subset, subset))
-    dual, d, weighted = {}, {}, {}
-    for k, alpha in enumerate(subset):
-        row = [Fraction(0)] * rs.rank
-        for j, beta in enumerate(subset):
-            row[beta] = block.at(k, j)
-        mass = sum(block.row(k), Fraction(0))
-        if not mass > 0:
-            raise InvariantViolation(f"{rs.spec}: a dual weight has mass d <= 0")
-        dual[alpha] = tuple(row)
-        d[alpha] = mass
-        weighted[alpha] = tuple(x / mass for x in dual[alpha])
-    return WeightTable(
-        subset=subset,
-        dual=MappingProxyType(dual),
-        d=MappingProxyType(d),
-        weighted=MappingProxyType(weighted),
-    )
+    d, inverse = _integer_inverse(rs.gramm.submatrix(subset, subset))
+    # Divided by the gcd of d and every entry of d G_I^-1, d is the least
+    # common denominator; each row is then spread to ambient coordinates.
+    g = gcd(d, *(x for row in inverse for x in row))
+    at = [subset.index(j) if j in subset else None for j in range(rs.rank)]
+    rows = {
+        alpha: tuple(0 if k is None else row[k] // g for k in at)
+        for alpha, row in zip(subset, inverse)
+    }
+    table = WeightTable(subset=subset, integer_dual=(d // g, MappingProxyType(rows)))
+    if any(mass <= 0 for mass in table.integer_d[1].values()):
+        raise InvariantViolation(f"{rs.spec}: a dual weight has mass d <= 0")
+    return table
 
 
 @per_system("integer_gramm")
@@ -549,22 +549,18 @@ def parabolic_character(rs: RootSystem, alpha: int):
     a construction bug rather than a legitimate input.
     """
     rs.check_root(alpha)
-    acc = [Fraction(0)] * rs.rank
-    for root in rs.positive_roots:
-        if root[alpha] > 0:
-            for j in range(rs.rank):
-                acc[j] += root[j]
-    character = tuple(acc)
-    w = weight_table(rs).dual[alpha]
-    # character[alpha] >= 1, since alpha is a positive root, so a positive
-    # ratio exists only when w[alpha] > 0, and then it is this one.
-    lam = character[alpha] / w[alpha] if w[alpha] > 0 else None
-    if lam is None or character != tuple(lam * y for y in w):
+    character = tuple(map(sum, zip(*(r for r in rs.positive_roots if r[alpha] > 0))))
+    den, rows = weight_table(rs).integer_dual
+    w, c = rows[alpha], character[alpha]
+    # character = lam * w / den, and c >= 1, since alpha is a positive root,
+    # so a positive lam exists only when w[alpha] > 0, and then it is
+    # c den / w[alpha]; proportionality is checked cross-multiplied.
+    if w[alpha] <= 0 or any(x * w[alpha] != c * y for x, y in zip(character, w)):
         raise NotProportional(
             f"character of {rs.root_label(alpha)} is not a positive multiple "
             f"of its dual weight"
         )
-    return character, lam
+    return character, Fraction(c * den, w[alpha])
 
 
 def rescale_components(rs: RootSystem, factors: Sequence) -> RootSystem:

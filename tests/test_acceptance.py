@@ -14,6 +14,7 @@ from test_linalg import identity
 
 from rootcones import cli
 from rootcones.certify import (
+    _expansion_row,
     expand_coefficients,
     expansion_mass_identity,
     theorem_cone,
@@ -85,22 +86,23 @@ def test_02_coefficient_identities():
     report(2, "coefficient-identities", started)
 
 
-def test_03_expansion_signs_rank_six():
+def test_03_expansion_signs_rank_eight():
     started = time.time()
-    for spec in irreducible_catalogue(6):
+    for spec in irreducible_catalogue(8):
         rs = build(spec)
         for alpha in range(rs.rank):
             for subset in subsets_of(range(rs.rank)):
                 exp = expand_coefficients(rs, alpha, subset)
                 for delta, coeff in exp.on_roots + exp.on_weights:
                     assert delta == alpha or coeff <= 0, (spec, alpha, subset)
-                assert expansion_mass_identity(rs, exp), (spec, alpha, subset)
-    report(3, "expansion-signs-rank-six", started)
+                row = _expansion_row(rs, alpha, subset)
+                assert expansion_mass_identity(rs, subset, row), (spec, alpha, subset)
+    report(3, "expansion-signs-rank-eight", started)
 
 
-def test_04_two_route_agreement_rank_five():
+def test_04_two_route_agreement_rank_eight():
     started = time.time()
-    for spec in irreducible_catalogue(5):
+    for spec in irreducible_catalogue(8):
         rs = build(spec)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
@@ -114,7 +116,7 @@ def test_04_two_route_agreement_rank_five():
                 assert oracle.kind == "conic_combination", (spec, alpha, subset)
                 if oracle.min_ray_objective is not None:
                     assert oracle.min_ray_objective >= 0
-    report(4, "two-route-agreement-rank-five", started)
+    report(4, "two-route-agreement-rank-eight", started)
 
 
 def test_05_controls_expose_dropped_hypotheses():

@@ -56,6 +56,17 @@ def subsets_of(universe):
         yield from itertools.combinations(universe, r)
 
 
+def entry_moved(wt, alpha, k, delta):
+    """wt with dual-weight entry (alpha, k) moved by delta, forged in its
+    stored form: integer_dual over den times delta's denominator."""
+    den, rows = wt.integer_dual
+    scale = Q(delta).denominator
+    moved = {a: tuple(scale * x for x in row) for a, row in rows.items()}
+    bump = int(delta * scale * den)
+    moved[alpha] = tuple(x + bump * (j == k) for j, x in enumerate(moved[alpha]))
+    return dataclasses.replace(wt, integer_dual=(scale * den, moved))
+
+
 def gauss_jordan_solve(columns, target):
     """Independent oracle: the unique x with sum x_j columns[j] = target.
 
@@ -100,7 +111,9 @@ class TestExpandCoefficients:
         exp = expand_coefficients(rs, 2, [0, 1])
         assert dict(exp.on_roots) == {0: Q(-1, 3), 1: Q(-2, 3)}
         assert dict(exp.on_weights) == {2: Q(4, 3)}
-        assert expansion_mass_identity(rs, exp)
+        row = certify._expansion_row(rs, 2, (0, 1))
+        assert row == (3, (-1, -2, 4))
+        assert expansion_mass_identity(rs, (0, 1), row)
 
     @pytest.mark.parametrize("spec", ORACLE_SYSTEMS)
     def test_matches_gauss_jordan_solve(self, spec):
@@ -131,9 +144,7 @@ class TestExpandCoefficients:
         for alpha in range(3):
             expand_coefficients(rs, alpha, [0])
         assert ("expansion", (0,)) in rs._memo
-        dual = dict(wt.dual)
-        dual[2] = tuple(x + 1 if k == 2 else x for k, x in enumerate(dual[2]))
-        rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, dual=dual)
+        rs._memo[("weight_table", (0, 1, 2))] = entry_moved(wt, 2, 2, 1)
         with pytest.raises(
             InvariantViolation, match="block formula disagrees with the weight table"
         ):
@@ -143,12 +154,14 @@ class TestExpandCoefficients:
         # A2, I empty: the memoised row of alpha_1 is forged to
         # (4, 1) / 2, i.e. 2 w_1 + (1/2) w_2, and w_2 to 2 (e_1 - 2 w_1),
         # so the residual holds and only the sign test can see the row.
+        # Both rows are over the table's denominator.
         rs = from_gramm(build("A2").gramm)
         wt = weight_table(rs)
-        w1 = wt.dual[0]
-        w2 = tuple(2 * (int(j == 0) - 2 * x) for j, x in enumerate(w1))
+        den, rows = wt.integer_dual
+        w1 = rows[0]
+        w2 = tuple(2 * (den * (j == 0) - 2 * x) for j, x in enumerate(w1))
         rs._memo[("weight_table", (0, 1))] = dataclasses.replace(
-            wt, dual={0: w1, 1: w2}
+            wt, integer_dual=(den, {0: w1, 1: w2})
         )
         rs._memo[("expansion", ())] = (2, ((4, 1), (-2, 4)))
         for check in (expand_coefficients, verify_theorem61_constructive):
@@ -158,40 +171,44 @@ class TestExpandCoefficients:
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_mass_identity_matches_a_fraction_sum(self, spec):
-        # Oracle: the masses summed as Fractions. Each expansion is also
-        # tried with one coefficient moved by 1/7, which both must refuse.
+        # Oracle: the masses summed as Fractions from the expansion's
+        # coefficients. Each row is also tried with its first coefficient
+        # in root order moved by 1/7, which both must refuse.
         rs = build(spec)
         d = weight_table(rs).d
 
-        def fraction_mass(exp):
-            return sum((c for _, c in exp.on_roots), Q(0)) + sum(
-                (c * d[gamma] for gamma, c in exp.on_weights), Q(0)
+        def fraction_mass(subset, row):
+            den, ints = row
+            return sum(
+                (Q(x, den) * (1 if j in subset else d[j]) for j, x in enumerate(ints)),
+                Q(0),
             )
 
         for alpha in range(rs.rank):
             for subset in subsets_of(range(rs.rank)):
                 exp = expand_coefficients(rs, alpha, subset)
-                terms = exp.on_roots + exp.on_weights
-                delta, c = terms[0]
-                moved = dict(terms) | {delta: c + Q(1, 7)}
-                forged = dataclasses.replace(
-                    exp,
-                    on_roots=tuple((b, moved[b]) for b, _ in exp.on_roots),
-                    on_weights=tuple((g, moved[g]) for g, _ in exp.on_weights),
-                )
-                for e in (exp, forged):
-                    assert expansion_mass_identity(rs, e) == (fraction_mass(e) == 1)
-                assert expansion_mass_identity(rs, exp)
+                row = certify._expansion_row(rs, alpha, subset)
+                den, ints = row
+                assert [Q(ints[j], den) for j, _ in exp.on_roots + exp.on_weights] == [
+                    c for _, c in exp.on_roots + exp.on_weights
+                ]
+                forged = (7 * den, (7 * ints[0] + den, *(7 * x for x in ints[1:])))
+                for r in (row, forged):
+                    assert expansion_mass_identity(rs, subset, r) == (
+                        fraction_mass(subset, r) == 1
+                    )
+                assert expansion_mass_identity(rs, subset, row)
 
     def test_a_forged_mass_fails_the_lemma64_rows(self):
-        # d is read from the system's table on every call; one forged mass
-        # fails exactly the rows whose expansion weighs its dual weight.
+        # d is read from the system's table on every call. One dual weight
+        # forged to a mass 1/7 larger fails exactly the rows whose
+        # expansion weighs it: the residual against the table stops the
+        # lemma64 row, and the mass identity alone refuses the honest row.
         honest = build("A3")
         rs = from_gramm(honest.gramm)
-        wt = weight_table(rs)
-        d = dict(wt.d)
-        d[2] += Q(1, 7)
-        rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, d=d)
+        rs._memo[("weight_table", (0, 1, 2))] = entry_moved(
+            weight_table(rs), 2, 2, Q(1, 7)
+        )
         expected = [
             "fail" if dict(expand_coefficients(honest, a, subset).on_weights).get(2)
             else "pass"
@@ -200,6 +217,15 @@ class TestExpandCoefficients:
         ]
         assert "fail" in expected and "pass" in expected
         assert [row["status"] for row in suites.run_lemma64(rs)] == expected
+        assert [
+            "pass"
+            if expansion_mass_identity(
+                rs, subset, certify._expansion_row(honest, a, subset)
+            )
+            else "fail"
+            for a in range(3)
+            for subset in subsets_of(range(3))
+        ] == expected
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_signs_and_mass_exhaustively(self, spec):
@@ -210,7 +236,8 @@ class TestExpandCoefficients:
                 for delta, coeff in exp.on_roots + exp.on_weights:
                     if delta != alpha:
                         assert coeff <= 0
-                assert expansion_mass_identity(rs, exp)
+                row = certify._expansion_row(rs, alpha, subset)
+                assert expansion_mass_identity(rs, subset, row)
 
 
 class TestConstructiveRoute:
@@ -702,11 +729,9 @@ class TestMatrixFacts:
         # the Gramm matrix again, so one forged dual-weight entry fails
         # them, though every entry is still positive.
         rs = from_gramm(build("A3").gramm)
-        wt = weight_table(rs)
-        dual = dict(wt.dual)
-        dual[2] = tuple(x + 1 if k == 2 else x for k, x in enumerate(dual[2]))
-        rs._memo[("weight_table", (0, 1, 2))] = dataclasses.replace(wt, dual=dual)
-        assert all(x > 0 for row in dual.values() for x in row)
+        forged = entry_moved(weight_table(rs), 2, 2, 1)
+        rs._memo[("weight_table", (0, 1, 2))] = forged
+        assert all(x > 0 for row in forged.dual.values() for x in row)
         assert [row["status"] for row in suites.run_gramm_inverse(rs)] == ["fail"]
         assert verify_lemma66(rs) is False
 
@@ -717,12 +742,10 @@ class TestMatrixFacts:
         rs = from_gramm(build("A3").gramm)
         wt = weight_table(rs)
         assert wt.integer_dual[0] == 4
-        dual = dict(wt.dual)
-        dual[2] = tuple(x + Q(1, 7) if k == 2 else x for k, x in enumerate(dual[2]))
-        forged = dataclasses.replace(wt, dual=dual)
+        forged = entry_moved(wt, 2, 2, Q(1, 7))
         rs._memo[("weight_table", (0, 1, 2))] = forged
         assert forged.integer_dual[0] == 28
-        assert all(x > 0 for row in dual.values() for x in row)
+        assert all(x > 0 for row in forged.dual.values() for x in row)
         with pytest.raises(
             InvariantViolation, match="block formula disagrees with the weight table"
         ):

@@ -161,24 +161,20 @@ class TestVerify:
     def test_every_suite_default_systems_are_pinned(self):
         # Each suite's rank cap, written out: the catalogue up to the cap
         # or --max-rank, whichever is lower; parabolic-lemmas adds the
-        # products that fit and controls is A2 and A3. Each product and
-        # control spec is listed with its total rank, in report order.
+        # products that fit, each listed with its total rank, in report
+        # order.
         caps = {
-            "gramm-inverse": 8, "identity-2d": 8, "lemma64": 6,
-            "theorem61-constructive": 5, "theorem61-rays": 5, "lemma65": 8,
+            "gramm-inverse": 8, "identity-2d": 8, "lemma64": 8,
+            "theorem61-constructive": 8, "theorem61-rays": 8, "lemma65": 8,
             "lemma66": 8, "parabolic-lemmas": 8, "chi-proportionality": 8,
-            "controls": 3,
+            "controls": 6,
         }
-        controls = [("A2", 2), ("A3", 3)]
         extras = [("A1xA1", 2), ("A2xA1", 3), ("A2xA2", 4), ("B2xA1", 3)]
         assert list(caps) == list(suites.SUITES)
         for suite, cap in caps.items():
             for k in (None, *range(1, 10)):
                 top = cap if k is None else min(cap, k)
-                if suite == "controls":
-                    expected = [spec for spec, rank in controls if rank <= top]
-                else:
-                    expected = suites.irreducible_catalogue(top)
+                expected = suites.irreducible_catalogue(top)
                 if suite == "parabolic-lemmas":
                     expected += [spec for spec, rank in extras if rank <= top]
                 assert suites.systems_for(suite, k, None) == expected, (suite, k)
@@ -219,8 +215,8 @@ class TestVerify:
         assert json.loads(out)["rows"] == []
 
     def test_a_controls_sweep_that_witnesses_nothing_fails(self, capsys):
-        # No control system has rank 1, so no dropped constraint is
-        # witnessed; the joint summary row still runs, and fails.
+        # A1, the one control system of rank 1, witnesses no dropped
+        # constraint; the joint summary row still runs, and fails.
         code, out, _ = run(["verify", "--suite", "controls", "--max-rank", "1"], capsys)
         payload = json.loads(out)
         assert (code, payload["ok"]) == (1, False)
@@ -360,9 +356,9 @@ class TestVerify:
             capsys,
         )
         assert code == 0
-        assert len(out.splitlines()) == 411
+        assert len(out.splitlines()) == 507
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ee5dd13c0578140f87d71709fb5687139916deae614fa28fadecb98c90d9123c"
+            "ebadf0003dc12a11b7dff75e76bbefbe3b47f0751560e50efd35be1ab2a3f045"
         )
 
     @pytest.mark.parametrize("suite", suites.SUITE_NAMES)
@@ -573,6 +569,22 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert payload["traces"][0]["series"]["alpha_1"] == []
+
+    def test_zero_horizon_csv_lists_every_trace(self, capsys):
+        # An ok trace with no series value still gets one line, with an
+        # empty root, n and value, as a trace that is not ok does.
+        code, out, _ = run(
+            ["simulate", "--system", "A2", "--horizon", "0", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "anchor,system,selection,seed,status,root,n,value",
+            "Prop5.3,A2,1,0,ok,,,",
+            "Prop5.3,A2,2,0,ok,,,",
+            "Prop5.3,A2,1 2,0,ok,,,",
+            "Prop5.3,A2,2 1,0,ok,,,",
+        ]
 
     def test_selection_sweep_without_flag(self, capsys):
         code, out, _ = run(

@@ -340,11 +340,12 @@ class TestBlockCoefficientMatrix:
         assert rational(d) == entries(identity(2))
 
     def test_negative_pivot_block_gives_a_positive_denominator(self):
-        # det b < 0, so the last fraction-free pivot d is negative.
+        # det b < 0, so the last fraction-free pivot is negative, and
+        # _integer_inverse negates it with the rows: d = 2, d b^-1 = -1.
         a = QMatrix.from_rows([[1, 3], [Q(1, 2), -1]])
         b = QMatrix.from_rows([[-2]])
         c = QMatrix.from_rows([[Q(1, 3)]])
-        assert linalg._integer_inverse(b)[0] < 0
+        assert linalg._integer_inverse(b) == (2, [[-1]])
         # By hand: a_I b^-1 = -a_I / 2, and a_rest - (a_I b^-1) c.
         expected = [[Q(-1, 2), Q(19, 6)], [Q(-1, 4), Q(-11, 12)]]
         assert rational(block_coefficient_matrix(a, b, c)) == expected

@@ -163,10 +163,11 @@ class TestWeightTableOracle:
             for a in subset:
                 for mapping in (table.dual, table.d, table.weighted,
                                 table.differences, table.differences[a],
-                                table.objectives, table.integer_weighted[1]):
+                                table.objectives, table.integer_dual[1],
+                                table.integer_d[1], table.integer_weighted[1]):
                     assert_read_only(mapping, a)
                 for row in (table.dual[a], table.weighted[a], table.objectives[a],
-                            table.differences[a][subset[0]]):
+                            table.differences[a][subset[0]], table.integer_dual[1][a]):
                     assert isinstance(row, tuple)
 
 

@@ -1,6 +1,7 @@
 """Root system construction, weight tables, and character proportionality."""
 
 import dataclasses
+import math
 import pickle
 import random
 from fractions import Fraction as Q
@@ -30,6 +31,29 @@ from rootcones.roots import (
     subsystem,
     weight_table,
 )
+
+
+def inverse_gramm_entry(letter, n, i, j):
+    """Entry (i, j), 1-based, of the inverse Gramm matrix of A_n-D_n in
+    this normalisation: long roots of square norm 2, B_n's last root of
+    square norm 1 and C_n's of 4."""
+    lo, hi = min(i, j), max(i, j)
+    if letter == "A":
+        return Q(lo * (n + 1 - hi), n + 1)
+    if letter == "B":
+        return Q(lo)
+    if letter == "C":
+        if hi < n:
+            return Q(lo)
+        return Q(n, 4) if lo == n else Q(lo, 2)
+    if letter == "D":
+        if hi <= n - 2:
+            return Q(lo)
+        if lo <= n - 2:
+            return Q(lo, 2)
+        return Q(n, 4) if i == j else Q(n - 2, 4)
+    raise ValueError(letter)
+
 
 CATALOGUE = (
     [("A", n) for n in range(1, 9)]
@@ -277,16 +301,48 @@ class TestWeightTable:
         assert [k for k in range(1, den + 1)
                 if all((k * x).denominator == 1 for x in entries)] == [den]
 
+    @pytest.mark.parametrize(
+        "letter, rank",
+        [(letter, n) for letter, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+         for n in range(lo, 21)],
+    )
+    def test_classical_table_matches_closed_form(self, letter, rank):
+        # Oracle with no elimination: the inverse Gramm matrices of the
+        # classical series in this normalisation, from closed forms.
+        rs = from_gramm(
+            QMatrix.from_rows(roots.gramm_seed(letter, rank)), ((letter, rank),)
+        )
+        wt = weight_table(rs)
+        expected = [
+            [inverse_gramm_entry(letter, rank, i, j) for j in range(1, rank + 1)]
+            for i in range(1, rank + 1)
+        ]
+        den, rows = wt.integer_dual
+        assert den == math.lcm(*(x.denominator for row in expected for x in row))
+        assert list(rows) == list(range(rank))
+        assert [list(rows[a]) for a in range(rank)] == [
+            [int(den * x) for x in row] for row in expected
+        ]
+        assert [list(wt.dual[a]) for a in range(rank)] == expected
+        assert [wt.d[a] for a in range(rank)] == [sum(row) for row in expected]
+        assert [list(wt.weighted[a]) for a in range(rank)] == [
+            [x / sum(row) for x in row] for row in expected
+        ]
+
     def test_integer_dual_hand_values(self):
         assert weight_table(build("A1")).integer_dual == (2, {0: (1,)})
         assert weight_table(build("G2")).integer_dual == (3, {0: (6, 3), 1: (3, 2)})
 
-    def test_a_replaced_table_builds_its_own_integer_dual(self):
+    def test_a_replaced_table_builds_its_own_views(self):
         wt = weight_table(build("A2"))
         assert wt.integer_dual == (3, {0: (2, 1), 1: (1, 2)})
-        forged = dataclasses.replace(wt, dual={**wt.dual, 1: (Q(1, 3), Q(3, 5))})
-        assert forged.integer_dual == (15, {0: (10, 5), 1: (5, 9)})
-        assert wt.integer_dual == (3, {0: (2, 1), 1: (1, 2)})
+        assert wt.dual == {0: (Q(2, 3), Q(1, 3)), 1: (Q(1, 3), Q(2, 3))}
+        forged = dataclasses.replace(wt, integer_dual=(15, {0: (10, 5), 1: (5, 9)}))
+        assert forged.dual == {0: (Q(2, 3), Q(1, 3)), 1: (Q(1, 3), Q(3, 5))}
+        assert forged.integer_d == (15, {0: 15, 1: 14})
+        assert forged.d == {0: 1, 1: Q(14, 15)}
+        assert forged.integer_weighted == (42, {0: (28, 14), 1: (15, 27)})
+        assert wt.dual == {0: (Q(2, 3), Q(1, 3)), 1: (Q(1, 3), Q(2, 3))}
 
     @pytest.mark.parametrize("spec", suites.irreducible_catalogue(8))
     def test_identity_matches_a_fraction_sum(self, spec):
@@ -303,9 +359,16 @@ class TestWeightTable:
         for a in range(rs.rank):
             assert check_2d_identity(rs, a)
             assert fraction_identity(wt.d, a)
+        # The masses are the row sums of the stored form, so one entry of
+        # row 0 moved by 1/7 moves d_0 by 1/7 and no other mass.
+        den, rows = wt.integer_dual
+        moved = {a: tuple(7 * x for x in row) for a, row in rows.items()}
+        moved[0] = (moved[0][0] + den, *moved[0][1:])
+        forged = dataclasses.replace(wt, integer_dual=(7 * den, moved))
         d = dict(wt.d)
         d[0] += Q(1, 7)
-        rs._memo[("weight_table", tuple(range(rs.rank)))] = dataclasses.replace(wt, d=d)
+        assert forged.d == d
+        rs._memo[("weight_table", tuple(range(rs.rank)))] = forged
         verdicts = [check_2d_identity(rs, a) for a in range(rs.rank)]
         assert verdicts == [fraction_identity(d, a) for a in range(rs.rank)]
         assert verdicts == [rs.gramm.at(a, 0) == 0 for a in range(rs.rank)]
@@ -425,16 +488,19 @@ class TestParabolicCharacter:
 
     @pytest.mark.parametrize(
         "row",
-        [(Q(2, 3), Q(2, 3)), (Q(-2, 3), Q(-1, 3)), (Q(0), Q(1, 3))],
+        [(2, 2), (-2, -1), (0, 1)],
         ids=["not-proportional", "negative-multiple", "zero-on-alpha"],
     )
     def test_a_row_that_is_no_positive_multiple_raises(self, row):
-        # The character of alpha_1 in A2 is (2, 1) = 3 * (2/3, 1/3). The
-        # forged table goes into the memo of a fresh system, never into
-        # the shared instance of `build`.
+        # The character of alpha_1 in A2 is (2, 1) = 3 * (2/3, 1/3); each
+        # forged row is over the table's denominator 3. The forged table
+        # goes into the memo of a fresh system, never into the shared
+        # instance of `build`.
         wt = weight_table(build("A2"))
         rs = from_gramm(build("A2").gramm)
-        broken = dataclasses.replace(wt, dual={**wt.dual, 0: row})
+        den, rows = wt.integer_dual
+        assert den == 3
+        broken = dataclasses.replace(wt, integer_dual=(den, {**rows, 0: row}))
         rs._memo[("weight_table", (0, 1))] = broken
         with pytest.raises(NotProportional):
             parabolic_character(rs, 0)
