@@ -25,12 +25,10 @@ from .errors import (
 from .linalg import (
     IntVector,
     QMatrix,
-    Vector,
     block_coefficient_matrix,
     clear_denominators,
     dot,
     is_positive_definite,
-    unit_vec,
 )
 from .roots import (
     RootSystem,
@@ -183,13 +181,21 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
     or a list of multipliers of the wrong length.
     """
     if cert.kind == "violating_ray":
-        if cert.ray is None or len(cert.ray) != cone.ambient_dim:
+        if (
+            cert.ray is None
+            or cert.objective_value is None
+            or len(cert.ray) != cone.ambient_dim
+        ):
             return False
         ray = cert.ray
         tight = all(dot(e, ray) == 0 for e in cone.equalities)
         inside = all(dot(f, ray) >= 0 for f in cone.inequalities)
+        # The stored objective is den times the functional.
         value = dot(cone.objective, ray)
-        return tight and inside and value < 0 and value == cert.objective_value
+        return (
+            tight and inside and value < 0
+            and value == cert.objective_value * cone.den
+        )
     if cert.kind != "conic_combination" or cert.inequality_multipliers is None:
         return False
     if len(cert.inequality_multipliers) != len(cone.inequalities):
@@ -231,6 +237,19 @@ def theorem_cone(
     "ordering-family", "positivity", or "ordering:<k>" with k 1-based.
     The older call (rs, weight_table(rs), alpha, subset), which perfbench's
     tracer test makes, is read too, with no table but the system's own.
+
+    Every functional is an integer row over the cone's den, that of the
+    table's `integer_weighted`: den e_beta for beta in I, the table's
+    `differences` and weighted row of alpha, and its `objectives` row.
+
+    A cone that drops nothing is simplicial. With I pinned it lives on
+    rest, the roots outside I. Its rows there are the zero row of
+    ordering:alpha, weighted[alpha] - weighted[gamma] for the other gamma
+    and weighted[alpha]; they span what the weighted rows of rest span,
+    the rows of the principal block of G^-1 on rest over the masses. A
+    principal block of a positive definite matrix is nonsingular, so the
+    cone has exactly |rest| = n - |I| extreme rays and no lineality.
+    `verify_theorem61_rays` checks this on every full cone.
     """
     wt = weight_table(rs)
     if alpha is wt:
@@ -239,8 +258,9 @@ def theorem_cone(
     subset = rs.subset(subset)
     if alpha in subset:
         raise PreconditionViolated("alpha must lie outside I")
+    den, weighted = wt.integer_weighted
     rest = tuple(i for i in range(rs.rank) if i not in subset)
-    inequalities: list[Vector] = []
+    inequalities: list[IntVector] = []
     labels: list[str] = []
     for gamma in rest:
         label = f"ordering:{gamma + 1}"
@@ -249,14 +269,17 @@ def theorem_cone(
         inequalities.append(wt.differences[alpha][gamma])
         labels.append(label)
     if drop != "positivity":
-        inequalities.append(wt.weighted[alpha])
+        inequalities.append(weighted[alpha])
         labels.append("positivity")
     return ConeSpec(
         ambient_dim=rs.rank,
-        equalities=tuple(unit_vec(rs.rank, beta) for beta in subset),
+        equalities=tuple(
+            tuple(den * (j == beta) for j in range(rs.rank)) for beta in subset
+        ),
         inequalities=tuple(inequalities),
         objective=wt.objectives[alpha],
         inequality_labels=tuple(labels),
+        den=den,
     )
 
 
@@ -317,12 +340,27 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
     Nonnegativity on all extreme rays and vanishing on the lineality
     space is equivalent to nonnegativity on the cone, so a negative
     evaluation yields a concrete violating ray.
+
+    A `theorem_cone` that drops nothing must be simplicial: n - |I| rays
+    and no lineality, or `InvariantViolation` is raised. A control cone,
+    which has lineality by design, is not checked.
     """
     enum = extreme_rays(cone)
+    if _drops_nothing(cone):
+        free = cone.ambient_dim - len(cone.equalities)
+        if len(enum.rays) != free or enum.lineality:
+            raise InvariantViolation(
+                "a full Theorem 6.1 cone is not simplicial: "
+                f"ray count {len(enum.rays)} and lineality dimension "
+                f"{len(enum.lineality)}, expected ray count {free} and "
+                "lineality dimension 0"
+            )
     # With the objective's denominators cleared once, each value is one
-    # integer dot product over the common denominator den > 0, so signs
-    # and order are read off the ints; only a reported value is a Fraction.
-    den, objective = clear_denominators(cone.objective)
+    # integer dot product over the common denominator den > 0 (times the
+    # cone's den), so signs and order are read off the ints; only a
+    # reported value is a Fraction.
+    obj_den, objective = clear_denominators(cone.objective)
+    den = obj_den * cone.den
     values = [dot(objective, r) for r in enum.rays]
     for ray, value in zip(enum.rays, values):
         if value < 0:
@@ -347,6 +385,14 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
         min_ray_objective=Fraction(min(values), den) if values else None,
         ray_count=len(enum.rays),
     )
+
+
+def _drops_nothing(cone: ConeSpec) -> bool:
+    """Whether a `theorem_cone` has all its rows: one ordering per root
+    outside I, one pinned coordinate per equality, and positivity."""
+    free = cone.ambient_dim - len(cone.equalities)
+    labels = cone.inequality_labels
+    return "positivity" in labels and len(labels) == free + 1
 
 
 def verify_lemma66(rs: RootSystem) -> bool:

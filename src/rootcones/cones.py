@@ -27,15 +27,26 @@ from .linalg import Vector, dot, primitive, rref, unit_vec
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """A cone {a : eq(a) = 0, ineq(a) >= 0} with a linear objective."""
+    """A cone {a : eq(a) = 0, ineq(a) >= 0} with a linear objective.
+
+    Every functional is its stored row over den, one shared positive
+    integer, so integer rows can stand for rational functionals. Scaling
+    every functional by 1 / den changes neither the cone nor any conic
+    combination of them, so only the objective's values see den.
+    """
 
     ambient_dim: int
     equalities: tuple[Vector, ...]
     inequalities: tuple[Vector, ...]
     objective: Vector
     inequality_labels: tuple[str, ...] = ()
+    den: int = 1
 
     def __post_init__(self):
+        if type(self.den) is not int or self.den <= 0:
+            raise ValueError(
+                f"cone denominator must be a positive int, not {self.den!r}"
+            )
         for f in list(self.equalities) + list(self.inequalities) + [self.objective]:
             if len(f) != self.ambient_dim:
                 raise DimensionMismatch("functional of wrong length")
@@ -124,12 +135,14 @@ def _on_coordinates(
     """Rays and lineality basis of {y : rows . y >= 0, y_j = 0 off kept}.
 
     Each row is sliced to the kept coordinates and each nonzero slice made
-    primitive once; the rays and lineality basis found there are scattered
-    back to the dim coordinates by position, which keeps them primitive.
+    primitive once, keeping the first of equal ones: a repeated row or a
+    positive multiple of one cuts nothing new. The rays and lineality
+    basis found there are scattered back to the dim coordinates by
+    position, which keeps them primitive.
     """
     sliced = [[f[j] for j in kept] for f in rows]
     rays, lineality = _rays_and_lineality(
-        [primitive(r) for r in sliced if any(r)], len(kept)
+        list(dict.fromkeys(primitive(r) for r in sliced if any(r))), len(kept)
     )
     return (
         [_scatter(y, kept, dim) for y in rays],
@@ -167,7 +180,10 @@ def _rays_and_lineality(
 
 
 def extreme_rays(cone: ConeSpec) -> RayEnumeration:
-    """Enumerate the extreme rays and lineality of a ConeSpec."""
+    """Enumerate the extreme rays and lineality of a ConeSpec.
+
+    den scales every functional alike, so it plays no part here.
+    """
     # An equality c e_j (c nonzero, of either sign, any number of times)
     # pins coordinate j to 0. Any other nonzero equality e is the pair
     # e >= 0, -e >= 0: once the pass has cut by e, no ray is negative on

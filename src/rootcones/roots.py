@@ -413,10 +413,11 @@ class WeightTable:
 
     Every other value is derived on first use and kept with the table: the
     masses d (`integer_d`, the row sums), the weighted rows w_alpha / d_alpha,
-    whose coordinates sum to one (`integer_weighted`), and the Fraction
-    views `dual`, `d` and `weighted`, which serve reports and `differences`
-    and `objectives`, the functionals of the Theorem 6.1 cones; those
-    depend on alpha and gamma but not on the subset of the cone.
+    whose coordinates sum to one (`integer_weighted`), the Fraction views
+    `dual`, `d` and `weighted`, which serve reports, and `differences` and
+    `objectives`, the functionals of the Theorem 6.1 cones as integer rows
+    over the den of `integer_weighted`; those depend on alpha and gamma but
+    not on the subset of the cone.
     """
 
     subset: tuple[int, ...]
@@ -455,9 +456,13 @@ class WeightTable:
         return _fraction_rows(*self.integer_weighted)
 
     @cached_property
-    def differences(self) -> Mapping[int, Mapping[int, Vector]]:
-        """Entry [alpha][gamma] is weighted[alpha] - weighted[gamma]."""
-        w = self.weighted
+    def differences(self) -> Mapping[int, Mapping[int, IntVector]]:
+        """Entry [alpha][gamma] is den (weighted[alpha] - weighted[gamma]).
+
+        den is that of `integer_weighted`, so the entry is rows[alpha] -
+        rows[gamma] of its integer rows.
+        """
+        _, w = self.integer_weighted
         return MappingProxyType({
             alpha: MappingProxyType({
                 gamma: tuple(a - b for a, b in zip(w[alpha], w[gamma])) for gamma in w
@@ -466,11 +471,13 @@ class WeightTable:
         })
 
     @cached_property
-    def objectives(self) -> Mapping[int, Vector]:
-        """Entry alpha is the coordinate alpha minus weighted[alpha]."""
+    def objectives(self) -> Mapping[int, IntVector]:
+        """Entry alpha is den (e_alpha - weighted[alpha]), den that of
+        `integer_weighted`: den at coordinate alpha minus rows[alpha]."""
+        den, w = self.integer_weighted
         return MappingProxyType({
-            alpha: tuple(int(j == alpha) - x for j, x in enumerate(w_alpha))
-            for alpha, w_alpha in self.weighted.items()
+            alpha: tuple(den * (j == alpha) - x for j, x in enumerate(row))
+            for alpha, row in w.items()
         })
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_linalg import vec
+from test_linalg import gauss_jordan_inverse, vec
 
 from rootcones import certify, linalg, suites
 from rootcones.certify import (
@@ -326,7 +326,7 @@ class TestRayRoute:
         cone = theorem_cone(rs, 0, [])
         enum = extreme_rays(cone)
         assert set(enum.rays) == {(1, 1), (1, -2)}
-        values = sorted(dot(cone.objective, vec(r)) for r in enum.rays)
+        values = sorted(dot(cone.objective, vec(r)) / cone.den for r in enum.rays)
         assert values == [0, 1]
         cert = verify_theorem61_rays(cone)
         assert cert.kind == "conic_combination"
@@ -354,7 +354,7 @@ class TestRayRoute:
         assert validate_certificate(cone, cert)
         # The documented witness: at (0, 1) the objective equals -1/3.
         witness = vec([0, 1])
-        assert dot(cone.objective, witness) == Q(-1, 3)
+        assert dot(cone.objective, witness) / cone.den == Q(-1, 3)
 
     def test_control_drop_positivity_elsewhere(self):
         # Dropping nonnegativity alone is visible on the rank-three chain
@@ -382,26 +382,27 @@ class TestRayRoute:
     @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
     def test_reported_values_are_the_objective_on_the_rays(self, spec):
         # The ray route compares integer values; what it reports must be
-        # the objective itself, evaluated here in Fractions, on every
-        # cone and every control drop.
+        # the objective itself, its stored row over the cone's den,
+        # evaluated here in Fractions, on every cone and every control drop.
         rs = build(spec)
         for alpha in range(rs.rank):
             others = [i for i in range(rs.rank) if i != alpha]
             for subset in subsets_of(others):
                 for drop in (None, "ordering-family", "positivity"):
                     cone = theorem_cone(rs, alpha, subset, drop=drop)
+                    objective = [Q(x, cone.den) for x in cone.objective]
                     enum = extreme_rays(cone)
-                    values = [dot(cone.objective, r) for r in enum.rays]
+                    values = [dot(objective, r) for r in enum.rays]
                     cert = verify_theorem61_rays(cone)
                     assert cert.ray_count == len(enum.rays)
                     if cert.kind == "violating_ray":
-                        assert cert.objective_value == dot(cone.objective, cert.ray)
+                        assert cert.objective_value == dot(objective, cert.ray)
                         assert cert.objective_value < 0
                         assert validate_certificate(cone, cert)
                     else:
                         assert min(values) >= 0
                         assert cert.min_ray_objective == min(values)
-                        assert all(dot(cone.objective, v) == 0 for v in enum.lineality)
+                        assert all(dot(objective, v) == 0 for v in enum.lineality)
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3"])
     def test_two_routes_agree(self, spec):
@@ -414,6 +415,151 @@ class TestRayRoute:
                 oracle = verify_theorem61_rays(cone)
                 assert constructive.kind == "conic_combination"
                 assert oracle.kind == "conic_combination"
+
+
+def scaled_cone(cone, k):
+    """cone with every stored row and its den times k: the same cone."""
+
+    def times(rows):
+        return tuple(tuple(k * x for x in row) for row in rows)
+
+    return dataclasses.replace(
+        cone,
+        equalities=times(cone.equalities),
+        inequalities=times(cone.inequalities),
+        objective=times([cone.objective])[0],
+        den=k * cone.den,
+    )
+
+
+class TestIntegerCones:
+    @pytest.mark.parametrize("spec", ["A2", "B3", "G2", "A2xA1"])
+    def test_rows_over_den_are_the_gauss_jordan_functionals(self, spec):
+        # Oracle: the dual weights as rows of a plain Gauss-Jordan inverse
+        # of the Gramm matrix, each weighted by one over its row sum.
+        rs = build(spec)
+        n = rs.rank
+        dual = gauss_jordan_inverse([rs.gramm.row(i) for i in range(n)])
+        weighted = [tuple(x / sum(row) for x in row) for row in dual]
+        for alpha in range(n):
+            for subset in subsets_of(i for i in range(n) if i != alpha):
+                cone = theorem_cone(rs, alpha, subset)
+                functionals = (*cone.equalities, *cone.inequalities, cone.objective)
+                assert type(cone.den) is int and cone.den > 0
+                assert all(type(x) is int for row in functionals for x in row)
+
+                def over_den(row):
+                    return tuple(Q(x, cone.den) for x in row)
+
+                rest = [g for g in range(n) if g not in subset]
+                assert [over_den(e) for e in cone.equalities] == [
+                    vec(int(j == beta) for j in range(n)) for beta in subset
+                ]
+                assert [over_den(f) for f in cone.inequalities] == [
+                    *(
+                        tuple(a - b for a, b in zip(weighted[alpha], weighted[g]))
+                        for g in rest
+                    ),
+                    weighted[alpha],
+                ]
+                assert over_den(cone.objective) == tuple(
+                    (j == alpha) - x for j, x in enumerate(weighted[alpha])
+                )
+
+    @pytest.mark.parametrize("k", [2, 9])
+    @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
+    def test_scaling_rows_and_den_together_changes_nothing(self, spec, k):
+        # Rays, the ray route's certificate and both verdicts of
+        # validate_certificate stay as they are, on every cone and drop.
+        rs = build(spec)
+        for alpha in range(rs.rank):
+            for subset in subsets_of(i for i in range(rs.rank) if i != alpha):
+                for drop in (None, "ordering-family", "positivity"):
+                    cone = theorem_cone(rs, alpha, subset, drop=drop)
+                    scaled = scaled_cone(cone, k)
+                    assert extreme_rays(scaled) == extreme_rays(cone)
+                    cert = verify_theorem61_rays(cone)
+                    assert verify_theorem61_rays(scaled) == cert
+                    assert validate_certificate(scaled, cert) == (
+                        validate_certificate(cone, cert)
+                    )
+                    if drop is None:
+                        built = verify_theorem61_constructive(rs, alpha, subset, cone)
+                        assert validate_certificate(scaled, built)
+                        assert built == verify_theorem61_constructive(
+                            rs, alpha, subset, scaled
+                        )
+
+    def test_a_forged_den_fails_a_true_violating_ray(self):
+        # Every violating ray of A3's control cones validates against its
+        # cone and fails once den is moved by one: the reported value is
+        # the objective's over den.
+        rs = build("A3")
+        checked = 0
+        for alpha in range(3):
+            for subset in subsets_of(i for i in range(3) if i != alpha):
+                for drop in ("ordering-family", "positivity"):
+                    cone = theorem_cone(rs, alpha, subset, drop=drop)
+                    cert = verify_theorem61_rays(cone)
+                    if cert.kind != "violating_ray":
+                        continue
+                    checked += 1
+                    assert validate_certificate(cone, cert)
+                    forged = dataclasses.replace(cone, den=cone.den + 1)
+                    assert not validate_certificate(forged, cert)
+        assert checked
+
+    def test_a_violating_ray_without_a_value_does_not_validate(self):
+        cone = theorem_cone(build("A3"), 0, [1], drop="positivity")
+        cert = verify_theorem61_rays(cone)
+        assert validate_certificate(cone, cert)
+        blank = dataclasses.replace(cert, objective_value=None)
+        assert not validate_certificate(cone, blank)
+
+
+class TestSimplicialCones:
+    """A Theorem 6.1 cone that drops nothing has n - |I| rays, no lineality."""
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "G2", "A2xA1"])
+    def test_every_full_cone_is_simplicial(self, spec):
+        rs = build(spec)
+        for alpha in range(rs.rank):
+            for subset in subsets_of(i for i in range(rs.rank) if i != alpha):
+                enum = extreme_rays(theorem_cone(rs, alpha, subset))
+                assert len(enum.rays) == rs.rank - len(subset)
+                assert enum.lineality == ()
+
+    def test_a_missing_ray_fails_the_row(self, monkeypatch):
+        real = certify.extreme_rays
+
+        def one_ray_short(cone):
+            enum = real(cone)
+            return dataclasses.replace(enum, rays=enum.rays[1:])
+
+        monkeypatch.setattr(certify, "extreme_rays", one_ray_short)
+        rows = suites.run_theorem61(build("A3"), "rays")
+        assert len(rows) == 12
+        assert all(row["status"] == "fail" for row in rows)
+        # alpha_1 with I empty: three rays expected, two seen.
+        assert rows[0]["subset"] == [] and rows[0]["detail"] == (
+            "a full Theorem 6.1 cone is not simplicial: ray count 2 and "
+            "lineality dimension 0, expected ray count 3 and lineality dimension 0"
+        )
+
+    def test_a_lineality_vector_fails_the_row(self, monkeypatch):
+        real = certify.extreme_rays
+
+        def with_a_line(cone):
+            enum = real(cone)
+            line = (0,) * (cone.ambient_dim - 1) + (1,)
+            return dataclasses.replace(enum, lineality=(line,))
+
+        monkeypatch.setattr(certify, "extreme_rays", with_a_line)
+        with pytest.raises(InvariantViolation, match="lineality dimension 1,"):
+            verify_theorem61_rays(theorem_cone(build("B3"), 0, [2]))
+        # Control cones have lineality by design and are not checked.
+        cone = theorem_cone(build("B3"), 0, [2], drop="ordering-family")
+        assert verify_theorem61_rays(cone).kind == "violating_ray"
 
 
 class TestSuiteWork:
@@ -622,7 +768,8 @@ class TestCorollaryBound:
                 cone = theorem_cone(rs, alpha, subset)
                 for coords in itertools.product(range(-1, 3), repeat=rs.rank):
                     a = vec([0 if i in subset else c for i, c in enumerate(coords)])
-                    assert dot(cone.objective, a) == corollary_gap(wt, alpha, a)
+                    value = dot(cone.objective, a) / cone.den
+                    assert value == corollary_gap(wt, alpha, a)
 
     def test_rank_two_equality_case(self):
         rs = build("A2")

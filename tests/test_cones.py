@@ -216,6 +216,54 @@ class TestPointedCones:
             )
             assert scaled == base
 
+    def test_repeated_rows_and_multiples_change_nothing(self):
+        # A repeated row and a 2x copy of a row, on cones with and without
+        # lineality and equalities, leave the enumeration as it was.
+        rng = random.Random(13)
+        for _ in range(100):
+            dim = rng.randint(1, 4)
+            rows = [
+                [rng.randint(-3, 3) for _ in range(dim)]
+                for _ in range(rng.randint(1, 5))
+            ]
+            equalities = [
+                [rng.randint(-2, 2) for _ in range(dim)]
+                for _ in range(rng.randint(0, 1))
+            ]
+            twice = [2 * x for x in rng.choice(rows)]
+            more = [*rows, rng.choice(rows), twice]
+            rng.shuffle(more)
+            assert enumerate_cone(more, dim, equalities) == enumerate_cone(
+                rows, dim, equalities
+            )
+
+    def test_equal_primitive_rows_reach_the_enumerator_once(self, monkeypatch):
+        # (2, 0) and (1/2, 1/2) are positive multiples of (1, 0) and (1, 1);
+        # the first of each set of equal primitive rows is kept, in order.
+        seen = []
+        real = cones._rays_and_lineality
+
+        def recording(rows, dim):
+            seen.append(list(rows))
+            return real(rows, dim)
+
+        monkeypatch.setattr(cones, "_rays_and_lineality", recording)
+        half = Fraction(1, 2)
+        enum = enumerate_cone(
+            [[1, 0], [2, 0], [1, 0], [0, 3], [half, half], [1, 1], [0, 0]], 2
+        )
+        assert seen == [[(1, 0), (0, 1), (1, 1)]]
+        assert enum.rays == ((0, 1), (1, 0)) and enum.lineality == ()
+
+    @pytest.mark.parametrize("den", [0, -2, Fraction(1, 2), 1.0, True])
+    def test_den_must_be_a_positive_int(self, den):
+        with pytest.raises(ValueError, match="positive int"):
+            ConeSpec(1, (), ((1,),), (0,), den=den)
+
+    def test_den_does_not_change_the_cone(self):
+        cone = ConeSpec(2, (), ((1, -1), (2, 1)), (0, 0))
+        assert extreme_rays(dataclasses.replace(cone, den=6)) == extreme_rays(cone)
+
     def test_bad_ray_raises(self, monkeypatch):
         # Flip the first seed ray: on the orthant nothing cuts it away, so
         # it reaches the final membership check.
