@@ -346,8 +346,11 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
     which has lineality by design, is not checked.
     """
     enum = extreme_rays(cone)
-    if _drops_nothing(cone):
-        free = cone.ambient_dim - len(cone.equalities)
+    # A theorem cone that drops nothing has one ordering row per
+    # coordinate left free by its pins, and positivity.
+    free = cone.ambient_dim - len(cone.equalities)
+    labels = cone.inequality_labels
+    if "positivity" in labels and len(labels) == free + 1:
         if len(enum.rays) != free or enum.lineality:
             raise InvariantViolation(
                 "a full Theorem 6.1 cone is not simplicial: "
@@ -355,10 +358,11 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
                 f"{len(enum.lineality)}, expected ray count {free} and "
                 "lineality dimension 0"
             )
-    # With the objective's denominators cleared once, each value is one
-    # integer dot product over the common denominator den > 0 (times the
-    # cone's den), so signs and order are read off the ints; only a
-    # reported value is a Fraction.
+    # The objective is its stored row over the cone's den, and the row's
+    # own denominators (none in a theorem cone) are cleared once, so each
+    # value is one integer dot product over den = obj_den * cone.den > 0;
+    # signs and order are read off the ints, and only a reported value is
+    # a Fraction.
     obj_den, objective = clear_denominators(cone.objective)
     den = obj_den * cone.den
     values = [dot(objective, r) for r in enum.rays]
@@ -385,14 +389,6 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
         min_ray_objective=Fraction(min(values), den) if values else None,
         ray_count=len(enum.rays),
     )
-
-
-def _drops_nothing(cone: ConeSpec) -> bool:
-    """Whether a `theorem_cone` has all its rows: one ordering per root
-    outside I, one pinned coordinate per equality, and positivity."""
-    free = cone.ambient_dim - len(cone.equalities)
-    labels = cone.inequality_labels
-    return "positivity" in labels and len(labels) == free + 1
 
 
 def verify_lemma66(rs: RootSystem) -> bool:
