@@ -22,19 +22,12 @@ from .errors import (
     NotIrreducible,
     PreconditionViolated,
 )
-from .linalg import (
-    IntVector,
-    QMatrix,
-    block_coefficient_matrix,
-    clear_denominators,
-    dot,
-    is_positive_definite,
-)
+from .linalg import IntVector, clear_denominators, dot, is_positive_definite
 from .roots import (
     RootSystem,
+    _weight_table,
     classify_irreducible,
     integer_gramm,
-    per_system,
     roundtrip_simple_root,
     weight_table,
 )
@@ -55,10 +48,10 @@ def expand_coefficients(
 ) -> CoefficientExpansion:
     """Expand alpha over I and the dual weights outside I, exactly.
 
-    Row alpha of the block re-basing formula, which depends on I and not
-    on alpha, so one integer matrix per system and subset is memoised for
-    every alpha. Each call checks that row (`_expansion_row`) and builds a
-    Fraction only for each coefficient of the expansion it returns.
+    Row alpha of the block re-basing formula, read from the memoised
+    relative weight table of I. Each call checks that row
+    (`_expansion_row`) and builds a Fraction only for each coefficient of
+    the expansion it returns.
     """
     rs.check_root(alpha)
     subset = rs.subset(subset)
@@ -83,15 +76,14 @@ def _expansion_row(
     ints[j] / den, with den > 0, is alpha's coefficient on root j for j
     in I and on the dual weight w_j otherwise. The row must give back
     alpha over the dual weights of `weight_table(rs)`, read afresh, so a
-    wrong table is caught even when the block is memoised; no other row
-    does, as every Gramm block of a positive definite Gramm matrix is
-    nonsingular. The off-diagonal coefficients must come out
+    wrong table is caught even when the relative table of I is memoised;
+    no other row does, as every Gramm block of a positive definite Gramm
+    matrix is nonsingular. The off-diagonal coefficients must come out
     non-positive; a violation would disprove the sign property this
     toolkit exists to check, so it stops the run.
     """
     rest = tuple(i for i in range(rs.rank) if i not in subset)
-    den, rows = _block_expansion(rs, subset)
-    ints = rows[alpha]
+    den, ints = _block_row(rs, alpha, subset)
     # The residual against the table, sum c_b e_b + sum c_g w_g = e_alpha,
     # times den dden on integers: den c = ints, dden w_g = duals[g], zero c
     # skipped.
@@ -113,32 +105,29 @@ def _expansion_row(
     return den, ints
 
 
-@per_system("expansion")
-def _block_expansion(
-    rs: RootSystem, subset: tuple[int, ...]
-) -> tuple[int, tuple[IntVector, ...]]:
-    """Every simple root over the mixed basis of I, as `_expansion_row` reads it.
+def _block_row(
+    rs: RootSystem, alpha: int, subset: tuple[int, ...]
+) -> tuple[int, IntVector]:
+    """Row alpha of the block formula for I as (den, ints), unchecked.
 
-    The formula runs on the blocks of the integer Gramm matrix g G, which
-    leaves the columns on I as they are and multiplies the others by g;
-    so the columns on I are multiplied by g here and den by g too, and the
-    columns are put back in root order.
+    With (dI, rows) the relative table of I, rows[b] being dI times row
+    b of G_II^-1 in ambient coordinates, and (g, G) the integer Gramm
+    matrix g Gramm, N_b = rows[b] . G[alpha] is dI g c_b, where
+    c_I = G_II^-1 G_{I,alpha}. Outside I, c_delta = G_{alpha,delta} -
+    sum_b c_b G_{b,delta}. The row is over den = dI g^2.
     """
-    n = rs.rank
-    g, rows = integer_gramm(rs)
-    gramm = QMatrix(n, n, tuple(x for r in rows for x in r))
-    rest = tuple(i for i in range(n) if i not in subset)
-    order = subset + rest
-    den, rows = block_coefficient_matrix(
-        gramm.submatrix(range(n), order),
-        gramm.submatrix(subset, subset),
-        gramm.submatrix(subset, rest),
-    )
-    m = len(subset)
-    position = sorted(range(n), key=order.__getitem__)
-    return den * g, tuple(
-        tuple(r[k] * g if k < m else r[k] for k in position) for r in rows
-    )
+    d_i, rows = _weight_table(rs, subset).integer_dual
+    g, gramm = integer_gramm(rs)
+    on_i = [(beta, dot(rows[beta], gramm[alpha])) for beta in subset]
+    # dI g G[alpha] - sum_b N_b G[b] is the row outside I and zero on I,
+    # where g N_b is written instead.
+    ints = [d_i * g * x for x in gramm[alpha]]
+    for beta, n_beta in on_i:
+        if n_beta:
+            ints = [x - n_beta * y for x, y in zip(ints, gramm[beta])]
+    for beta, n_beta in on_i:
+        ints[beta] = g * n_beta
+    return d_i * g * g, tuple(ints)
 
 
 def expansion_mass_identity(rs: RootSystem, subset: tuple[int, ...], row) -> bool:

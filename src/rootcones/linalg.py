@@ -240,6 +240,9 @@ def block_coefficient_matrix(
     no Fraction is built. `_integer_inverse` gives N = d b^-1 with N and
     d integral and d > 0. With a = A / s and c = C / t, all integral, the
     product is [A_I N t | A_rest d t - A_I N C] / (s d t).
+
+    No package code calls it; it is kept because the perfbench tracer
+    wraps it.
     """
     n = a.cols
     m = b.rows

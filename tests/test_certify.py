@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_linalg import gauss_jordan_inverse, vec
 
-from rootcones import certify, linalg, suites
+from rootcones import certify, linalg, roots, suites
 from rootcones.certify import (
     connected_induced_subsets,
     expand_coefficients,
@@ -136,14 +136,15 @@ class TestExpandCoefficients:
                 ]
 
     def test_memo_does_not_hide_a_bad_table(self):
-        # The memoised block matrix depends on the Gramm matrix only; the
-        # residual check reads the system's table on every call, so a table
-        # forged into the memo after the block was built is still caught.
+        # The row over I = {1} is read from the memoised relative table of
+        # I; the residual check reads the system's table on every call, so
+        # a table forged into the memo after the row's table was built is
+        # still caught.
         rs = from_gramm(build("A3").gramm)
         wt = weight_table(rs)
         for alpha in range(3):
             expand_coefficients(rs, alpha, [0])
-        assert ("expansion", (0,)) in rs._memo
+        assert ("weight_table", (0,)) in rs._memo
         rs._memo[("weight_table", (0, 1, 2))] = entry_moved(wt, 2, 2, 1)
         with pytest.raises(
             InvariantViolation, match="block formula disagrees with the weight table"
@@ -151,10 +152,11 @@ class TestExpandCoefficients:
             expand_coefficients(rs, 1, [0])
 
     def test_a_positive_off_diagonal_coefficient_stops_the_run(self):
-        # A2, I empty: the memoised row of alpha_1 is forged to
-        # (4, 1) / 2, i.e. 2 w_1 + (1/2) w_2, and w_2 to 2 (e_1 - 2 w_1),
-        # so the residual holds and only the sign test can see the row.
-        # Both rows are over the table's denominator.
+        # A2, I empty: the row of alpha_1 is integer Gramm row alpha_1 over
+        # g^2, so the integer Gramm matrix forged to ((4, 1), (1, 4)) over
+        # g = 2 gives (8, 2) / 4, i.e. 2 w_1 + (1/2) w_2; w_2 is forged to
+        # 2 (e_1 - 2 w_1), so the residual holds and only the sign test can
+        # see the row. Both dual rows are over the table's denominator.
         rs = from_gramm(build("A2").gramm)
         wt = weight_table(rs)
         den, rows = wt.integer_dual
@@ -163,7 +165,7 @@ class TestExpandCoefficients:
         rs._memo[("weight_table", (0, 1))] = dataclasses.replace(
             wt, integer_dual=(den, {0: w1, 1: w2})
         )
-        rs._memo[("expansion", ())] = (2, ((4, 1), (-2, 4)))
+        rs._memo[("integer_gramm",)] = (2, ((4, 1), (1, 4)))
         for check in (expand_coefficients, verify_theorem61_constructive):
             with pytest.raises(InvariantViolation) as err:
                 check(rs, 0, [])
@@ -201,30 +203,37 @@ class TestExpandCoefficients:
 
     def test_a_forged_mass_fails_the_lemma64_rows(self):
         # d is read from the system's table on every call. One dual weight
-        # forged to a mass 1/7 larger fails exactly the rows whose
-        # expansion weighs it: the residual against the table stops the
-        # lemma64 row, and the mass identity alone refuses the honest row.
+        # forged to a mass 1/7 larger fails the rows whose expansion weighs
+        # it: the residual against the table stops the lemma64 row, and
+        # the mass identity alone refuses the honest row. For I = {1,2,3}
+        # the relative table is the system's, so the forged w_3 also gives
+        # a wrong row for each alpha with G[alpha][3] != 0, and the
+        # residual stops those rows too.
         honest = build("A3")
         rs = from_gramm(honest.gramm)
         rs._memo[("weight_table", (0, 1, 2))] = entry_moved(
             weight_table(rs), 2, 2, Q(1, 7)
         )
+        pairs = [(a, subset) for a in range(3) for subset in subsets_of(range(3))]
         expected = [
             "fail" if dict(expand_coefficients(honest, a, subset).on_weights).get(2)
             else "pass"
-            for a in range(3)
-            for subset in subsets_of(range(3))
+            for a, subset in pairs
         ]
         assert "fail" in expected and "pass" in expected
-        assert [row["status"] for row in suites.run_lemma64(rs)] == expected
+        on_full = [
+            "fail" if subset == (0, 1, 2) and honest.gramm.at(a, 2) else status
+            for status, (a, subset) in zip(expected, pairs)
+        ]
+        assert on_full.count("fail") == expected.count("fail") + 2
+        assert [row["status"] for row in suites.run_lemma64(rs)] == on_full
         assert [
             "pass"
             if expansion_mass_identity(
                 rs, subset, certify._expansion_row(honest, a, subset)
             )
             else "fail"
-            for a in range(3)
-            for subset in subsets_of(range(3))
+            for a, subset in pairs
         ] == expected
 
     @pytest.mark.parametrize("spec", ["A2", "B2", "G2", "A3", "B3", "A2xA1"])
@@ -238,6 +247,50 @@ class TestExpandCoefficients:
                         assert coeff <= 0
                 row = certify._expansion_row(rs, alpha, subset)
                 assert expansion_mass_identity(rs, subset, row)
+
+    @pytest.mark.parametrize("spec", ["A6", "B5", "C5", "D6", "E6", "E7", "F4", "G2"])
+    def test_row_is_local(self, spec):
+        # Lemma 6.4 is local: for alpha outside I, with K the components
+        # of I adjacent to alpha, c_I = G_II^-1 G_{I,alpha} lives on K and
+        # c_delta = G_{alpha,delta} - sum_{b in K} c_b G_{b,delta} vanishes
+        # off the neighbours of {alpha} + K. So row alpha over K on the
+        # subsystem of L = {alpha} + K + those neighbours, solved there by
+        # plain Gauss-Jordan and padded with zeros off L, is the ambient
+        # row.
+        rs = build(spec)
+        n = rs.rank
+        adjacent = [
+            {j for j in range(n) if j != i and rs.cartan[i][j]} for i in range(n)
+        ]
+        duals = {}
+        for alpha in range(n):
+            for subset in subsets_of(j for j in range(n) if j != alpha):
+                k, stack = set(), [j for j in adjacent[alpha] if j in subset]
+                while stack:
+                    j = stack.pop()
+                    if j not in k:
+                        k.add(j)
+                        stack.extend(i for i in adjacent[j] if i in subset)
+                core = k | {alpha}
+                local = tuple(sorted(core.union(*(adjacent[i] for i in core))))
+                m = len(local)
+                units = [[int(i == j) for j in range(m)] for i in range(m)]
+                if local not in duals:
+                    sub = from_gramm(rs.gramm.submatrix(local, local))
+                    gramm = [list(sub.gramm.row(i)) for i in range(m)]
+                    duals[local] = [gauss_jordan_solve(gramm, u) for u in units]
+                on_k = [p for p, j in enumerate(local) if j in k]
+                off_k = [p for p in range(m) if p not in on_k]
+                x = gauss_jordan_solve(
+                    [units[p] for p in on_k] + [duals[local][p] for p in off_k],
+                    units[local.index(alpha)],
+                )
+                expected = [Q(0)] * n
+                for p, c in zip(on_k + off_k, x):
+                    expected[local[p]] = c
+                exp = expand_coefficients(rs, alpha, subset)
+                ambient = dict(exp.on_roots + exp.on_weights)
+                assert [ambient[j] for j in range(n)] == expected, (alpha, subset)
 
 
 class TestConstructiveRoute:
@@ -591,25 +644,31 @@ class TestSuiteWork:
         assert len(calls) == 36
         assert rows and all(row["status"] == "expected-violation" for row in rows)
 
-    def test_one_block_expansion_per_subset(self, monkeypatch):
-        # lemma64 sweeps every alpha over every subset of A3: 24 rows, but
-        # the block formula depends on the subset only, so 8 computations,
-        # each on integer Gramm blocks and giving the integer form.
+    def test_one_gramm_block_inverse_per_subset(self, monkeypatch):
+        # lemma64 sweeps every alpha over every subset of A3: 24 rows, each
+        # read from the relative table of its subset, which both Theorem
+        # 6.1 routes share; so 8 inversions in all, one per Gramm block,
+        # the full block's being the system's own table. Every row is in
+        # integer form.
         calls = []
-        real = certify.block_coefficient_matrix
+        real = linalg._integer_inverse
 
-        def counted(a, b, c):
-            calls.append(b.rows)
-            assert all(type(x) is int for m in (a, b, c) for x in m.entries)
-            den, rows = real(a, b, c)
-            assert den > 0 and all(type(x) is int for r in rows for x in r)
-            return den, rows
+        def counted(m):
+            calls.append(m.rows)
+            return real(m)
 
+        for module in (linalg, roots):
+            monkeypatch.setattr(module, "_integer_inverse", counted)
         rs = from_gramm(build("A3").gramm)
-        monkeypatch.setattr(certify, "block_coefficient_matrix", counted)
         rows = suites.run_lemma64(rs)
         assert len(rows) == 24
+        rows += suites.run_theorem61(rs, "constructive")
+        rows += suites.run_theorem61(rs, "rays")
         assert all(row["status"] == "pass" for row in rows)
+        for alpha in range(3):
+            for subset in subsets_of(range(3)):
+                den, ints = certify._expansion_row(rs, alpha, subset)
+                assert den > 0 and all(type(x) is int for x in (den, *ints))
         assert sorted(calls) == [0, 1, 1, 1, 2, 2, 2, 3]
 
     def test_second_sweep_runs_no_elimination(self, monkeypatch):

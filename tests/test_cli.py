@@ -447,19 +447,18 @@ class TestVerify:
         # Under -O no assert runs, so the residual check against the
         # weight table must raise on its own. The stub moves one unit of
         # coefficient (den over den) between the first two integer columns
-        # of every row: the masses still sum to one, so only the
-        # cross-check can see it, and only when I holds at least two roots
-        # (12 of A3's 24 rows).
+        # of every row, and only when I holds at least two roots (12 of
+        # A3's 24 rows); the residual check must stop each of those rows.
         script = (
             "import sys\n"
             "from rootcones import certify, cli\n"
-            "real = certify.block_coefficient_matrix\n"
-            "def corrupt(a, b, c):\n"
-            "    den, rows = real(a, b, c)\n"
-            "    if b.rows < 2:\n"
-            "        return den, rows\n"
-            "    return den, tuple((r[0] + den, r[1] - den, *r[2:]) for r in rows)\n"
-            "certify.block_coefficient_matrix = corrupt\n"
+            "real = certify._block_row\n"
+            "def corrupt(rs, alpha, subset):\n"
+            "    den, r = real(rs, alpha, subset)\n"
+            "    if len(subset) < 2:\n"
+            "        return den, r\n"
+            "    return den, (r[0] + den, r[1] - den, *r[2:])\n"
+            "certify._block_row = corrupt\n"
             "sys.exit(cli.main(['verify', '--suite', 'lemma64', '--system', 'A3']))\n"
         )
         env = dict(os.environ)
