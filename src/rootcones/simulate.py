@@ -10,10 +10,14 @@ line with a positive rational slope, so divergence is decidable from a
 finite horizon.
 
 Generation works in slope space. The admissibility constraints are
-linear in the slope vector, so their cone is enumerated once per
-selection and every sample is a strictly positive integer combination of
-its extreme rays; that makes traces admissible by construction instead
-of by rejection.
+linear in the slope vector, so every sample is a strictly positive
+integer combination of the extreme rays of their cone; that makes traces
+admissible by construction instead of by rejection. A row of level l
+vanishes on the slopes of the levels before l, so the cone is
+triangular: its rays come level by level, from the last level down, and
+one integer check certifies that the cone is simplicial and that they
+are all of its rays (`_simplicial_rays`). No double description runs
+here.
 
 Slope-space arithmetic runs on integers. Each constraint row is stored
 as its primitive integer row, a positive multiple of the rational
@@ -43,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cones import ConeSpec, extreme_rays
 from .errors import (
     BranchMismatch,
     DivergenceFailure,
@@ -95,7 +98,10 @@ class LevelData:
 
     Each constraint row is the primitive integer multiple of its rational
     functional (a zero functional stays a zero row), so it has the same
-    sign as that functional on every slope vector.
+    sign as that functional on every slope vector. The rays are those of
+    the slope cone, the rows plus s_l >= 0 for every level: one per
+    level, certified by `_simplicial_rays`, primitive and sorted as
+    `cones.extreme_rays` sorts them.
     """
 
     subsets: tuple[tuple[int, ...], ...]
@@ -137,6 +143,15 @@ def _splits(
 
 @per_system("level_data")
 def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
+    """The lines, constraint rows and slope-cone rays of a selection.
+
+    Line l spans the connecting torus between subsets l - 1 and l, signed
+    so that it moves the selected root up. Level l's rows are its
+    positivity and ordering functionals read on the lines from l on, so
+    they vanish on the slopes of earlier levels; `_simplicial_rays` turns
+    them into the cone's rays, and raises InvariantViolation, naming the
+    system, the selection and the level, if the cone is not simplicial.
+    """
     levels = len(selection)
     subsets = [tuple(range(rs.rank))]
     for root in selection:
@@ -168,24 +183,91 @@ def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
         for f, label in functionals:
             row = (0,) * (l - 1) + tuple(dot(f, line) for line in lines[l - 1 :])
             rows.append((primitive(row) if any(row) else (0,) * levels, label))
-    axis_rows = tuple(
-        tuple(int(m == l) for m in range(levels)) for l in range(levels)
-    )
-    cone = ConeSpec(
-        ambient_dim=levels,
-        equalities=(),
-        inequalities=tuple(r for r, _ in rows) + axis_rows,
-        objective=(0,) * levels,
-    )
-    enum = extreme_rays(cone)
-    if enum.lineality:
-        raise InvariantViolation("the slope cone has lineality despite its axis rows")
     return LevelData(
         subsets=tuple(subsets),
         lines=tuple(lines),
         constraint_rows=tuple(rows),
-        rays=enum.rays,
+        rays=_simplicial_rays(
+            [r for r, _ in rows],
+            levels,
+            f"the slope cone of selection {selection} in {rs.spec}",
+        ),
     )
+
+
+def _simplicial_rays(
+    rows: Sequence[tuple[int, ...]], levels: int, where: str
+) -> tuple[tuple[int, ...], ...]:
+    """Extreme rays of {s : rows . s >= 0, s >= 0}, certified simplicial.
+
+    The level of a nonzero row is its first nonzero coordinate; a zero or
+    repeated row cuts nothing. From the last level down, every ray found
+    so far is extended by the least s_l >= 0 on which each row of level l
+    is nonnegative, and then e_l joins as level l's own ray. The rays are
+    kept as primitive integer vectors and come back sorted, as
+    `cones.extreme_rays` sorts them.
+
+    The certificate: at each level one row F_l, of that level or the axis
+    row s_l >= 0, is tight on every ray extended there. F·R is then
+    diagonal with positive entries (R the rays, level by level) and every
+    row and axis row is nonnegative on every ray, so the cone lies in
+    {s : F·s >= 0}, which R spans conically: R is the full ray set.
+    Raises InvariantViolation, naming `where` and the level, when a row's
+    leading entry is negative or a level has no common tight row, and
+    naming `where` when the check fails.
+    """
+    led: list[list[tuple[int, ...]]] = [[] for _ in range(levels)]
+    for row in dict.fromkeys(rows):
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        if row[lead] < 0:
+            raise InvariantViolation(
+                f"{where}, level {lead + 1}: a row has a negative leading entry"
+            )
+        led[lead].append(row)
+    axes = [tuple(int(m == l) for m in range(levels)) for l in range(levels)]
+    rays: list[tuple[int, ...]] = []  # the ray of level l sits at levels - 1 - l
+    facets: list[tuple[int, ...]] = [()] * levels
+    for l in reversed(range(levels)):
+        # Level l's rows, the axis row first; each has a positive entry at l.
+        candidates = [axes[l], *led[l]]
+        tight = set(range(len(candidates)))
+        for k, ray in enumerate(rays):
+            # ray[l] == 0, so a row's value on the ray is what it sees of
+            # the later levels; s_l = num / den is the least value that
+            # every candidate allows, and the tight rows are those it meets.
+            values = [dot(row, ray) for row in candidates]
+            num, den = 0, 1
+            for row, v in zip(candidates, values):
+                if -v * den > num * row[l]:
+                    num, den = -v, row[l]
+            tight &= {
+                i
+                for i, (row, v) in enumerate(zip(candidates, values))
+                if row[l] * num + v * den == 0
+            }
+            extended = [den * x for x in ray]
+            extended[l] = num
+            rays[k] = primitive(extended)
+        if not tight:
+            raise InvariantViolation(
+                f"{where}, level {l + 1}: no row is tight on every ray, "
+                "so the cone is not simplicial"
+            )
+        facets[l] = candidates[min(tight)]
+        rays.append(axes[l])
+    by_level = rays[::-1]
+    if any(
+        (v <= 0) if l == m else v != 0
+        for l, f in enumerate(facets)
+        for m, v in enumerate(dot(f, ray) for ray in by_level)
+    ) or any(
+        min(ray) < 0 or any(dot(row, ray) < 0 for own in led for row in own)
+        for ray in rays
+    ):
+        raise InvariantViolation(f"{where}: the rays fail their certificate")
+    return tuple(sorted(rays))
 
 
 def _starved_level(data: LevelData) -> int | None:

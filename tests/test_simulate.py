@@ -11,9 +11,11 @@ from test_linalg import vec
 
 from rootcones import linalg
 from rootcones import simulate as sim
+from rootcones.cones import ConeSpec, extreme_rays
 from rootcones.errors import (
     BranchMismatch,
     DivergenceFailure,
+    InvariantViolation,
     PreconditionViolated,
 )
 from rootcones.linalg import contains, solve
@@ -157,8 +159,10 @@ class TestGeneration:
             generate_trace(rs, (), horizon=3, seed=0)
 
     def test_infeasible_selection_is_reported(self, monkeypatch):
-        # No natural example exists at small rank (every selection scan
-        # came back feasible), so stub the cone to starve one level.
+        # No natural example exists: every row's leading entry is
+        # positive, so each level's own ray of the slope cone grows at that
+        # level (`_simplicial_rays` raises otherwise). Stub the cone to
+        # starve one level.
         import dataclasses
 
         from rootcones import simulate as sim
@@ -300,6 +304,58 @@ class TestIntegerSlopeSpace:
                 factor = Q(row[pivot]) / expected[pivot]
                 assert factor > 0, (spec, selection, label)
                 assert tuple(factor * x for x in expected) == row, (spec, selection, label)
+
+
+
+def oracle_rays(rows, levels):
+    """`extreme_rays` of the rows plus the axis rows s_l >= 0."""
+    axes = tuple(tuple(int(m == l) for m in range(levels)) for l in range(levels))
+    enum = extreme_rays(
+        ConeSpec(
+            ambient_dim=levels,
+            equalities=(),
+            inequalities=tuple(rows) + axes,
+            objective=(0,) * levels,
+        )
+    )
+    assert enum.lineality == ()
+    return enum.rays
+
+
+class TestSlopeConeRays:
+    """The level-by-level rays against double description."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "A2xA1", "B2xA1"],
+    )
+    def test_match_double_description(self, spec):
+        rs = build(spec)
+        for selection in all_selections(rs.rank):
+            data = _level_data(rs, selection)
+            rows = [row for row, _ in data.constraint_rows]
+            assert data.rays == oracle_rays(rows, len(selection)), (spec, selection)
+
+    def test_a_cone_that_is_not_simplicial_is_refused(self):
+        # {s >= 0, s1 >= s2, s1 >= s3}: extending e_3 makes s1 >= s3
+        # tight, extending e_2 makes s1 >= s2 tight, and no one row of
+        # level 1 is tight on both.
+        rows = [(1, -1, 0), (1, 0, -1)]
+        assert len(oracle_rays(rows, 3)) == 4
+        with pytest.raises(InvariantViolation, match="level 1: no row is tight"):
+            sim._simplicial_rays(rows, 3, "test cone")
+
+    def test_a_negative_leading_entry_is_refused(self):
+        rows = [(1, 0, 0), (0, -1, 2)]
+        with pytest.raises(
+            InvariantViolation, match="test cone, level 2: .* negative leading"
+        ):
+            sim._simplicial_rays(rows, 3, "test cone")
+
+    def test_zero_rows_cut_nothing(self):
+        rows = [(0, 0), (2, -1), (0, 0)]
+        assert sim._simplicial_rays(rows, 2, "test cone") == ((1, 0), (1, 2))
+        assert oracle_rays(rows, 2) == ((1, 0), (1, 2))
 
 
 class TestInductionReplay:
