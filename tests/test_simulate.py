@@ -306,7 +306,6 @@ class TestIntegerSlopeSpace:
                 assert tuple(factor * x for x in expected) == row, (spec, selection, label)
 
 
-
 def oracle_rays(rows, levels):
     """`extreme_rays` of the rows plus the axis rows s_l >= 0."""
     axes = tuple(tuple(int(m == l) for m in range(levels)) for l in range(levels))
