@@ -70,7 +70,6 @@ from .simulate import (
     generate_trace,
     make_trace,
     replay_induction,
-    selection_is_feasible,
     trace_from_dict,
     trace_to_dict,
 )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
-from .errors import InfeasibleSelection, RootconesError
+from .errors import RootconesError
 from .parabolic import make_datum, parabolic_datum_to_dict
 from .roots import (
     RootSystem,
@@ -414,10 +414,6 @@ def _simulate_task(task: tuple[str, tuple[int, ...], int, int]) -> dict:
             replay_induction(trace, depth)
             for depth in range(max(0, len(selection) - 1))
         ]
-    except InfeasibleSelection as err:
-        entry["status"] = "infeasible"
-        entry["detail"] = str(err)
-        return entry
     except RootconesError as err:
         entry["status"] = "divergence-failure"
         entry["detail"] = str(err)

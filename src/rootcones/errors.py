@@ -42,7 +42,12 @@ class CertificateFailure(RootconesError):
 
 
 class InfeasibleSelection(RootconesError):
-    """No admissible trace exists for the requested root selection."""
+    """No admissible trace exists for the requested root selection.
+
+    Nothing in the package raises it: every level of a slope cone has a
+    ray that grows there. It stays because perfbench/tracer.py imports
+    it, until the benchmark upkeep of ROADMAP item 11 drops it.
+    """
 
 
 class DivergenceFailure(RootconesError):

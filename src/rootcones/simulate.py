@@ -12,12 +12,14 @@ finite horizon.
 Generation works in slope space. The admissibility constraints are
 linear in the slope vector, so every sample is a strictly positive
 integer combination of the extreme rays of their cone; that makes traces
-admissible by construction instead of by rejection. A row of level l
-vanishes on the slopes of the levels before l, so the cone is
-triangular: its rays come level by level, from the last level down, and
-one integer check certifies that the cone is simplicial and that they
-are all of its rays (`_simplicial_rays`). No double description runs
-here.
+admissible by construction instead of by rejection. The cone's facets
+are named: at each level l below the last, the ordering of the selected
+root against the next selected root, and at the last level its axis row.
+A row of level l vanishes on the slopes of the levels before l, so these
+L rows form an upper triangular matrix, whose inverse's columns are the
+rays, got by back-substitution; one integer check certifies that they
+are all of the cone's rays (`_simplicial_rays`). No double description
+and no search runs here, and every level's ray grows at its level.
 
 Slope-space arithmetic runs on integers. Each constraint row is stored
 as its primitive integer row, a positive multiple of the rational
@@ -45,12 +47,12 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import (
     BranchMismatch,
     DivergenceFailure,
-    InfeasibleSelection,
     InvariantViolation,
     PreconditionViolated,
 )
@@ -100,7 +102,8 @@ class LevelData:
     functional (a zero functional stays a zero row), so it has the same
     sign as that functional on every slope vector. The rays are those of
     the slope cone, the rows plus s_l >= 0 for every level: one per
-    level, certified by `_simplicial_rays`, primitive and sorted as
+    level, positive at its level and zero after it, built from the named
+    facets and certified by `_simplicial_rays`, primitive and sorted as
     `cones.extreme_rays` sorts them.
     """
 
@@ -148,9 +151,13 @@ def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
     Line l spans the connecting torus between subsets l - 1 and l, signed
     so that it moves the selected root up. Level l's rows are its
     positivity and ordering functionals read on the lines from l on, so
-    they vanish on the slopes of earlier levels; `_simplicial_rays` turns
-    them into the cone's rays, and raises InvariantViolation, naming the
-    system, the selection and the level, if the cone is not simplicial.
+    they vanish on the slopes of earlier levels. The facet of level l < L
+    is the row labelled `level{l}:ordering:alpha_{k}`, with k the root
+    selected at level l + 1, and the facet of level L is the axis row
+    s_L >= 0. `_simplicial_rays` turns the facets into the cone's rays and
+    checks them against every row; it raises InvariantViolation, naming
+    the system, the selection and, for a facet, the level, if a facet or
+    the check fails.
     """
     levels = len(selection)
     subsets = [tuple(range(rs.rank))]
@@ -183,105 +190,68 @@ def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
         for f, label in functionals:
             row = (0,) * (l - 1) + tuple(dot(f, line) for line in lines[l - 1 :])
             rows.append((primitive(row) if any(row) else (0,) * levels, label))
+    labelled = {label: row for row, label in rows}
+    facets = [
+        labelled[f"level{l}:ordering:alpha_{selection[l] + 1}"]
+        for l in range(1, levels)
+    ]
+    facets.append((0,) * (levels - 1) + (1,))
     return LevelData(
         subsets=tuple(subsets),
         lines=tuple(lines),
         constraint_rows=tuple(rows),
         rays=_simplicial_rays(
+            facets,
             [r for r, _ in rows],
-            levels,
             f"the slope cone of selection {selection} in {rs.spec}",
         ),
     )
 
 
 def _simplicial_rays(
-    rows: Sequence[tuple[int, ...]], levels: int, where: str
+    facets: Sequence[tuple[int, ...]], rows: Sequence[tuple[int, ...]], where: str
 ) -> tuple[tuple[int, ...], ...]:
-    """Extreme rays of {s : rows . s >= 0, s >= 0}, certified simplicial.
+    """Extreme rays of {s : rows . s >= 0, s >= 0} from its facet matrix F.
 
-    The level of a nonzero row is its first nonzero coordinate; a zero or
-    repeated row cuts nothing. From the last level down, every ray found
-    so far is extended by the least s_l >= 0 on which each row of level l
-    is nonnegative, and then e_l joins as level l's own ray. The rays are
-    kept as primitive integer vectors and come back sorted, as
+    F has one row per level, each a constraint row or an axis row s_l >= 0,
+    and row l must be zero before level l and positive at it. Ray l is
+    column l of F's inverse, got by back-substitution from e_l and kept as
+    a primitive integer vector; the rays come back sorted, as
     `cones.extreme_rays` sorts them.
 
-    The certificate: at each level one row F_l, of that level or the axis
-    row s_l >= 0, is tight on every ray extended there. F·R is then
-    diagonal with positive entries (R the rays, level by level) and every
-    row and axis row is nonnegative on every ray, so the cone lies in
-    {s : F·s >= 0}, which R spans conically: R is the full ray set.
-    Raises InvariantViolation, naming `where` and the level, when a row's
-    leading entry is negative or a level has no common tight row, and
-    naming `where` when the check fails.
+    The certificate: the F rows are rows of the cone, so the cone lies in
+    {s : F·s >= 0}, which is the cone spanned by the rays R. Every ray is
+    checked to be nonnegative and every row to be nonnegative on every
+    ray, which puts R inside the cone: R is its full ray set, and the cone
+    is simplicial. Raises InvariantViolation, naming `where` and the
+    level, when a row of F is not a row of the cone or is not zero before
+    its level and positive at it, and naming `where` when the check fails.
     """
-    led: list[list[tuple[int, ...]]] = [[] for _ in range(levels)]
-    for row in dict.fromkeys(rows):
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        if row[lead] < 0:
+    known = set(rows)
+    for l, facet in enumerate(facets):
+        # A row that is nonzero only at its level is a multiple of the axis row.
+        of_cone = facet in known or not any(facet[l + 1 :])
+        if any(facet[:l]) or facet[l] <= 0 or not of_cone:
             raise InvariantViolation(
-                f"{where}, level {lead + 1}: a row has a negative leading entry"
+                f"{where}, level {l + 1}: its facet row {facet} is not a row of "
+                "the cone that is zero before the level and positive at it"
             )
-        led[lead].append(row)
-    axes = [tuple(int(m == l) for m in range(levels)) for l in range(levels)]
-    rays: list[tuple[int, ...]] = []  # the ray of level l sits at levels - 1 - l
-    facets: list[tuple[int, ...]] = [()] * levels
-    for l in reversed(range(levels)):
-        # Level l's rows, the axis row first; each has a positive entry at l.
-        candidates = [axes[l], *led[l]]
-        tight = set(range(len(candidates)))
-        for k, ray in enumerate(rays):
-            # ray[l] == 0, so a row's value on the ray is what it sees of
-            # the later levels; s_l = num / den is the least value that
-            # every candidate allows, and the tight rows are those it meets.
-            values = [dot(row, ray) for row in candidates]
-            num, den = 0, 1
-            for row, v in zip(candidates, values):
-                if -v * den > num * row[l]:
-                    num, den = -v, row[l]
-            tight &= {
-                i
-                for i, (row, v) in enumerate(zip(candidates, values))
-                if row[l] * num + v * den == 0
-            }
-            extended = [den * x for x in ray]
-            extended[l] = num
-            rays[k] = primitive(extended)
-        if not tight:
-            raise InvariantViolation(
-                f"{where}, level {l + 1}: no row is tight on every ray, "
-                "so the cone is not simplicial"
-            )
-        facets[l] = candidates[min(tight)]
-        rays.append(axes[l])
-    by_level = rays[::-1]
+    rays = []
+    for l in range(len(facets)):
+        ray = [0] * len(facets)
+        ray[l] = 1
+        for k in reversed(range(l)):
+            # ray[k] == 0 here; scale the ray so that F_k vanishes on it.
+            value, pivot = dot(facets[k], ray), facets[k][k]
+            g = gcd(value, pivot)
+            ray = [x * (pivot // g) for x in ray]
+            ray[k] = -value // g
+        rays.append(primitive(ray))
     if any(
-        (v <= 0) if l == m else v != 0
-        for l, f in enumerate(facets)
-        for m, v in enumerate(dot(f, ray) for ray in by_level)
-    ) or any(
-        min(ray) < 0 or any(dot(row, ray) < 0 for own in led for row in own)
-        for ray in rays
+        min(ray) < 0 or any(dot(row, ray) < 0 for row in known) for ray in rays
     ):
         raise InvariantViolation(f"{where}: the rays fail their certificate")
     return tuple(sorted(rays))
-
-
-def _starved_level(data: LevelData) -> int | None:
-    """The first level, 0-based, that no ray of the slope cone grows."""
-    for l in range(len(data.lines)):
-        if not any(ray[l] > 0 for ray in data.rays):
-            return l
-    return None
-
-
-def selection_is_feasible(rs: RootSystem, selection: Sequence[int]) -> bool:
-    """Whether some admissible trace grows strictly at every level."""
-    selection = _validate_selection(rs, selection)
-    return _starved_level(_level_data(rs, selection)) is None
 
 
 def _derive_seed(spec: str, selection: tuple[int, ...], seed: int) -> int:
@@ -383,20 +353,14 @@ def generate_trace(
 
     The slope vector is a strictly positive integer combination of the
     admissibility cone's extreme rays, so every constraint holds for all
-    n >= 1 by construction. Raises InfeasibleSelection when some level
-    admits no growing ray at all, and InvariantViolation when
-    `check_admissibility` rejects the sampled trace.
+    n >= 1 by construction, and every level grows, since its own ray is
+    positive there. Raises InvariantViolation when `check_admissibility`
+    rejects the sampled trace.
     """
     selection = _validate_selection(rs, selection)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     data = _level_data(rs, selection)
-    starved = _starved_level(data)
-    if starved is not None:
-        raise InfeasibleSelection(
-            f"selection {selection} in {rs.spec}: no ray grows at level "
-            f"{starved + 1} ({rs.root_label(selection[starved])})"
-        )
     rng = random.Random(_derive_seed(rs.spec, selection, seed))
     coefficients = [1 + rng.randrange(7) for _ in data.rays]
     slopes = [
@@ -571,15 +535,34 @@ def trace_to_dict(trace: SimTrace) -> dict:
 
 
 def trace_from_dict(data: dict) -> SimTrace:
-    """Rebuild a trace from its JSON form; n0 is recomputed."""
+    """Rebuild a trace from its JSON form, which must be its exact form.
+
+    The trace is made from the system, selection, slopes and horizon;
+    every field, n0 and each level's number, root, subset and line
+    included, must then equal what `trace_to_dict` writes for it, or
+    ValueError names the first field that differs.
+    """
     rs = build(data["system"])
     selection = tuple(i - 1 for i in data["selection"])
     slopes = [Fraction(level["slope"]) for level in data["levels"]]
     trace = make_trace(rs, selection, slopes, int(data["horizon"]))
-    lines = _level_data(rs, trace.selection).lines
-    for stored, line in zip(data["levels"], lines):
-        if tuple(stored["line"]) != line:
-            raise ValueError("stored line disagrees with the reconstruction")
-    if data.get("n0") != trace.n0:
-        raise ValueError("stored n0 disagrees with the reconstruction")
+    expected = trace_to_dict(trace)
+    if expected != data:
+        raise ValueError(
+            f"stored {_first_difference(expected, data)} disagrees with the "
+            "reconstruction"
+        )
     return trace
+
+
+def _first_difference(expected: dict, stored: dict) -> str:
+    """The first field, in `expected`'s order, that `stored` does not match."""
+    for key in [*expected, *(k for k in stored if k not in expected)]:
+        if key in expected and key in stored and expected[key] == stored[key]:
+            continue
+        if key == "levels":
+            for i, (mine, theirs) in enumerate(zip(expected[key], stored[key])):
+                if mine != theirs:
+                    return f"levels[{i}].{_first_difference(mine, theirs)}"
+        return key
+    return ""

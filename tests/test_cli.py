@@ -16,8 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from test_linalg import gauss_jordan_rref
 
-from rootcones import cli, simulate, suites
-from rootcones.errors import InfeasibleSelection
+from rootcones import cli, suites
 from rootcones.roots import parse_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -592,24 +591,6 @@ class TestSimulate:
         assert code == 0
         payload = json.loads(out)
         assert len(payload["traces"]) == 4  # (1), (2), (1,2), (2,1)
-
-    def test_infeasible_surfaces_and_run_continues(self, capsys, monkeypatch):
-        real = simulate.generate_trace
-
-        def flaky(rs, selection, horizon, seed):
-            if selection == (0,):
-                raise InfeasibleSelection("stubbed: no growing ray at level 1")
-            return real(rs, selection, horizon, seed)
-
-        monkeypatch.setattr(cli, "generate_trace", flaky)
-        code, out, _ = run(
-            ["simulate", "--system", "A2", "--horizon", "4"], capsys
-        )
-        assert code == 0  # infeasibility is reported, not fatal
-        payload = json.loads(out)
-        statuses = [t["status"] for t in payload["traces"]]
-        assert statuses.count("infeasible") == 1
-        assert statuses.count("ok") == 3
 
     def test_rejected_trace_fails_under_optimisation(self):
         # Under -O no assert runs, so the generator's re-check must raise

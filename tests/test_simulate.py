@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -27,7 +28,6 @@ from rootcones.simulate import (
     generate_trace,
     make_trace,
     replay_induction,
-    selection_is_feasible,
     trace_from_dict,
     trace_to_dict,
     _level_data,
@@ -120,22 +120,14 @@ class TestRankTwoChainByHand:
 
 
 class TestGeneration:
-    @pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "A2xA1"])
+    @pytest.mark.parametrize("spec", ["A1", "A2", "B2", "G2", "A3", "B3", "A2xA1"])
     def test_all_selections_generate_admissible_traces(self, spec):
         rs = build(spec)
         for selection in all_selections(rs.rank):
-            if not selection_is_feasible(rs, selection):
-                continue
             trace = generate_trace(rs, selection, horizon=5, seed=11)
             ok, problems = check_admissibility(trace)
             assert ok, (spec, selection, problems)
             assert_divergence(trace)
-
-    def test_small_selections_are_feasible(self):
-        for spec in ["A1", "A2", "B2", "G2", "A3", "B3", "A2xA1"]:
-            rs = build(spec)
-            for selection in all_selections(rs.rank):
-                assert selection_is_feasible(rs, selection), (spec, selection)
 
     def test_determinism(self):
         rs = build("B3")
@@ -157,25 +149,6 @@ class TestGeneration:
             generate_trace(rs, (0, 0), horizon=3, seed=0)
         with pytest.raises(ValueError):
             generate_trace(rs, (), horizon=3, seed=0)
-
-    def test_infeasible_selection_is_reported(self, monkeypatch):
-        # No natural example exists: every row's leading entry is
-        # positive, so each level's own ray of the slope cone grows at that
-        # level (`_simplicial_rays` raises otherwise). Stub the cone to
-        # starve one level.
-        import dataclasses
-
-        from rootcones import simulate as sim
-        from rootcones.errors import InfeasibleSelection
-
-        rs = build("A2")
-        real = _level_data(rs, (0, 1))
-        starved = dataclasses.replace(
-            real, rays=tuple((r[0], 0) for r in real.rays)
-        )
-        monkeypatch.setattr(sim, "_level_data", lambda *a: starved)
-        with pytest.raises(InfeasibleSelection, match="level 2"):
-            sim.generate_trace(rs, (0, 1), horizon=3, seed=0)
 
     def test_failed_divergence_is_loud(self):
         rs = build("A2")
@@ -321,40 +294,102 @@ def oracle_rays(rows, levels):
     return enum.rays
 
 
+def named_facets(data, selection):
+    """The adjacent orderings, read by label, and the last level's axis row."""
+    levels = len(selection)
+    labelled = {label: row for row, label in data.constraint_rows}
+    return [
+        labelled[f"level{l}:ordering:alpha_{selection[l] + 1}"]
+        for l in range(1, levels)
+    ] + [tuple(int(m == levels - 1) for m in range(levels))]
+
+
 class TestSlopeConeRays:
-    """The level-by-level rays against double description."""
+    """The rays from the named facets against double description."""
 
     @pytest.mark.parametrize(
         "spec",
-        ["A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "A2xA1", "B2xA1"],
+        [
+            "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4", "F4", "E6",
+            "A2xA1", "B2xA1",
+        ],
     )
     def test_match_double_description(self, spec):
         rs = build(spec)
         for selection in all_selections(rs.rank):
             data = _level_data(rs, selection)
             rows = [row for row, _ in data.constraint_rows]
-            assert data.rays == oracle_rays(rows, len(selection)), (spec, selection)
+            oracle = oracle_rays(rows, len(selection))
+            assert data.rays == oracle, (spec, selection)
+            # The named facets are the cone's facets: each is positive on
+            # one oracle ray and zero on the others, a different ray each.
+            values = [
+                [linalg.dot(f, ray) for ray in oracle]
+                for f in named_facets(data, selection)
+            ]
+            assert len(oracle) == len(selection), (spec, selection)
+            assert all(
+                sorted(v)[:-1] == [0] * (len(v) - 1) and max(v) > 0 for v in values
+            ), (spec, selection)
+            assert sorted(v.index(max(v)) for v in values) == list(
+                range(len(selection))
+            ), (spec, selection)
 
     def test_a_cone_that_is_not_simplicial_is_refused(self):
-        # {s >= 0, s1 >= s2, s1 >= s3}: extending e_3 makes s1 >= s3
-        # tight, extending e_2 makes s1 >= s2 tight, and no one row of
-        # level 1 is tight on both.
+        # {s >= 0, s1 >= s2, s1 >= s3} has four rays, so whichever row of
+        # level 1 is named its facet, the other fails on a ray.
         rows = [(1, -1, 0), (1, 0, -1)]
         assert len(oracle_rays(rows, 3)) == 4
-        with pytest.raises(InvariantViolation, match="level 1: no row is tight"):
-            sim._simplicial_rays(rows, 3, "test cone")
+        for facet in rows:
+            with pytest.raises(InvariantViolation, match="test cone: the rays fail"):
+                sim._simplicial_rays([facet, (0, 1, 0), (0, 0, 1)], rows, "test cone")
 
     def test_a_negative_leading_entry_is_refused(self):
         rows = [(1, 0, 0), (0, -1, 2)]
+        # As the facet of level 2, and as a row that is no facet.
         with pytest.raises(
-            InvariantViolation, match="test cone, level 2: .* negative leading"
+            InvariantViolation, match="test cone, level 2: its facet row"
         ):
-            sim._simplicial_rays(rows, 3, "test cone")
+            sim._simplicial_rays([rows[0], rows[1], (0, 0, 1)], rows, "test cone")
+        with pytest.raises(InvariantViolation, match="test cone: the rays fail"):
+            sim._simplicial_rays([rows[0], (0, 1, 0), (0, 0, 1)], rows, "test cone")
 
     def test_zero_rows_cut_nothing(self):
         rows = [(0, 0), (2, -1), (0, 0)]
-        assert sim._simplicial_rays(rows, 2, "test cone") == ((1, 0), (1, 2))
+        facets = [(2, -1), (0, 1)]
+        assert sim._simplicial_rays(facets, rows, "test cone") == ((1, 0), (1, 2))
         assert oracle_rays(rows, 2) == ((1, 0), (1, 2))
+
+    def test_a_wrong_facet_is_refused(self):
+        # At level 2 of A3's chain the positivity row differs from the
+        # adjacent ordering; named in its place, it gives rays outside the
+        # cone.
+        data = _level_data(build("A3"), (0, 1, 2))
+        labelled = {label: row for row, label in data.constraint_rows}
+        facets = named_facets(data, (0, 1, 2))
+        rows = [row for row, _ in data.constraint_rows]
+        assert sim._simplicial_rays(facets, rows, "A3") == data.rays
+        assert labelled["level2:positivity"] != facets[1]
+        facets[1] = labelled["level2:positivity"]
+        with pytest.raises(InvariantViolation, match="A3: the rays fail"):
+            sim._simplicial_rays(facets, rows, "A3")
+
+    def test_an_extra_row_negative_on_one_ray_is_refused(self):
+        data = _level_data(build("A3"), (0, 1, 2))
+        facets = named_facets(data, (0, 1, 2))
+        rows = [row for row, _ in data.constraint_rows]
+        extra = (1, -4, -1)
+        assert [linalg.dot(extra, ray) < 0 for ray in data.rays].count(True) == 1
+        with pytest.raises(InvariantViolation, match="A3: the rays fail"):
+            sim._simplicial_rays(facets, rows + [extra], "A3")
+
+    def test_a_facet_that_is_no_row_of_the_cone_is_refused(self):
+        # The orthant has rays e_1 and e_2; the facet s1 >= s2 is no row of
+        # it and would give e_1 and (1, 1), both inside it.
+        with pytest.raises(
+            InvariantViolation, match="test cone, level 1: its facet row"
+        ):
+            sim._simplicial_rays([(1, -1), (0, 1)], [], "test cone")
 
 
 class TestInductionReplay:
@@ -379,8 +414,6 @@ class TestInductionReplay:
             rs = build(spec)
             for selection in all_selections(rs.rank, rs.rank):
                 if len(selection) != rs.rank:
-                    continue
-                if not selection_is_feasible(rs, selection):
                     continue
                 trace = generate_trace(rs, selection, horizon=4, seed=17)
                 for depth in range(len(selection) - 1):
@@ -636,7 +669,6 @@ def test_a_trace_is_its_selection_and_slopes(monkeypatch):
     traces = [
         generate_trace(rs, selection, 5, seed=0)
         for selection in all_selections(rs.rank)
-        if selection_is_feasible(rs, selection)
     ]
     calls = []
 
@@ -688,4 +720,25 @@ class TestSerialization:
         data = trace_to_dict(trace)
         data["levels"][0]["line"] = [5, 7]
         with pytest.raises(ValueError):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("levels", 1, "root"), 4, "levels[1].root"),
+            (("levels", 0, "subset_after"), [1, 3, 4], "levels[0].subset_after"),
+            (("levels", 2, "level"), 2, "levels[2].level"),
+            (("schema",), 99, "schema"),
+        ],
+    )
+    def test_forged_field_rejected(self, path, value, field):
+        # Each forgery leaves the trace rebuilt from the system, selection,
+        # slopes and horizon unchanged.
+        rs = build("A3")
+        data = trace_to_dict(generate_trace(rs, (0, 1, 2), horizon=3, seed=2))
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=rf"stored {re.escape(field)} disagrees"):
             trace_from_dict(data)
