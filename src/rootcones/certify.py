@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .cones import ConeSpec, extreme_rays
@@ -167,7 +166,9 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
 
     Only what the certificate carries counts: a conic combination without
     multipliers cannot be re-checked, so it is rejected, and so is a ray
-    or a list of multipliers of the wrong length.
+    or a list of multipliers of the wrong length. The cone's rows are ints,
+    so only the multipliers' denominators are cleared, to (den, M), and a
+    combination is checked as sum M_k F_k == den * objective on integers.
     """
     if cert.kind == "violating_ray":
         if (
@@ -194,25 +195,14 @@ def validate_certificate(cone: ConeSpec, cert: Certificate) -> bool:
     eq_multipliers = cert.equality_multipliers or ()
     if len(eq_multipliers) != len(cone.equalities):
         return False
-    # Re-expanded on integers: with the multipliers M / den and each
-    # functional F_k / f_k, the combination is acc / (den * scale), where
-    # scale is the lcm of the f_k and acc sums M_k * F_k * (scale / f_k).
-    # A zero multiplier adds only 0 * F_k, so its functional is skipped.
+    # The cone's den scales every functional alike, so it cancels. A zero
+    # multiplier adds only 0 * F_k, so its functional is skipped.
     den, mults = clear_denominators((*cert.inequality_multipliers, *eq_multipliers))
-    terms = [
-        (mult, clear_denominators(f))
-        for mult, f in zip(mults, (*cone.inequalities, *cone.equalities))
-        if mult
-    ]
-    scale = lcm(*(f for _, (f, _) in terms))
     acc = [0] * cone.ambient_dim
-    for mult, (f, ints) in terms:
-        factor = mult * (scale // f)
-        for j, x in enumerate(ints):
-            acc[j] += factor * x
-    obj_den, objective = clear_denominators(cone.objective)
-    den *= scale
-    return all(x * obj_den == y * den for x, y in zip(acc, objective))
+    for mult, f in zip(mults, (*cone.inequalities, *cone.equalities)):
+        if mult:
+            acc = [a + mult * x for a, x in zip(acc, f)]
+    return acc == [den * x for x in cone.objective]
 
 
 def theorem_cone(
@@ -347,35 +337,28 @@ def verify_theorem61_rays(cone: ConeSpec) -> Certificate:
                 f"{len(enum.lineality)}, expected ray count {free} and "
                 "lineality dimension 0"
             )
-    # The objective is its stored row over the cone's den, and the row's
-    # own denominators (none in a theorem cone) are cleared once, so each
-    # value is one integer dot product over den = obj_den * cone.den > 0;
-    # signs and order are read off the ints, and only a reported value is
-    # a Fraction.
-    obj_den, objective = clear_denominators(cone.objective)
-    den = obj_den * cone.den
-    values = [dot(objective, r) for r in enum.rays]
+    values = [dot(cone.objective, r) for r in enum.rays]
     for ray, value in zip(enum.rays, values):
         if value < 0:
             return Certificate(
                 kind="violating_ray",
                 ray=ray,
-                objective_value=Fraction(value, den),
+                objective_value=Fraction(value, cone.den),
                 ray_count=len(enum.rays),
             )
     for line in enum.lineality:
-        value = dot(objective, line)
+        value = dot(cone.objective, line)
         if value != 0:
             ray = line if value < 0 else tuple(-x for x in line)
             return Certificate(
                 kind="violating_ray",
                 ray=ray,
-                objective_value=Fraction(-abs(value), den),
+                objective_value=Fraction(-abs(value), cone.den),
                 ray_count=len(enum.rays),
             )
     return Certificate(
         kind="conic_combination",
-        min_ray_objective=Fraction(min(values), den) if values else None,
+        min_ray_objective=Fraction(min(values), cone.den) if values else None,
         ray_count=len(enum.rays),
     )
 

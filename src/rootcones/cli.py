@@ -338,8 +338,10 @@ def cmd_verify(config: RunConfig) -> int:
         suites = list(SUITE_NAMES)
     _refuse_repeats("suite", suites)
     _refuse_repeats("system", config.systems, parse_spec)
+    # Every system is built before any task runs, so a bad one exits 2
+    # before any sweep starts.
     for spec in config.systems or ():
-        rank = sum(n for _, n in parse_spec(spec))
+        rank = build(spec).rank
         if config.max_rank is not None and rank > config.max_rank:
             raise ValueError(
                 f"system {spec!r} has rank {rank}, above --max-rank {config.max_rank}"

@@ -1,10 +1,12 @@
 """Rational polyhedral cones in H-representation and their extreme rays.
 
-The enumerator is a double description pass on integers, and every cone
-takes the same path to it. An equality with one nonzero entry pins its
-coordinate to 0; any other equality e becomes the two inequalities
-e >= 0 and -e >= 0. Each row is sliced to the coordinates left and made
-primitive once, and what is found there is scattered back by position.
+A cone is given by integer rows, checked once when its `ConeSpec` is
+built; nothing below that clears a denominator. The enumerator is a
+double description pass on integers, and every cone takes the same path
+to it. An equality with one nonzero entry pins its coordinate to 0; any
+other equality e becomes the two inequalities e >= 0 and -e >= 0. Each
+row is sliced to the coordinates left and made primitive once, and what
+is found there is scattered back by position.
 One reduction of (rows^T | Id) then both decides the lineality space
 and, for a pointed cone, seeds the pass; a cone with lineality is cut
 down to a pointed section, the same slice without the lineality's pivot
@@ -22,23 +24,27 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DimensionMismatch, InvariantViolation
-from .linalg import Vector, dot, primitive, rref, unit_vec
+from .linalg import IntVector, dot, primitive, rref, unit_vec
 
 
 @dataclass(frozen=True)
 class ConeSpec:
     """A cone {a : eq(a) = 0, ineq(a) >= 0} with a linear objective.
 
-    Every functional is its stored row over den, one shared positive
-    integer, so integer rows can stand for rational functionals. Scaling
-    every functional by 1 / den changes neither the cone nor any conic
-    combination of them, so only the objective's values see den.
+    Every row is a tuple of plain ints, and every functional is its row
+    over den, one shared positive integer; any other entry, a Fraction, a
+    float or a bool, is a ValueError naming its row. To write a rational
+    cone, scale each equality and inequality by its own positive factor,
+    such as the lcm of its denominators, which changes neither the cone
+    nor its rays, and write the objective as an integer row over den.
+    Scaling every functional by 1 / den changes neither the cone nor any
+    conic combination of them, so only the objective's values see den.
     """
 
     ambient_dim: int
-    equalities: tuple[Vector, ...]
-    inequalities: tuple[Vector, ...]
-    objective: Vector
+    equalities: tuple[IntVector, ...]
+    inequalities: tuple[IntVector, ...]
+    objective: IntVector
     inequality_labels: tuple[str, ...] = ()
     den: int = 1
 
@@ -47,13 +53,20 @@ class ConeSpec:
             raise ValueError(
                 f"cone denominator must be a positive int, not {self.den!r}"
             )
-        for f in list(self.equalities) + list(self.inequalities) + [self.objective]:
-            if len(f) != self.ambient_dim:
-                raise DimensionMismatch("functional of wrong length")
         if self.inequality_labels and len(self.inequality_labels) != len(
             self.inequalities
         ):
             raise DimensionMismatch("one label per inequality required")
+        for kind, rows in (
+            ("equality", self.equalities),
+            ("inequality", self.inequalities),
+            ("objective", (self.objective,)),
+        ):
+            for k, f in enumerate(rows):
+                if len(f) != self.ambient_dim:
+                    raise DimensionMismatch(f"{kind} row {k} has the wrong length")
+                if not all(type(x) is int for x in f):
+                    raise ValueError(f"{kind} row {k} is not all ints: {f!r}")
 
     def label(self, k: int) -> str:
         if self.inequality_labels:
@@ -130,7 +143,7 @@ def _pointed_double_description(
 
 
 def _on_coordinates(
-    rows: Sequence[Vector], kept: Sequence[int], dim: int
+    rows: Sequence[IntVector], kept: Sequence[int], dim: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Rays and lineality basis of {y : rows . y >= 0, y_j = 0 off kept}.
 

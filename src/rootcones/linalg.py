@@ -47,17 +47,16 @@ def clear_denominators(v: Sequence[Fraction]) -> tuple[int, IntVector]:
     return den, tuple([x.numerator * (den // x.denominator) for x in v])
 
 
-def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
+def primitive(v: Sequence[int]) -> IntVector:
     """Smallest integer vector on the same ray; direction is preserved.
 
-    Entries must be Fractions or ints; ints whose gcd is 1 come back as
-    they are, as a tuple.
+    Entries must be ints; ints whose gcd is 1 come back as they are, as a
+    tuple.
     """
-    _, ints = clear_denominators(v)
-    g = gcd(*ints)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
-    return ints if g == 1 else tuple(x // g for x in ints)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ def _chain_gramm(rank, diagonal, links):
 
 def gramm_seed(letter: str, rank: int) -> list[list[Fraction]]:
     """Gramm matrix of one irreducible type, long roots of square norm 2."""
+    if letter not in _RANK_BOUNDS:
+        raise InvalidRank(f"unknown type letter {letter!r}")
     lo, hi = _RANK_BOUNDS[letter]
     if rank < lo or (hi is not None and rank > hi):
         raise InvalidRank(f"{letter}{rank} is not a valid irreducible type")
@@ -80,9 +82,8 @@ def gramm_seed(letter: str, rank: int) -> list[list[Fraction]]:
             [2, 2, 1, 1],
             {(0, 1): -1, (1, 2): -1, (2, 3): Fraction(-1, 2)},
         )
-    if letter == "G":
-        return _chain_gramm(2, [2, 6], {(0, 1): -3})
-    raise InvalidRank(f"unknown type letter {letter!r}")
+    # G, the last letter of _RANK_BOUNDS.
+    return _chain_gramm(2, [2, 6], {(0, 1): -3})
 
 
 def parse_spec(text: str) -> tuple[tuple[str, int], ...]:
@@ -100,8 +101,6 @@ def parse_spec(text: str) -> tuple[tuple[str, int], ...]:
             raise ValueError(f"bad system spec at position {pos}: {piece!r}")
         out.append((m.group(1).upper(), int(m.group(2))))
         pos += len(piece) + 1
-    if not out:
-        raise ValueError("empty system spec")
     return tuple(out)
 
 
@@ -589,11 +588,7 @@ def subsystem(rs: RootSystem, subset: Sequence[int]) -> tuple[RootSystem, tuple[
     the ambient ones. Empty subsets yield a rank-zero system. No package
     code calls it; it is kept because the perfbench tracer wraps it.
     """
-    return _subsystem(rs, rs.subset(subset))
-
-
-@per_system("subsystem")
-def _subsystem(rs: RootSystem, subset: tuple[int, ...]):
+    subset = rs.subset(subset)
     return from_gramm(rs.gramm.submatrix(subset, subset)), subset
 
 

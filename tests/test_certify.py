@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -715,10 +716,7 @@ def oracle_accepts(cone, ineq, eq):
     )
 
 
-ENTRY = st.one_of(
-    st.integers(min_value=-4, max_value=4),
-    st.fractions(min_value=-4, max_value=4, max_denominator=6),
-)
+ENTRY = st.integers(min_value=-4, max_value=4)
 MULTIPLIER = st.one_of(
     st.integers(min_value=-1, max_value=4),
     st.fractions(min_value=-1, max_value=4, max_denominator=6),
@@ -739,7 +737,13 @@ class TestValidateCertificate:
         if exact:
             ineq = [abs(m) for m in ineq]
             probe = ConeSpec(dim, tuple(eqs), tuple(ineqs), (0,) * dim)
-            objective = tuple(accumulate(probe, ineq, eq))
+            # Scaling the multipliers by a positive int keeps them a
+            # certificate of the scaled combination, now an integer row.
+            acc = accumulate(probe, ineq, eq)
+            scale = lcm(*(x.denominator for x in acc))
+            ineq = [m * scale for m in ineq]
+            eq = [m * scale for m in eq]
+            objective = tuple(int(x * scale) for x in acc)
         else:
             objective = data.draw(row)
         cone = ConeSpec(dim, tuple(eqs), tuple(ineqs), objective)

@@ -251,6 +251,24 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_a_bad_system_exits_2_before_any_task_runs(self, capsys, monkeypatch):
+        # G3 is refused up front, not after E7's sweep has run.
+        ran = []
+        suite = suites.SUITES["parabolic-lemmas"]
+        monkeypatch.setitem(
+            suites.SUITES,
+            "parabolic-lemmas",
+            suite._replace(worker=lambda rs, cap: ran.append(rs) or []),
+        )
+        code, out, err = run(
+            ["verify", "--suite", "parabolic-lemmas", "--system", "E7",
+             "--system", "G3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: G3 is not a valid irreducible type\n"
+        assert ran == []
+
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run(["verify", "--suite", "nope"], capsys)
         assert code == 2

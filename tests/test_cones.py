@@ -122,12 +122,20 @@ def brute_force_faces(rows, dim, equalities=()):
     return lineality, sorted(faces)
 
 
+def integer_row(r):
+    """r times the lcm of its denominators, a positive factor: the cone and
+    the oracle's answer are unchanged, and a zero row stays zero."""
+    den = lcm(*(Fraction(x).denominator for x in r))
+    return tuple(int(Fraction(x) * den) for x in r)
+
+
 def enumerate_cone(rows, dim, equalities=()):
+    """Extreme rays of the cone of rational rows, each made integral."""
     cone = ConeSpec(
         ambient_dim=dim,
-        equalities=tuple(vec(e) for e in equalities),
-        inequalities=tuple(vec(r) for r in rows),
-        objective=vec([0] * dim),
+        equalities=tuple(map(integer_row, equalities)),
+        inequalities=tuple(map(integer_row, rows)),
+        objective=(0,) * dim,
     )
     return extreme_rays(cone)
 
@@ -169,7 +177,8 @@ class TestPointedCones:
             assert enum.lineality == ()
             assert enum.rays == brute_force_rays(rows, dim)
 
-        # Fractional rows, and equalities that cut the cone down.
+        # Fractional rows, and equalities that cut the cone down; each row
+        # reaches ConeSpec as its integer multiple.
         def entry():
             return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
@@ -238,7 +247,7 @@ class TestPointedCones:
             )
 
     def test_equal_primitive_rows_reach_the_enumerator_once(self, monkeypatch):
-        # (2, 0) and (1/2, 1/2) are positive multiples of (1, 0) and (1, 1);
+        # (2, 0) and (3, 3) are positive multiples of (1, 0) and (1, 1);
         # the first of each set of equal primitive rows is kept, in order.
         seen = []
         real = cones._rays_and_lineality
@@ -248,9 +257,8 @@ class TestPointedCones:
             return real(rows, dim)
 
         monkeypatch.setattr(cones, "_rays_and_lineality", recording)
-        half = Fraction(1, 2)
         enum = enumerate_cone(
-            [[1, 0], [2, 0], [1, 0], [0, 3], [half, half], [1, 1], [0, 0]], 2
+            [[1, 0], [2, 0], [1, 0], [0, 3], [3, 3], [1, 1], [0, 0]], 2
         )
         assert seen == [[(1, 0), (0, 1), (1, 1)]]
         assert enum.rays == ((0, 1), (1, 0)) and enum.lineality == ()
@@ -281,6 +289,24 @@ class TestPointedCones:
         rows = [(1, 0), (2, 0)]
         with pytest.raises(InvariantViolation, match="not pointed"):
             cones._pointed_double_description(rows, 2, cones._seed_reduction(rows, 2))
+
+
+class TestIntegerRows:
+    BUILDERS = {
+        "equality row 1": lambda bad: ConeSpec(2, ((1, 0), bad), ((0, 1),), (0, 0)),
+        "inequality row 1": lambda bad: ConeSpec(2, ((1, 0),), ((0, 1), bad), (0, 0)),
+        "objective row 0": lambda bad: ConeSpec(2, ((1, 0),), ((0, 1),), bad),
+    }
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(2), 1.0, True])
+    @pytest.mark.parametrize("row", list(BUILDERS))
+    def test_a_non_int_entry_is_refused_naming_its_row(self, row, entry):
+        with pytest.raises(ValueError, match=row):
+            self.BUILDERS[row]((1, entry))
+
+    def test_int_rows_are_accepted(self):
+        for build_cone in self.BUILDERS.values():
+            assert build_cone((1, -2)).ambient_dim == 2
 
 
 class TestLinealityAndEqualities:
@@ -315,9 +341,9 @@ class TestLinealityAndEqualities:
     def test_rays_satisfy_cone(self):
         cone = ConeSpec(
             ambient_dim=3,
-            equalities=(vec([1, 1, 1]),),
-            inequalities=(vec([1, 0, 0]), vec([0, 1, 0])),
-            objective=vec([0, 0, 0]),
+            equalities=((1, 1, 1),),
+            inequalities=((1, 0, 0), (0, 1, 0)),
+            objective=(0, 0, 0),
         )
         enum = extreme_rays(cone)
         for ray in enum.rays:

@@ -23,6 +23,7 @@ from rootcones.roots import (
     _graph_components,
     connected_to,
     from_gramm,
+    gramm_seed,
     is_connected_subset,
     parabolic_character,
     parse_spec,
@@ -104,6 +105,14 @@ class TestBuild:
     def test_invalid_ranks(self, bad):
         with pytest.raises(InvalidRank):
             build(bad)
+
+    @pytest.mark.parametrize("build_it", [
+        lambda: build([("H", 2)]),
+        lambda: gramm_seed("H", 2),
+    ])
+    def test_unknown_type_letter(self, build_it):
+        with pytest.raises(InvalidRank, match="unknown type letter 'H'"):
+            build_it()
 
     def test_parse_errors(self):
         with pytest.raises(ValueError, match="position 0"):
@@ -632,7 +641,6 @@ class TestMemo:
     def test_cached_values_are_shared(self):
         rs = from_gramm(build("G2").gramm)
         assert weight_table(rs) is weight_table(rs)
-        assert subsystem(rs, [1, 0]) is subsystem(rs, (0, 1))
 
     def test_rescaled_system_starts_empty(self):
         rs = build("A2xB2")
