@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
@@ -33,40 +33,12 @@ from .simulate import (
     replay_induction,
     trace_to_dict,
 )
-from .suites import SUITE_NAMES, map_tasks, run_verification
+from .suites import SUITE_NAMES, SUITES, map_tasks, run_verification
 
 SCHEMA_VERSION = 1
 _INFINITY = float("inf")
 # Chunks `_write_json` gathers before it joins and writes them.
 _FLUSH_CHUNKS = 4096
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-# Config key -> (check on the JSON value, what the check requires).
-CONFIG_TYPES = {
-    "systems": (_is_list_of(_is_str), "a list of strings"),
-    "suites": (_is_list_of(_is_str), "a list of strings"),
-    "max_rank": (_is_int, "an integer"),
-    "max_subset_size": (_is_int, "an integer"),
-    "seed": (_is_int, "an integer"),
-    "horizon": (_is_int, "an integer"),
-    "traces": (_is_int, "an integer"),
-    "selection": (_is_list_of(_is_int), "a list of integers"),
-    "out": (_is_str, "a string"),
-    "format": (_is_str, "a string"),
-    "jobs": (_is_int, "an integer"),
-}
 
 
 @dataclass
@@ -106,6 +78,23 @@ class RunConfig:
             raise ValueError("selection needs 1-based root indices")
 
 
+# A RunConfig field's declared type, less any "| None" -> (the JSON type
+# its config value must have, the type of each item of a list, what the
+# two require). A JSON true or false is not an integer.
+_TYPE_CHECKS = {
+    "int": (int, None, "an integer"),
+    "str": (str, None, "a string"),
+    "list[int]": (list, int, "a list of integers"),
+    "list[str]": (list, str, "a list of strings"),
+}
+
+# Config key -> its field's entry of _TYPE_CHECKS; a field of a type the
+# table lacks fails at import.
+CONFIG_TYPES = {
+    f.name: _TYPE_CHECKS[f.type.removesuffix(" | None")] for f in fields(RunConfig)
+}
+
+
 def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
@@ -115,8 +104,8 @@ def _load_config_file(path: str) -> dict:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, value in sorted(data.items()):
-        check, wanted = CONFIG_TYPES[key]
-        if not check(value):
+        kind, item, wanted = CONFIG_TYPES[key]
+        if type(value) is not kind or (item and any(type(x) is not item for x in value)):
             raise ValueError(
                 f"config key {key!r} must be {wanted}, got {json.dumps(value)}"
             )
@@ -314,7 +303,7 @@ def cmd_build(config: RunConfig) -> int:
             weights = entry["weights"][label]
             csv_lines.append(
                 [
-                    spec,
+                    rs.spec,
                     label,
                     weights["d"],
                     " ".join(weights["dual_weight"]),
@@ -339,16 +328,24 @@ def cmd_verify(config: RunConfig) -> int:
     _refuse_repeats("suite", suites)
     _refuse_repeats("system", config.systems, parse_spec)
     # Every system is built before any task runs, so a bad one exits 2
-    # before any sweep starts.
+    # before any sweep starts. Reports name each system by its spec.
+    irreducible_only = [s for s in suites if s in SUITES and SUITES[s].irreducible]
+    systems = None if config.systems is None else []
     for spec in config.systems or ():
-        rank = build(spec).rank
-        if config.max_rank is not None and rank > config.max_rank:
+        rs = build(spec)
+        if config.max_rank is not None and rs.rank > config.max_rank:
             raise ValueError(
-                f"system {spec!r} has rank {rank}, above --max-rank {config.max_rank}"
+                f"system {spec!r} has rank {rs.rank}, above --max-rank {config.max_rank}"
             )
+        if irreducible_only and not rs.is_irreducible():
+            raise ValueError(
+                f"suite {irreducible_only[0]!r} needs irreducible systems: "
+                f"{spec!r} is reducible"
+            )
+        systems.append(rs.spec)
     rows, ok, tasks = run_verification(
         suites,
-        systems=config.systems,
+        systems=systems,
         max_rank=config.max_rank,
         jobs=config.jobs,
         max_subset_size=config.max_subset_size,
@@ -457,7 +454,7 @@ def cmd_simulate(config: RunConfig) -> int:
             selections = list(_all_selections(rs.rank))
         for selection in selections:
             for t in range(config.traces):
-                tasks.append((spec, selection, config.horizon, config.seed + t))
+                tasks.append((rs.spec, selection, config.horizon, config.seed + t))
     entries = map_tasks(_simulate_task, tasks, config.jobs)
     ok = all(e["status"] != "divergence-failure" for e in entries)
     payload = {
@@ -501,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--format", choices=["json", "csv"], help="report format")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--jobs", type=int, help="worker processes (default 1)")
         # Called last, so this holds every flag's dest; see `_merge`.
         p.set_defaults(flags={a.dest for a in p._actions if a.option_strings})
 
@@ -522,6 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="lower the per-suite rank caps")
     p_verify.add_argument("--max-subset-size", dest="max_subset_size", type=int,
                           help="cap the subset size in the subset sweeps")
+    p_verify.add_argument("--jobs", type=int, help="worker processes (default 1)")
     common(p_verify)
 
     p_sim = sub.add_parser("simulate", help="generate and check divergence traces")
@@ -532,6 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, help="base seed (default 0)")
     p_sim.add_argument("--horizon", type=int, help="time steps per trace (default 50)")
     p_sim.add_argument("--traces", type=int, help="seeded traces per selection")
+    p_sim.add_argument("--jobs", type=int, help="worker processes (default 1)")
     common(p_sim)
     return parser
 

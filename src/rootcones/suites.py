@@ -300,11 +300,16 @@ class Suite(NamedTuple):
     from its spec, and the subset cap, which only the subset sweeps use.
     It returns its rows without the suite, anchor and system; `_run_task`
     adds those.
+
+    `irreducible` marks a suite whose worker raises `NotIrreducible` on a
+    reducible system; the command line refuses such a system, when named
+    explicitly, before any task runs.
     """
 
     anchor: str
     systems: tuple[str, ...]
     worker: Callable[[RootSystem, int | None], list[dict]]
+    irreducible: bool = False
 
 
 _RANK_8 = tuple(irreducible_catalogue(8))
@@ -319,8 +324,8 @@ SUITES = {
     "theorem61-rays": Suite(
         "Thm6.1", _RANK_8, lambda rs, cap: run_theorem61(rs, "rays", cap)
     ),
-    "lemma65": Suite("Lem6.5", _RANK_8, run_lemma65),
-    "lemma66": Suite("Lem6.6", _RANK_8, run_lemma66),
+    "lemma65": Suite("Lem6.5", _RANK_8, run_lemma65, irreducible=True),
+    "lemma66": Suite("Lem6.6", _RANK_8, run_lemma66, irreducible=True),
     "parabolic-lemmas": Suite("Sec3.2", _RANK_8 + PARABOLIC_EXTRAS, run_parabolic),
     "chi-proportionality": Suite("Chi-prop", _RANK_8, run_chi),
     "controls": Suite("Thm6.1-control", tuple(irreducible_catalogue(6)), run_controls),

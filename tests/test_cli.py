@@ -94,6 +94,13 @@ class TestBuild:
         assert code == 2
         assert "not supported" in err
 
+    def test_jobs_is_not_a_build_flag(self, capsys):
+        # build runs no tasks; it used to take --jobs and ignore it.
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["build", "A3", "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
     def test_csv_format(self, capsys):
         code, out, _ = run(["build", "A2", "--format", "csv"], capsys)
         lines = out.strip().splitlines()
@@ -268,6 +275,46 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == "error: G3 is not a valid irreducible type\n"
         assert ran == []
+
+    @pytest.mark.parametrize("suite", ["lemma65", "lemma66", "all"])
+    def test_a_reducible_system_for_an_irreducible_suite_exits_2_before_any_task_runs(
+        self, suite, capsys, monkeypatch
+    ):
+        # lemma65 used to raise on E7xA1 only after every suite before it
+        # in `all` had swept it, and no report was written.
+        ran = []
+        for name, entry in suites.SUITES.items():
+            monkeypatch.setitem(
+                suites.SUITES, name,
+                entry._replace(worker=lambda rs, cap: ran.append(rs) or []),
+            )
+        code, out, err = run(
+            ["verify", "--suite", suite, "--system", "A2", "--system", "E7xA1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        first = "lemma65" if suite == "all" else suite
+        assert err == (
+            f"error: suite {first!r} needs irreducible systems: 'E7xA1' is reducible\n"
+        )
+        assert ran == []
+
+    def test_reports_name_each_system_by_its_spec(self, capsys):
+        # The typed text used to be echoed: " A3" in a CSV row, and "a3" on
+        # a simulate entry whose trace said "A3".
+        reports = {}
+        for spec in ("A3", "a3", " A3"):
+            reports[spec] = [
+                run(args, capsys)
+                for args in (
+                    ["verify", "--suite", "lemma66", "--suite", "identity-2d",
+                     "--system", spec, "--format", "csv"],
+                    ["simulate", "--system", spec, "--horizon", "2"],
+                    ["build", spec, "--format", "csv"],
+                )
+            ]
+        assert all(code == 0 for code, _, _ in reports["A3"])
+        assert reports["a3"] == reports["A3"] == reports[" A3"]
 
     def test_unknown_suite_exits_2(self, capsys):
         code, _, err = run(["verify", "--suite", "nope"], capsys)
@@ -795,6 +842,7 @@ class TestConfigFile:
         [
             (["build", "A3"], "horizon", 3),
             (["build", "A3"], "suites", ["lemma66"]),
+            (["build", "A3"], "jobs", 2),
             (["verify", "--suite", "lemma66", "--system", "A2"], "seed", 3),
             (["verify", "--suite", "lemma66", "--system", "A2"], "selection", [1]),
             (["simulate", "--system", "A3"], "max_rank", 1),
@@ -1020,6 +1068,21 @@ class TestWorkerBound:
         )
         assert code == 0
         assert sizes == [2]  # one selection, two traces
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["verify", "--suite", "lemma66", "--system", "A1", "--system", "A2"],
+            ["simulate", "--system", "A1", "--horizon", "2", "--traces", "2"],
+        ],
+        ids=["verify", "simulate"],
+    )
+    def test_jobs_from_a_flag_or_a_config_file(self, command, capsys, sizes, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"jobs": 2}))
+        for args in (["--jobs", "2"], ["--config", str(config)]):
+            assert run([*command, *args], capsys)[0] == 0
+        assert sizes == [2, 2]
 
     def test_cli_import_leaves_the_pool_unloaded(self):
         # The process pool is imported only when more than one worker runs,
