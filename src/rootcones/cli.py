@@ -141,22 +141,6 @@ def _parse_selection(text: str) -> list[int]:
         raise ValueError(f"bad selection {text!r}: {err}") from None
 
 
-def _selection_roots(rs: RootSystem, selection: list[int]) -> tuple[int, ...]:
-    """The 0-based roots of a 1-based selection, checked against the rank.
-
-    A repeated root is refused, for `build --subset` as for `simulate`.
-    """
-    if len(set(selection)) != len(selection):
-        raise ValueError("selection must not repeat roots")
-    for v in selection:
-        if v > rs.rank:
-            raise ValueError(
-                f"selection root {v} is out of range for {rs.spec}: "
-                f"its simple roots are 1..{rs.rank}"
-            )
-    return tuple(i - 1 for i in selection)
-
-
 def _refuse_repeats(kind: str, names: list[str] | None, key=str) -> None:
     """Refuse a suite or system named twice: it would run once per mention."""
     seen = set()
@@ -164,6 +148,42 @@ def _refuse_repeats(kind: str, names: list[str] | None, key=str) -> None:
         if key(name) in seen:
             raise ValueError(f"{kind} {name!r} is given more than once")
         seen.add(key(name))
+
+
+def _systems(config: RunConfig, suites: Iterable[str] = ()) -> list[tuple]:
+    """Each named system, built once, and the selection's 0-based roots or None.
+
+    A system named twice is refused first. Then each system, in
+    command-line order, is checked against `--max-rank`, the irreducible
+    suites among `suites` and the selection, before any task or report.
+    """
+    _refuse_repeats("system", config.systems, parse_spec)
+    irreducible_only = [s for s in suites if s in SUITES and SUITES[s].irreducible]
+    selection = config.selection
+    roots = None if selection is None else tuple(v - 1 for v in selection)
+    systems = []
+    for spec in config.systems or ():
+        rs = build(spec)
+        if config.max_rank is not None and rs.rank > config.max_rank:
+            raise ValueError(
+                f"system {spec!r} has rank {rs.rank}, above --max-rank {config.max_rank}"
+            )
+        if irreducible_only and not rs.is_irreducible():
+            raise ValueError(
+                f"suite {irreducible_only[0]!r} needs irreducible systems: "
+                f"{spec!r} is reducible"
+            )
+        if selection is not None:
+            if len(set(selection)) != len(selection):
+                raise ValueError("selection must not repeat roots")
+            beyond = [v for v in selection if v > rs.rank]
+            if beyond:
+                raise ValueError(
+                    f"selection root {beyond[0]} is out of range for {rs.spec}: "
+                    f"its simple roots are 1..{rs.rank}"
+                )
+        systems.append((rs, roots))
+    return systems
 
 
 def _float_text(value: float) -> str:
@@ -288,15 +308,15 @@ def _emit(config: RunConfig, payload: dict, header: list[str], csv_rows: Iterabl
 
 
 def cmd_build(config: RunConfig) -> int:
+    if config.selection is not None and config.format == "csv":
+        raise ValueError("--subset needs the JSON format: CSV has no parabolic datum")
     payload_systems = []
     csv_lines = []
-    for spec in config.systems:
-        rs = build(spec)
+    for rs, roots in _systems(config):
         entry = root_system_to_dict(rs)
         entry["weights"] = weight_table_to_dict(weight_table(rs))
-        if config.selection is not None:
-            datum = make_datum(rs, _selection_roots(rs, config.selection))
-            entry["parabolic"] = parabolic_datum_to_dict(datum)
+        if roots is not None:
+            entry["parabolic"] = parabolic_datum_to_dict(make_datum(rs, roots))
         payload_systems.append(entry)
         for alpha in range(rs.rank):
             label = rs.root_label(alpha)
@@ -326,26 +346,10 @@ def cmd_verify(config: RunConfig) -> int:
             )
         suites = list(SUITE_NAMES)
     _refuse_repeats("suite", suites)
-    _refuse_repeats("system", config.systems, parse_spec)
-    # Every system is built before any task runs, so a bad one exits 2
-    # before any sweep starts. Reports name each system by its spec.
-    irreducible_only = [s for s in suites if s in SUITES and SUITES[s].irreducible]
-    systems = None if config.systems is None else []
-    for spec in config.systems or ():
-        rs = build(spec)
-        if config.max_rank is not None and rs.rank > config.max_rank:
-            raise ValueError(
-                f"system {spec!r} has rank {rs.rank}, above --max-rank {config.max_rank}"
-            )
-        if irreducible_only and not rs.is_irreducible():
-            raise ValueError(
-                f"suite {irreducible_only[0]!r} needs irreducible systems: "
-                f"{spec!r} is reducible"
-            )
-        systems.append(rs.spec)
+    systems = [rs.spec for rs, _ in _systems(config, suites)]
     rows, ok, tasks = run_verification(
         suites,
-        systems=systems,
+        systems=None if config.systems is None else systems,
         max_rank=config.max_rank,
         jobs=config.jobs,
         max_subset_size=config.max_subset_size,
@@ -444,14 +448,9 @@ def _simulate_task(task: tuple[str, tuple[int, ...], int, int]) -> dict:
 def cmd_simulate(config: RunConfig) -> int:
     if not config.systems:
         raise ValueError("simulate needs at least one --system")
-    _refuse_repeats("system", config.systems, parse_spec)
     tasks = []
-    for spec in config.systems:
-        rs = build(spec)
-        if config.selection is not None:
-            selections = [_selection_roots(rs, config.selection)]
-        else:
-            selections = list(_all_selections(rs.rank))
+    for rs, roots in _systems(config):
+        selections = [roots] if roots is not None else _all_selections(rs.rank)
         for selection in selections:
             for t in range(config.traces):
                 tasks.append((rs.spec, selection, config.horizon, config.seed + t))

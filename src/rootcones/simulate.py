@@ -181,12 +181,12 @@ def _level_data(rs: RootSystem, selection: tuple[int, ...]) -> LevelData:
     rows: list[tuple[tuple[int, ...], str]] = []
     for l in range(1, levels + 1):
         sel = selection[l - 1]
-        _, weighted = relative_weight_table(rs, subsets[l - 1]).integer_weighted
-        functionals = [(weighted[sel], f"level{l}:positivity")]
-        for k in range(l + 1, levels + 1):
-            other = selection[k - 1]
-            diff = tuple(a - b for a, b in zip(weighted[sel], weighted[other]))
-            functionals.append((diff, f"level{l}:ordering:alpha_{other + 1}"))
+        table = relative_weight_table(rs, subsets[l - 1])
+        functionals = [(table.integer_weighted[1][sel], f"level{l}:positivity")]
+        for other in selection[l:]:
+            functionals.append(
+                (table.differences[sel][other], f"level{l}:ordering:alpha_{other + 1}")
+            )
         for f, label in functionals:
             row = (0,) * (l - 1) + tuple(dot(f, line) for line in lines[l - 1 :])
             rows.append((primitive(row) if any(row) else (0,) * levels, label))

@@ -118,6 +118,46 @@ class TestBuild:
         )
 
     @pytest.mark.parametrize(
+        "specs,repeat", [(["A3", "a3"], "a3"), (["A2 ", " a2"], " a2")]
+    )
+    def test_repeated_system_exits_2(self, specs, repeat, capsys):
+        # The repeat's rows used to be printed twice, with exit 0.
+        code, out, err = run(["build", *specs, "--format", "csv"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: system {repeat!r} is given more than once\n"
+
+    def test_out_of_range_subset_in_one_system_of_several(self, capsys):
+        # A3 takes the subset; B2 is too small, so no report is printed.
+        code, out, err = run(["build", "A3", "B2", "--subset", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: selection root 3 is out of range for B2: "
+            "its simple roots are 1..2\n"
+        )
+
+    @pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+    def test_subset_with_csv_output_exits_2_before_any_system_is_built(
+        self, from_file, capsys, tmp_path, monkeypatch
+    ):
+        # The CSV report has no parabolic datum columns; it used to print
+        # the weight rows alone and exit 0.
+        built = []
+        monkeypatch.setattr(cli, "build", lambda spec: built.append(spec))
+        args = ["build", "A2"]
+        if from_file:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"selection": [1], "format": "csv"}))
+            args += ["--config", str(config)]
+        else:
+            args += ["--subset", "1", "--format", "csv"]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --subset needs the JSON format: CSV has no parabolic datum\n"
+        )
+        assert built == []
+
+    @pytest.mark.parametrize(
         "spec,rank", [("A3", 3), ("B3", 3), ("C3", 3), ("G2", 2), ("A2xA1", 3)]
     )
     def test_parabolic_bases_match_gauss_jordan(self, spec, rank, capsys, tmp_path):
@@ -712,6 +752,23 @@ class TestSimulate:
             "error: selection root 3 is out of range for A2: "
             "its simple roots are 1..2\n"
         )
+
+    def test_out_of_range_selection_exits_2_before_any_task_runs(
+        self, capsys, monkeypatch
+    ):
+        # A3 takes the selection; A2 is refused before A3's trace runs.
+        ran = []
+        monkeypatch.setattr(cli, "_simulate_task", lambda task: ran.append(task))
+        code, out, err = run(
+            ["simulate", "--system", "A3", "--system", "A2", "--selection", "3"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: selection root 3 is out of range for A2: "
+            "its simple roots are 1..2\n"
+        )
+        assert ran == []
 
     def test_out_of_range_subset_names_the_root(self, capsys):
         # build reads --subset through the same 1-based range check.
